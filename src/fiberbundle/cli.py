@@ -248,7 +248,12 @@ def _positive(cfg: dict, *keys: str) -> None:
 
 
 def _workers(cfg: dict) -> int:
-    return cfg["workers"] if cfg["workers"] > 0 else (os.cpu_count() or 1)
+    if cfg["workers"] > 0:
+        return cfg["workers"]
+    if hasattr(os, "sched_getaffinity"):
+        # the CPUs this process may run on, which a container or taskset can restrict
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def cmd_simulate(cfg: dict) -> None:
@@ -522,6 +527,10 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve(args)
         _COMMANDS[args.command](cfg)
+    except gibbs.PositivityError as exc:
+        # a ValueError subclass, but a numerical failure rather than a usage error
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
     except (ValueError,) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .loadshare import Configuration, Rule
 
@@ -198,6 +197,8 @@ def build_gibbs(n: int, s: float, rule: Rule, dist) -> GibbsModel:
     load-share solves), aggregates them, converts to potentials and energy by
     the subset-lattice transforms, and normalizes in log space.
     """
+    from scipy.special import logsumexp
+
     if n > MAX_ENUM_N:
         raise ValueError(
             f"n = {n} exceeds the exact-enumeration bound {MAX_ENUM_N}; "
@@ -262,6 +263,8 @@ def lmf_fit(model_ref: GibbsModel, model_target: GibbsModel,
     The reduced energy takes -U(A) ~= slope * sum_{K in A} V_ref(K) +
     intercept * 2^(|A|-1); its measure is compared to the exact target model.
     """
+    from scipy.special import logsumexp
+
     if model_ref.n != model_target.n:
         raise ValueError("models must share the component count")
     n = model_ref.n

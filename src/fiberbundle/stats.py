@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-from scipy.optimize import brentq
 
 __all__ = [
     "CensoredSample",
@@ -138,6 +137,8 @@ def weibull_mle_censored(samples, tol: float = 1e-10) -> WeibullFit:
     x**rho over all observations.  Solved by bracketed root finding with
     geometric bracket expansion; |profile derivative| <= tol at the root.
     """
+    from scipy.optimize import brentq
+
     data = _as_censored(samples)
     x = np.array([s.value for s in data])
     event = np.array([not s.censored for s in data])

@@ -1,10 +1,15 @@
 """End-to-end command-line runs against temp directories."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fiberbundle import cli
 from fiberbundle.cli import main
 
 
@@ -240,6 +245,17 @@ class TestGibbsCommand:
             "--out", str(tmp_path / "o"),
         ]) == 2
 
+    def test_positivity_failure_is_numerical(self, tmp_path, capsys):
+        # strengths of 1e-80 put every component CDF at 0, so the log odds
+        # are undefined: exit 3 (numerical failure), not 2 (usage)
+        samples = tmp_path / "tiny.csv"
+        samples.write_text("strength\n" + "1e-80\n" * 5)
+        assert main([
+            "gibbs", "--rows", "2", "--cols", "2", "--percentiles", "50",
+            "--samples", str(samples), "--out", str(tmp_path / "o"),
+        ]) == 3
+        assert "positivity" in capsys.readouterr().err
+
     def test_too_large_grid_rejected(self, tmp_path):
         assert main([
             "gibbs", "--rows", "5", "--cols", "5", "--percentiles", "50",
@@ -286,3 +302,50 @@ class TestDensityCommand:
         assert main(["density", "--kind", "irwin-hall", "--m", "-3",
                      "--out", str(tmp_path / "o")]) == 2
         assert main(["density", "--out", str(tmp_path / "o")]) == 2
+
+
+class TestWorkers:
+    def test_zero_uses_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert cli._workers({"workers": 0}) == 3
+
+    def test_zero_falls_back_to_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert cli._workers({"workers": 0}) == 5
+
+
+_SCIPY_ON_DEMAND = """
+import json, sys
+import fiberbundle.cli as cli
+loaded = sorted(k for k in sys.modules if k.startswith("scipy"))
+out = sys.argv[1]
+with open(out + "/obs.csv", "w") as fh:
+    fh.write("value,censored\\n1.0,0\\n1.5,0\\n2.0,0\\n2.5,1\\n")
+rc_analyze = cli.main(["analyze", "--input", out + "/obs.csv", "--out", out + "/an"])
+rc_gibbs = cli.main(["gibbs", "--rows", "1", "--cols", "2", "--rule", "equal",
+                     "--structure", "parallel", "--replicas", "2000",
+                     "--percentiles", "10,50", "--workers", "1", "--out", out + "/gb"])
+from fiberbundle import threshold
+from fiberbundle.cascade import parse_pattern
+from fiberbundle.distributions import unit_exponential
+from fiberbundle.loadshare import EqualRule
+prob = threshold.pattern_probability(parse_pattern("1 2"), EqualRule(2), 2, unit_exponential())
+print(json.dumps({"loaded": loaded, "analyze": rc_analyze, "gibbs": rc_gibbs, "prob": prob}))
+"""
+
+
+def test_cli_import_loads_no_scipy(tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_ON_DEMAND, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["loaded"] == []
+    assert result["analyze"] == 0 and result["gibbs"] == 0
+    assert (tmp_path / "an" / "weibull_fit.json").exists()
+    assert (tmp_path / "gb" / "lmf.json").exists()
+    assert result["prob"] == pytest.approx(1 / 3, abs=1e-8)

@@ -1,6 +1,8 @@
 """Mixture densities, dual-path agreement, pattern densities, tail constants."""
 
+import logging
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +15,41 @@ from fiberbundle.distributions import unit_exponential
 from fiberbundle.loadshare import EqualRule, UnitRule
 
 
+def _irwin_hall_rational(m, tv):
+    """Alternating binomial series for b_m, summed in exact rational arithmetic."""
+    if not 0.0 <= tv <= m:
+        return 0.0
+    acc = Fraction(0)
+    ft = Fraction(tv)
+    for j in range(int(tv) + 1):
+        term = Fraction(math.comb(m, j)) * (ft - j) ** (m - 1)
+        acc += -term if j % 2 else term
+    return float(acc / math.factorial(m - 1))
+
+
 class TestIrwinHall:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7, 8, 12, 20, 30])
+    def test_matches_rational_series(self, m):
+        rng = np.random.default_rng(m)
+        t = np.concatenate([rng.uniform(0.0, m, 64), np.arange(m + 1.0)])
+        got = th.irwin_hall_pdf(m, t)
+        want = np.array([_irwin_hall_rational(m, v) for v in t])
+        nonzero = want != 0.0
+        assert np.all(got[~nonzero] == 0.0)
+        assert np.max(np.abs(got[nonzero] - want[nonzero]) / want[nonzero]) <= 1e-14
+        for v in t[:8]:
+            assert th.irwin_hall_pdf(m, float(v)) == pytest.approx(
+                _irwin_hall_rational(m, float(v)), rel=1e-14)
+        outside = np.array([-1e-12, -0.5, np.nextafter(m, np.inf), m + 0.5])
+        assert np.all(th.irwin_hall_pdf(m, outside) == 0.0)
+
+    def test_keeps_input_shape(self):
+        t = np.array([[0.5, 1.0], [3.0, -1.0]])
+        got = th.irwin_hall_pdf(2, t)
+        assert got.shape == (2, 2)
+        assert got.tolist() == [[0.5, 1.0], [0.0, 0.0]]
+        assert isinstance(th.irwin_hall_pdf(2, np.float64(0.5)), float)
+
     @pytest.mark.parametrize("m,t,expected", [
         (1, 0.5, 1.0),
         (2, 1.0, 1.0),
@@ -50,6 +86,19 @@ class TestIrwinHall:
                     points=[t - k for k in range(m)], limit=100,
                 )
             assert direct == pytest.approx(conv, abs=1e-9)
+
+    def test_depth_cap_logs_a_warning(self, caplog):
+        # a jump off the knots never converges; bisection stops at the cap
+        with caplog.at_level(logging.WARNING, logger="fiberbundle.threshold"):
+            val = th._integrate_panels(lambda t: (t > 0.3).astype(float), 0.0, 1.0)
+        assert val == pytest.approx(0.7, abs=1e-9)
+        capped = [r for r in caplog.records if r.name == "fiberbundle.threshold"]
+        assert capped and "depth cap" in capped[0].getMessage()
+
+    def test_smooth_integrand_logs_nothing(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="fiberbundle.threshold"):
+            th._integrate_panels(lambda t: th.irwin_hall_pdf(5, t), 0.0, 5.0, [1, 2, 3, 4])
+        assert not caplog.records
 
     def test_deep_shape_stays_stable(self):
         # near the mode, b_m is within the CLT kurtosis correction (~0.5% at
