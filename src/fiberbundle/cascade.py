@@ -42,7 +42,7 @@ __all__ = [
     "PowerScaledRule",
 ]
 
-_TABLE_MAX_N = 24
+_TABLE_MAX_BYTES = 256 << 20  # 2^n * n float64 shares: n <= 20
 _CHUNK = 1 << 16
 _REL_TOL = 1e-9
 
@@ -411,12 +411,15 @@ class PowerScaledRule:
 
 
 def _rule_table(rule: Rule, n: int) -> np.ndarray:
-    """Dense (2^n, n) table of load shares; non-member slots hold 1.0 and must
-    only ever be read through the membership mask."""
+    """Dense (2^n, n) table of load shares indexed by working-set mask.
+
+    A failed component carries no load, so slots outside the working set hold
+    0.0.  A table is checked for monotonicity once, when it is built.
+    """
     cached = getattr(rule, "_table", None)
     if cached is not None and cached.shape == (1 << n, n):
         return cached
-    table = np.ones((1 << n, n))
+    table = np.zeros((1 << n, n))
     if hasattr(rule, "_vector"):
         for mask in range(1, 1 << n):
             vec = rule._vector(mask)
@@ -427,6 +430,7 @@ def _rule_table(rule: Rule, n: int) -> np.ndarray:
             lam = rule(Configuration.from_mask(n, mask))
             for i, v in lam.values.items():
                 table[mask, i] = v
+    _check_monotone_table(table)
     try:
         rule._table = table
     except AttributeError:
@@ -434,39 +438,67 @@ def _rule_table(rule: Rule, n: int) -> np.ndarray:
     return table
 
 
+def _check_monotone_table(table: np.ndarray) -> None:
+    """Raise if removing one component from a working set lowers a survivor's
+    share; by transitivity this covers every pair of nested working sets."""
+    n = table.shape[1]
+    for i in range(n):
+        # axis 1 is bit i of the mask: [:, 0] is the working set without i
+        pairs = table.reshape(-1, 2, 1 << i, n)
+        without, within = pairs[:, 0], pairs[:, 1]
+        drop = without < within * (1.0 - _REL_TOL)
+        drop[..., i] = False  # i itself fails and sheds its whole share
+        if drop.any():
+            hi, lo, j = np.unravel_index(np.argmax(drop), drop.shape)
+            mask = int(hi) << (i + 1) | 1 << i | int(lo)
+            raise NonMonotoneRuleError(
+                f"share of component {j} dropped from {within[hi, lo, j]} to "
+                f"{without[hi, lo, j]} when component {i} failed from working-set mask {mask}"
+            )
+
+
 def _cascade_strengths_block(x: np.ndarray, table: np.ndarray,
                              structure: StructureFunction) -> np.ndarray:
-    """Strengths for a block of replicas, bit-mask state per replica."""
+    """Strengths for a block of replicas, bit-mask state per replica.
+
+    Failed components have share 0.0 in the table, so their ratio x / share
+    is +inf and ``x <= share * s`` is false: no membership mask is needed.
+    A zero strength is the exception: its ratio is 0, so it fails at s = 0 in
+    the first cycle, and after that 0 / 0 would be NaN.  Such entries become
+    +inf once the first cycle is over, and a burst step only removes bits
+    still in the working set.  The state of the replicas still alive is
+    compacted every cycle and every burst step.
+    """
     m, n = x.shape
     bit = np.int64(1) << np.arange(n, dtype=np.int64)
+    strength = np.empty(m)
+    rows = np.arange(m)
     masks = np.full(m, np.int64((1 << n) - 1))
-    strength = np.zeros(m)
-    active = np.arange(m)
-    while active.size:
-        am = masks[active]
-        lam = table[am]
-        member = (am[:, None] & bit) != 0
-        ratio = np.where(member, x[active] / lam, np.inf)
-        s = ratio.min(axis=1)
-        i0 = ratio.argmin(axis=1)
-        am = am & ~bit[i0]
-        masks[active] = am
-        strength[active] = s
-        cur = np.arange(active.size)
-        while cur.size:
-            rows = active[cur]
-            rm = masks[rows]
-            lam2 = table[rm]
-            member2 = (rm[:, None] & bit) != 0
-            over = member2 & (x[rows] <= lam2 * s[cur, None])
-            rem = over.astype(np.int64) @ bit
-            hit = rem != 0
-            if not hit.any():
-                break
-            masks[rows[hit]] &= ~rem[hit]
-            cur = cur[hit]
-        ok = structure._works_masks(masks[active])
-        active = active[ok]
+    zeros = not x.all()
+    with np.errstate(divide="ignore"):
+        while rows.size:
+            ratio = x / np.take(table, masks, axis=0)
+            i0 = ratio.argmin(axis=1)
+            s = np.take_along_axis(ratio, i0[:, None], axis=1)
+            masks &= ~bit[i0]
+            pos, bm, bx, bs = np.arange(rows.size), masks, x, s
+            while True:
+                over = bx <= np.take(table, bm, axis=0) * bs
+                rem = (over.astype(np.int64) @ bit) & bm
+                hit = np.flatnonzero(rem)
+                if not hit.size:
+                    break
+                pos, bx, bs = pos.take(hit), bx.take(hit, axis=0), bs.take(hit, axis=0)
+                bm = bm.take(hit) & ~rem.take(hit)
+                masks[pos] = bm
+            works = structure._works_masks(masks)
+            done = np.flatnonzero(~works)
+            strength[rows.take(done)] = s.take(done)
+            live = np.flatnonzero(works)
+            rows, masks, x = rows.take(live), masks.take(live), x.take(live, axis=0)
+            if zeros:
+                x[x == 0] = np.inf  # x is a compacted copy, not the caller's array
+                zeros = False
     return strength
 
 
@@ -502,7 +534,7 @@ def sample_bundle_strengths(model: StrengthModel, rule: Rule, structure: Structu
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
     n = structure.n
-    if n > _TABLE_MAX_N:
+    if (1 << n) * n * 8 > _TABLE_MAX_BYTES:
         return _sample_scalar(model, rule, structure, replicas, seed)
     table = _rule_table(rule, n)
     specs = [(ci, min(_CHUNK, replicas - ci * _CHUNK)) for ci in range((replicas + _CHUNK - 1) // _CHUNK)]

@@ -34,16 +34,23 @@ class InputFormatError(OSError):
     """Malformed input file content."""
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
+_CSV_BLOCK = 1 << 16
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_csv(path: Path, header: list[str], *columns) -> None:
+    """Write equal-length 1-d columns under a header line.
+
+    ``repr`` of a ``tolist()`` item is the shortest round-trip text for a
+    float64 and the plain digits for an int64.  Rows go out in blocks, so
+    memory stays flat however many replicas there are.
+    """
+    cols = [np.asarray(c) for c in columns]
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) if isinstance(v, (float, np.floating)) else str(v)
-                              for v in row) + "\n")
+        for lo in range(0, len(cols[0]), _CSV_BLOCK):
+            texts = [map(repr, c[lo:lo + _CSV_BLOCK].tolist()) for c in cols]
+            lines = texts[0] if len(texts) == 1 else map(",".join, zip(*texts))
+            fh.write("\n".join(lines) + "\n")
 
 
 def _write_json(path: Path, obj) -> None:
@@ -266,9 +273,9 @@ def cmd_simulate(cfg: dict) -> None:
     samples = sample_bundle_strengths(
         model, rule, structure, cfg["replicas"], seed=cfg["seed"], workers=_workers(cfg)
     )
-    _write_csv(outdir / "samples.csv", ["strength"], ((v,) for v in samples))
+    _write_csv(outdir / "samples.csv", ["strength"], samples)
     lx, ly = stats.weibull_plot_from_samples(samples)
-    _write_csv(outdir / "weibull_plot.csv", ["ln_x", "ln_neg_ln_sf"], zip(lx, ly))
+    _write_csv(outdir / "weibull_plot.csv", ["ln_x", "ln_neg_ln_sf"], lx, ly)
     fit = stats.lower_tail_slope(samples, window=(cfg["tail_lo"], cfg["tail_hi"]))
     rho = model.rho
     _write_json(outdir / "tail_fit.json", {
@@ -283,7 +290,7 @@ def cmd_simulate(cfg: dict) -> None:
     derived = {"n_samples": int(samples.size)}
     if cfg["chain"] > 1:
         chain = chain_strength(samples, ChainSpec(cfg["chain"]), seed=cfg["seed"])
-        _write_csv(outdir / "chain.csv", ["strength"], ((v,) for v in chain))
+        _write_csv(outdir / "chain.csv", ["strength"], chain)
         derived["n_chain"] = int(chain.size)
     _manifest(outdir, "simulate", cfg, derived)
 
@@ -320,14 +327,10 @@ def cmd_gibbs(cfg: dict) -> None:
     levels = {p: gibbs.strength_percentile(samples, p) for p in ps}
     models = {p: gibbs.build_gibbs(n, levels[p], rule, model) for p in ps}
     ref = models[ps[0]]
-    sizes = ref.potentials.sizes
     _write_csv(
         outdir / "potentials.csv",
         ["subset_mask", "subset_size", "V", "U"],
-        (
-            (mask, int(sizes[mask]), ref.potentials.values[mask], ref.energy.values[mask])
-            for mask in range(1 << n)
-        ),
+        np.arange(1 << n), ref.potentials.sizes, ref.potentials.values, ref.energy.values,
     )
     records = []
     for p in ps[1:]:
@@ -402,7 +405,7 @@ def cmd_analyze(cfg: dict) -> None:
     data = _read_censored(cfg["input"])
     km = stats.kaplan_meier(data)
     _write_csv(outdir / "km.csv", ["time", "surv", "lo", "hi"],
-               zip(km.times, km.survival, km.lower, km.upper))
+               km.times, km.survival, km.lower, km.upper)
     derived: dict = {"n_obs": len(data), "n_censored": sum(1 for _, c in data if c)}
     if sum(1 for _, c in data if not c) >= 2:
         fit = stats.weibull_mle_censored(data)
@@ -431,7 +434,7 @@ def cmd_cycles(cfg: dict) -> None:
         model, rule, structure, cfg["s_star"], cfg["a"], cfg["replicas"],
         seed=cfg["seed"], workers=_workers(cfg),
     )
-    _write_csv(outdir / "cycles.csv", ["cycles"], ((int(c),) for c in counts))
+    _write_csv(outdir / "cycles.csv", ["cycles"], counts)
     qs = {f"q{q}": float(np.quantile(counts, q / 100)) for q in (5, 25, 50, 75, 95)}
     _write_json(outdir / "cycles_summary.json", {
         "mean": float(counts.mean()),
@@ -450,7 +453,7 @@ def cmd_density(cfg: dict) -> None:
     if kind == "irwin-hall":
         _positive(cfg, "m")
         grid = _grid_values(cfg["grid"] or f"0:{cfg['m']}:0.1")
-        rows = [(t, float(threshold.irwin_hall_pdf(cfg["m"], t))) for t in grid]
+        columns = (grid, threshold.irwin_hall_pdf(cfg["m"], grid))
         header = ["t", "pdf"]
     elif kind == "mixing":
         mix = threshold.order_stat_mixing(cfg["k"], cfg["n"])
@@ -458,21 +461,20 @@ def cmd_density(cfg: dict) -> None:
             raise ValueError(f"a_({cfg['k']};{cfg['n']}) is a point mass at {cfg['n']}")
         lo, hi = mix.support
         grid = _grid_values(cfg["grid"] or f"{lo}:{hi}:{(hi - lo) / 50}")
-        rows = [(t, float(mix.pdf(t))) for t in grid]
+        columns = (grid, mix.pdf(grid))
         header = ["theta", "pdf"]
         derived["normalizing_constant"] = 1.0 / mix.normalizer
     elif kind == "order-stat-joint":
         joint = threshold.OrderStatJointDensity(cfg["k"], cfg["l"], cfg["n"])
         xg = _grid_values(cfg["x_grid"] or "0.2:1.0:0.2")
         yg = _grid_values(cfg["y_grid"] or "0.2:1.0:0.2")
-        rows = []
-        for xv in xg:
-            for dy in yg:
-                yv = xv + dy
-                direct = joint.direct(xv, yv)
-                mixture = joint.mixture(xv, yv)
-                rel = abs(direct - mixture) / direct if direct else 0.0
-                rows.append((xv, yv, direct, mixture, rel))
+        x = np.repeat(xg, yg.size)
+        y = x + np.tile(yg, xg.size)
+        direct = np.array([joint.direct(xv, yv) for xv, yv in zip(x, y)])
+        mixture = np.array([joint.mixture(xv, yv) for xv, yv in zip(x, y)])
+        rel = np.divide(np.abs(direct - mixture), direct, out=np.zeros_like(direct),
+                        where=direct != 0)
+        columns = (x, y, direct, mixture, rel)
         header = ["x", "y", "direct", "mixture", "rel_err"]
     elif kind == "tilted":
         tc = threshold.TiltedConditional(cfg["k"], cfg["l"], cfg["n"], cfg["x"], cfg["y"])
@@ -480,11 +482,9 @@ def cmd_density(cfg: dict) -> None:
         lo2, hi2 = cfg["n"] - cfg["l"] + 1, cfg["n"] - cfg["k"]
         g1 = _grid_values(f"{lo1}:{hi1}:{(hi1 - lo1) / 20}")
         g2 = _grid_values(f"{lo2}:{hi2}:{(hi2 - lo2) / 20}")
-        rows = [
-            (t1, t2, tc.pdf(t1, t2), float(tc.factor1(t1)), float(tc.factor2(t2)))
-            for t1 in g1
-            for t2 in g2
-        ]
+        f1 = np.repeat(tc.factor1(g1), g2.size)
+        f2 = np.tile(tc.factor2(g2), g1.size)
+        columns = (np.repeat(g1, g2.size), np.tile(g2, g1.size), f1 * f2, f1, f2)
         header = ["theta1", "theta2", "pdf", "factor1", "factor2"]
     elif kind == "pattern":
         if not cfg["pattern"]:
@@ -496,17 +496,19 @@ def cmd_density(cfg: dict) -> None:
         rule = _build_rule(cfg["rule"], cfg["rows"], cfg["cols"], n)
         model = _build_model(cfg["family"], cfg["shape"], cfg["scale"])
         f = len(pattern.cycles)
-        rows = []
+        stresses, density = [], []
         for spec in cfg["s"]:
             s = [float(v) for v in str(spec).split(",")]
             if len(s) != f:
                 raise ValueError(f"stress vector {spec!r} must have {f} entries")
             inp = threshold.pattern_density_input(pattern, rule, n, model, s)
-            rows.append((*s, threshold.phase1_pattern_density(inp)))
+            stresses.append(s)
+            density.append(threshold.phase1_pattern_density(inp))
+        columns = (*np.array(stresses).T, density)
         header = [f"s{u + 1}" for u in range(f)] + ["density"]
     else:
         raise ValueError(f"unknown density kind {kind!r}")
-    _write_csv(outdir / "density.csv", header, rows)
+    _write_csv(outdir / "density.csv", header, *columns)
     _manifest(outdir, "density", cfg, derived)
 
 

@@ -172,6 +172,22 @@ class GibbsModel:
         return float(np.exp(self.log_probs[mask]))
 
 
+def _logsumexp(a: np.ndarray) -> float:
+    """log(sum(exp(a))) of a finite real vector, by SciPy's algorithm.
+
+    Every entry equal to the maximum is split out of the shifted sum, which
+    keeps the result bit-identical to ``scipy.special.logsumexp`` without
+    importing SciPy.
+    """
+    amax = a.max()
+    top = a == amax
+    shifted = np.exp(a - amax)
+    shifted[top] = 0.0
+    m = float(np.count_nonzero(top))
+    rest = shifted.sum()
+    return float(np.log1p(rest / m) + np.log(m) + amax)
+
+
 def total_variation(p: np.ndarray, q: np.ndarray) -> float:
     return 0.5 * float(np.abs(p - q).sum())
 
@@ -197,8 +213,6 @@ def build_gibbs(n: int, s: float, rule: Rule, dist) -> GibbsModel:
     load-share solves), aggregates them, converts to potentials and energy by
     the subset-lattice transforms, and normalizes in log space.
     """
-    from scipy.special import logsumexp
-
     if n > MAX_ENUM_N:
         raise ValueError(
             f"n = {n} exceeds the exact-enumeration bound {MAX_ENUM_N}; "
@@ -232,7 +246,7 @@ def build_gibbs(n: int, s: float, rule: Rule, dist) -> GibbsModel:
     sigma = SubsetTable(n, sigma_sum)
     potentials = mobius_potentials(sigma)
     energy = mobius_energy(potentials)
-    logz = float(logsumexp(-energy.values))
+    logz = _logsumexp(-energy.values)
     return GibbsModel(n=n, s=s, sigma=sigma, potentials=potentials, energy=energy, logz=logz)
 
 
@@ -263,8 +277,6 @@ def lmf_fit(model_ref: GibbsModel, model_target: GibbsModel,
     The reduced energy takes -U(A) ~= slope * sum_{K in A} V_ref(K) +
     intercept * 2^(|A|-1); its measure is compared to the exact target model.
     """
-    from scipy.special import logsumexp
-
     if model_ref.n != model_target.n:
         raise ValueError("models must share the component count")
     n = model_ref.n
@@ -286,7 +298,7 @@ def lmf_fit(model_ref: GibbsModel, model_target: GibbsModel,
     # reduced energy: zeta of the reference potentials is -U_ref
     u_lmf = slope * model_ref.energy.values - intercept * np.exp2(sizes - 1.0)
     u_lmf[0] = 0.0
-    log_probs = -u_lmf - logsumexp(-u_lmf)
+    log_probs = -u_lmf - _logsumexp(-u_lmf)
     tv = total_variation(np.exp(log_probs), model_target.probabilities())
     return LMFFit(
         slope=float(slope),

@@ -6,6 +6,7 @@ from __future__ import annotations
 import logging
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 
@@ -276,9 +277,11 @@ class IntervalPartition:
 class PBDPosterior:
     """Mixture of Dirichlet laws over the partition cells.
 
-    Every component's parameter vector is the prior weights plus an integer
-    assignment of the observations to cells; weights are the sequential
-    urn-predictive probabilities of those assignments and sum to 1.
+    Every component's parameter vector is the prior weights alpha plus the
+    cell counts n of an assignment of the observations to cells.  Its weight
+    is the posterior probability of those counts: proportional to the Polya
+    urn weight prod_j alpha_j (alpha_j + 1) ... (alpha_j + n_j - 1), times
+    the number of assignments giving those counts.  Weights sum to 1.
     """
 
     partition: IntervalPartition
@@ -320,9 +323,11 @@ def pbd_posterior(partition: IntervalPartition, base, total_mass: float,
 
     Each observation is a set of candidate cells (a singleton when
     uncensored).  Every way of assigning observations to cells yields a
-    Dirichlet component; assignments are weighted by sequential urn
-    predictive probabilities.  Exact enumeration while the assignment space
-    is at most ``max_exact``; Monte Carlo over assignment paths beyond.
+    Dirichlet component, weighted by its Polya urn weight (see
+    :class:`PBDPosterior`).  Exact enumeration while the assignment space is
+    at most ``max_exact``; beyond that, assignment paths are drawn from the
+    sequential urn-predictive proposal and importance-weighted by
+    target / proposal.
     """
     alpha = pbd_prior_weights(partition, base, total_mass)
     ncells = partition.n_cells
@@ -339,34 +344,42 @@ def pbd_posterior(partition: IntervalPartition, base, total_mass: float,
     for cells in cell_sets:
         space *= len(cells)
 
-    acc: dict[tuple[int, ...], float] = {}
-
-    def weight_of(assignment: tuple[int, ...]) -> float:
-        counts = np.zeros(ncells)
-        w = 1.0
-        for cells, j in zip(cell_sets, assignment):
-            masses = np.array([alpha[c] + counts[c] for c in cells])
-            w *= masses[cells.index(j)] / masses.sum()
-            counts[j] += 1
-        return w
-
+    # (counts, log weight) pairs; products over many observations overflow a float
+    log_weights: list[tuple[tuple[int, ...], float]] = []
     if space <= max_exact:
-        for assignment in product(*cell_sets):
-            key = tuple(np.bincount(assignment, minlength=ncells).tolist())
-            acc[key] = acc.get(key, 0.0) + weight_of(assignment)
+        multiplicity = Counter(
+            tuple(np.bincount(assignment, minlength=ncells).tolist())
+            for assignment in product(*cell_sets)
+        )
+        for key, mult in multiplicity.items():
+            if any(c and a <= 0 for a, c in zip(alpha, key)):
+                continue  # an observation in a cell of zero prior mass: urn weight 0
+            rising = sum(math.log(a + t) for a, c in zip(alpha, key) for t in range(c))
+            log_weights.append((key, math.log(mult) + rising))
     else:
+        if mc_draws < 1:
+            raise ValueError("mc_draws must be >= 1")
         rng = np.random.default_rng(seed)
         for _ in range(mc_draws):
             counts = np.zeros(ncells)
             path = []
+            log_ratio = 0.0
             for cells in cell_sets:
                 masses = np.array([alpha[c] + counts[c] for c in cells])
-                j = cells[rng.choice(len(cells), p=masses / masses.sum())]
+                total = masses.sum()
+                j = cells[rng.choice(len(cells), p=masses / total)]
+                # urn factor alpha_j + counts_j over its proposal probability
+                log_ratio += math.log(total)
                 path.append(j)
                 counts[j] += 1
-            key = tuple(np.bincount(path, minlength=ncells).tolist())
-            acc[key] = acc.get(key, 0.0) + 1.0 / mc_draws
+            log_weights.append((tuple(np.bincount(path, minlength=ncells).tolist()), log_ratio))
 
+    if not log_weights:
+        raise ValueError("every assignment puts an observation in a cell of zero prior mass")
+    top = max(w for _, w in log_weights)
+    acc: dict[tuple[int, ...], float] = {}
+    for key, w in log_weights:
+        acc[key] = acc.get(key, 0.0) + math.exp(w - top)
     items = sorted(acc.items(), key=lambda kv: -kv[1])
     total = sum(w for _, w in items)
     return PBDPosterior(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats as sps
 
+from fiberbundle import cascade
 from fiberbundle.cascade import (
     BreakingPattern,
     ChainSpec,
@@ -280,6 +281,46 @@ class TestSampling:
         x = model.sample(_chunk_rng(21, 0), 6, 500)
         slow = np.array([simulate_cascade(row, rule, st).strength for row in x])
         assert np.allclose(fast, slow, rtol=1e-12)
+
+
+    @pytest.mark.parametrize("rule, structure, model", [
+        (grid_rule(3, 3), StructureFunction.column_paths(3, 3), StrengthModel("weibull", 5.0, 2.0)),
+        (EqualRule(5), StructureFunction.parallel(5), unit_exponential()),
+        (PowerScaledRule(grid_rule(2, 3), [1.0, 1.5, 0.8, 1.2, 1.0, 0.9], 2.5),
+         StructureFunction.column_paths(2, 3), unit_exponential()),
+    ], ids=["absorbing-3x3", "equal-parallel", "power-scaled"])
+    def test_kernel_equals_scalar_cascade_exactly(self, rule, structure, model):
+        n = structure.n
+        x = model.sample(np.random.default_rng(3), n, 2000)
+        fast = cascade._cascade_strengths_block(x, cascade._rule_table(rule, n), structure)
+        slow = np.array([simulate_cascade(row, rule, structure).strength for row in x])
+        assert np.array_equal(fast, slow)
+
+    def test_kernel_handles_zero_strengths(self):
+        # a zero strength fails at load 0; the bundle then carries on with the rest
+        x = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 0.0], [2.0, 3.0]])
+        got = cascade._cascade_strengths_block(
+            x, cascade._rule_table(EqualRule(2), 2), StructureFunction.parallel(2))
+        assert got.tolist() == [0.5, 0.5, 0.0, 2.0]
+        assert x[0].tolist() == [0.0, 1.0]
+
+    def test_sampler_rejects_non_monotone_rule(self):
+        def bad(cfg):
+            return LoadShareVector({i: float(len(cfg.working)) for i in cfg.working})
+
+        with pytest.raises(NonMonotoneRuleError, match="dropped"):
+            sample_bundle_strengths(unit_exponential(), bad, StructureFunction.parallel(3), 10)
+
+    def test_bundle_too_large_for_a_table_uses_scalar_path(self, monkeypatch):
+        # a 2^21 x 21 float64 table would take 352 MB
+        def no_table(rule, n):
+            raise AssertionError(f"dense share table requested for n = {n}")
+
+        monkeypatch.setattr(cascade, "_rule_table", no_table)
+        rule, st = EqualRule(21), StructureFunction.parallel(21)
+        got = sample_bundle_strengths(unit_exponential(), rule, st, 3, seed=4)
+        x = unit_exponential().sample(cascade._chunk_rng(4, 0), 21, 3)
+        assert np.array_equal(got, [simulate_cascade(row, rule, st).strength for row in x])
 
 
 class TestChain:

@@ -171,6 +171,7 @@ class TestAnalyze:
         with pytest.warns(UserWarning):
             assert main(["analyze", "--input", str(f), "--out", str(out)]) == 0
         assert not (out / "weibull_fit.json").exists()
+        assert (out / "km.csv").read_text() == "time,surv,lo,hi\n"
 
     def test_missing_input_flag(self, tmp_path):
         assert main(["analyze", "--out", str(tmp_path / "o")]) == 2
@@ -304,6 +305,89 @@ class TestDensityCommand:
         assert main(["density", "--out", str(tmp_path / "o")]) == 2
 
 
+def write_rows(path, header, rows):
+    """The row-at-a-time writer that the column writer replaced, kept as its oracle."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
+                              for v in row) + "\n")
+
+
+def _float_column(size, seed):
+    rng = np.random.default_rng(seed)
+    col = rng.standard_normal(size) * 10.0 ** rng.integers(-300, 300, size)
+    col[:6] = [0.0, -0.0, 1.0, 1e16, 5e-324, 0.1 + 0.2]
+    return col
+
+
+class TestWriter:
+    @pytest.mark.parametrize("columns", [
+        lambda: [_float_column(70_000, 0)],  # more than one 2^16-row block
+        lambda: [np.random.default_rng(1).integers(-2**62, 2**62, 70_000)],
+        lambda: [np.arange(300), np.bitwise_count(np.arange(300)).astype(np.int64),
+                 _float_column(300, 2), _float_column(300, 3)],
+        lambda: [np.array([np.nan, np.inf, -np.inf]), np.array([1.5, 2.5, 3.5])],
+        lambda: [np.empty(0), np.empty(0)],
+    ], ids=["float", "int64", "mixed", "non-finite", "empty"])
+    def test_bytes_equal_row_writer(self, tmp_path, columns):
+        cols = columns()
+        header = [f"c{i}" for i in range(len(cols))]
+        cli._write_csv(tmp_path / "cols.csv", header, *cols)
+        write_rows(tmp_path / "rows.csv", header, zip(*cols))
+        assert (tmp_path / "cols.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+def _density_rows(kind):
+    """density.csv rows evaluated one grid point at a time, as the CLI once did."""
+    from fiberbundle import threshold as th
+    from fiberbundle.cascade import parse_pattern
+    from fiberbundle.distributions import StrengthModel
+    from fiberbundle.loadshare import AbsorbingRule, build_grid_graph, transition_matrix
+
+    grid = cli._grid_values
+    if kind == "irwin-hall":
+        return [(t, float(th.irwin_hall_pdf(3, t))) for t in grid("0:3:0.1")]
+    if kind == "mixing":
+        mix = th.order_stat_mixing(3, 7)
+        lo, hi = mix.support
+        return [(t, float(mix.pdf(t))) for t in grid(f"{lo}:{hi}:{(hi - lo) / 50}")]
+    if kind == "order-stat-joint":
+        joint = th.OrderStatJointDensity(2, 4, 6)
+        rows = []
+        for xv in grid("0.2:1.0:0.2"):
+            for dy in grid("0.2:1.0:0.2"):
+                yv = xv + dy
+                d, m = joint.direct(xv, yv), joint.mixture(xv, yv)
+                rows.append((xv, yv, d, m, abs(d - m) / d if d else 0.0))
+        return rows
+    if kind == "tilted":
+        tc = th.TiltedConditional(2, 4, 6, 0.5, 1.0)
+        return [(t1, t2, tc.pdf(t1, t2), float(tc.factor1(t1)), float(tc.factor2(t2)))
+                for t1 in grid("5:6:0.05") for t2 in grid("3:4:0.05")]
+    rule = AbsorbingRule(transition_matrix(build_grid_graph(1, 3)))
+    model = StrengthModel("weibull", 5.0, 2.0)
+    pattern = parse_pattern("1(2) 3")
+    return [(*s, th.phase1_pattern_density(th.pattern_density_input(pattern, rule, 3, model, s)))
+            for s in ([0.3, 0.5], [0.2, 0.9])]
+
+
+@pytest.mark.parametrize("kind, args, header", [
+    ("irwin-hall", ["--m", "3"], ["t", "pdf"]),
+    ("mixing", ["--k", "3", "--n", "7"], ["theta", "pdf"]),
+    ("order-stat-joint", ["--k", "2", "--l", "4", "--n", "6"],
+     ["x", "y", "direct", "mixture", "rel_err"]),
+    ("tilted", ["--k", "2", "--l", "4", "--n", "6"],
+     ["theta1", "theta2", "pdf", "factor1", "factor2"]),
+    ("pattern", ["--pattern", "1(2) 3", "--rows", "1", "--cols", "3", "--rule", "absorbing",
+                 "--s", "0.3,0.5", "--s", "0.2,0.9"], ["s1", "s2", "density"]),
+])
+def test_density_table_equals_pointwise_rows(tmp_path, kind, args, header):
+    assert main(["density", "--kind", kind, *args, "--out", str(tmp_path / "d")]) == 0
+    write_rows(tmp_path / "rows.csv", header, _density_rows(kind))
+    assert (tmp_path / "d" / "density.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
 class TestWorkers:
     def test_zero_uses_affinity_mask(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
@@ -323,16 +407,18 @@ loaded = sorted(k for k in sys.modules if k.startswith("scipy"))
 out = sys.argv[1]
 with open(out + "/obs.csv", "w") as fh:
     fh.write("value,censored\\n1.0,0\\n1.5,0\\n2.0,0\\n2.5,1\\n")
-rc_analyze = cli.main(["analyze", "--input", out + "/obs.csv", "--out", out + "/an"])
 rc_gibbs = cli.main(["gibbs", "--rows", "1", "--cols", "2", "--rule", "equal",
                      "--structure", "parallel", "--replicas", "2000",
                      "--percentiles", "10,50", "--workers", "1", "--out", out + "/gb"])
+after_gibbs = sorted(k for k in sys.modules if k.startswith("scipy"))
+rc_analyze = cli.main(["analyze", "--input", out + "/obs.csv", "--out", out + "/an"])
 from fiberbundle import threshold
 from fiberbundle.cascade import parse_pattern
 from fiberbundle.distributions import unit_exponential
 from fiberbundle.loadshare import EqualRule
 prob = threshold.pattern_probability(parse_pattern("1 2"), EqualRule(2), 2, unit_exponential())
-print(json.dumps({"loaded": loaded, "analyze": rc_analyze, "gibbs": rc_gibbs, "prob": prob}))
+print(json.dumps({"loaded": loaded, "after_gibbs": after_gibbs, "analyze": rc_analyze,
+                  "gibbs": rc_gibbs, "prob": prob}))
 """
 
 
@@ -345,6 +431,7 @@ def test_cli_import_loads_no_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["loaded"] == []
+    assert result["after_gibbs"] == []
     assert result["analyze"] == 0 and result["gibbs"] == 0
     assert (tmp_path / "an" / "weibull_fit.json").exists()
     assert (tmp_path / "gb" / "lmf.json").exists()

@@ -233,3 +233,25 @@ class TestStrengthPercentile:
             gb.strength_percentile([1.0], 0.0)
         with pytest.raises(ValueError):
             gb.strength_percentile([1.0], 100.0)
+
+
+class TestLogSumExp:
+    def test_bit_identical_to_scipy(self):
+        from scipy.special import logsumexp
+
+        rng = np.random.default_rng(0)
+        for trial in range(600):
+            scale = float(rng.choice([1e-3, 1.0, 30.0, 1e3]))
+            a = rng.normal(scale=scale, size=int(rng.integers(1, 3000)))
+            if trial % 3 == 0:
+                a = np.round(a, 1)  # ties, at the maximum too
+            if trial % 5 == 0:
+                a[: a.size // 2] = a.max()
+            assert gb._logsumexp(a) == float(logsumexp(a))
+
+    def test_energies_of_a_built_model(self):
+        from scipy.special import logsumexp
+
+        model = gb.build_gibbs(6, 1.2, AbsorbingRule(transition_matrix(build_grid_graph(2, 3))),
+                               WEIBULL)
+        assert model.logz == float(logsumexp(-model.energy.values))

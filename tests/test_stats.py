@@ -227,3 +227,108 @@ class TestPBD:
     def test_mean_cell_probabilities_normalized(self):
         post = st.pbd_posterior(self.partition, self.base, 50.0, [{0, 1}, 2])
         assert post.mean_cell_probabilities().sum() == pytest.approx(1.0)
+
+
+class _Thirds:
+    """Base measure with probability 1/3 in each cell of (0, 1, 2)."""
+
+    def cdf(self, e):
+        return {1.0: 1 / 3, 2.0: 2 / 3}[e]
+
+
+def _dirichlet_rejection(alpha, cell_sets, draws, seed):
+    """Posterior count frequencies by brute force: p ~ Dir(alpha), one latent
+    cell per observation drawn from p, kept when every latent cell lies in its
+    observation's set."""
+    rng = np.random.default_rng(seed)
+    p = rng.dirichlet(alpha, size=draws)
+    cum = np.cumsum(p, axis=1)
+    keep = np.ones(draws, dtype=bool)
+    counts = np.zeros((draws, len(alpha)), dtype=int)
+    for cells in cell_sets:
+        latent = np.minimum((rng.random((draws, 1)) > cum).sum(axis=1), len(alpha) - 1)
+        keep &= np.isin(latent, cells)
+        counts[np.arange(draws), latent] += 1
+    keys, freq = np.unique(counts[keep], axis=0, return_counts=True)
+    return {tuple(k.tolist()): f for k, f in zip(keys, freq)}, int(keep.sum())
+
+
+def _proposal_paths(alpha, cell_sets):
+    """Every assignment path with its sequential proposal probability q and
+    its Polya urn weight."""
+    paths = [((), 1.0, 1.0, np.zeros(len(alpha)))]
+    for cells in cell_sets:
+        grown = []
+        for path, q, w, counts in paths:
+            masses = np.array([alpha[c] + counts[c] for c in cells])
+            for c, mass in zip(cells, masses):
+                nxt = counts.copy()
+                nxt[c] += 1
+                grown.append((path + (c,), q * mass / masses.sum(), w * mass, nxt))
+        paths = grown
+    return [(tuple(counts.astype(int).tolist()), q, w) for _, q, w, counts in paths]
+
+
+class _NoMiddle:
+    """Base measure with probability 1/2 in cells 0 and 2 of (0, 1, 2), none in 1."""
+
+    def cdf(self, e):
+        return 0.5
+
+
+class TestPBDWeights:
+    partition = st.IntervalPartition((0.0, 1.0, 2.0))
+    obs = [{0, 1}, {1, 2}]
+
+    def test_urn_weights_hand_example(self):
+        # alpha = (1, 1, 1): urn weights 1, 1, 1*2, 1 over (1,1,0), (1,0,1), (0,2,0), (0,1,1)
+        post = st.pbd_posterior(self.partition, _Thirds(), 3.0, self.obs)
+        assert post.prior == pytest.approx((1.0, 1.0, 1.0), rel=1e-15)
+        got = dict(zip(post.counts, post.weights))
+        want = {(1, 1, 0): 0.2, (1, 0, 1): 0.2, (0, 2, 0): 0.4, (0, 1, 1): 0.2}
+        assert got.keys() == want.keys()
+        for key, w in want.items():
+            assert got[key] == pytest.approx(w, rel=1e-12)
+
+    def test_exact_weights_match_dirichlet_rejection(self):
+        part = st.IntervalPartition((0.0, 1.0, 2.0, 3.0))
+        base = StrengthModel("weibull", 2.0, 2.0)
+        obs = [{0, 1}, {1, 2, 3}, 2, {0, 3}]
+        post = st.pbd_posterior(part, base, 4.0, obs)
+        cell_sets = [(o,) if isinstance(o, int) else tuple(sorted(o)) for o in obs]
+        freq, kept = _dirichlet_rejection(np.asarray(post.prior), cell_sets, 400_000, seed=7)
+        assert kept > 5_000
+        got = dict(zip(post.counts, post.weights))
+        assert set(freq) <= set(got)
+        for key, w in got.items():
+            se = math.sqrt(w * (1 - w) / kept)
+            assert freq.get(key, 0) / kept == pytest.approx(w, abs=4 * se)
+
+    def test_monte_carlo_branch_within_three_standard_errors(self):
+        draws = 20_000
+        mc = st.pbd_posterior(self.partition, _Thirds(), 3.0, self.obs, max_exact=0,
+                              mc_draws=draws, seed=3)
+        got = dict(zip(mc.counts, mc.weights))
+        paths = _proposal_paths(np.asarray(mc.prior), [(0, 1), (1, 2)])
+        z = sum(w for _, _, w in paths)
+        for key in {k for k, _, _ in paths}:
+            target = sum(w for k, _, w in paths if k == key) / z
+            # delta-method variance of the self-normalised importance estimate
+            var = sum(q * (w / z / q) ** 2 * ((k == key) - target) ** 2 for k, q, w in paths)
+            assert got[key] == pytest.approx(target, abs=3 * math.sqrt(var / draws))
+
+
+    def test_zero_mass_cell_gets_no_observation(self):
+        # alpha = (1.5, 0, 1.5): only (1, 0, 1) avoids the empty middle cell
+        for max_exact in (100_000, 0):
+            post = st.pbd_posterior(self.partition, _NoMiddle(), 3.0, self.obs,
+                                    max_exact=max_exact, mc_draws=200)
+            assert post.prior == (1.5, 0.0, 1.5)
+            assert post.counts == ((1, 0, 1),)
+            assert post.weights == (1.0,)
+
+    def test_no_positive_weight_assignment_raises(self):
+        with pytest.raises(ValueError, match="zero prior mass"):
+            st.pbd_posterior(self.partition, _NoMiddle(), 3.0, [1, {1, 2}])
+        with pytest.raises(ValueError, match="mc_draws"):
+            st.pbd_posterior(self.partition, _Thirds(), 3.0, self.obs, max_exact=0, mc_draws=0)
