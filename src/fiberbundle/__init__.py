@@ -14,6 +14,7 @@ from .loadshare import (
     Configuration,
     EqualRule,
     LoadShareVector,
+    NonMonotoneRuleError,
     TransitionMatrix,
     UnitRule,
     absorbing_load_share,
@@ -21,6 +22,7 @@ from .loadshare import (
     build_grid_graph,
     complete_graph_transition,
     equal_load_share,
+    share_table,
     transition_matrix,
     verify_monotone,
 )

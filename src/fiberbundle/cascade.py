@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import StrengthModel
-from .loadshare import Configuration, LoadShareVector, Rule
+from .loadshare import (_REL_TOL, Configuration, LoadShareVector, NonMonotoneRuleError, Rule,
+                        _table_fits, share_table)
 
 __all__ = [
     "ComponentStrengths",
@@ -42,13 +43,7 @@ __all__ = [
     "PowerScaledRule",
 ]
 
-_TABLE_MAX_BYTES = 256 << 20  # 2^n * n float64 shares: n <= 20
 _CHUNK = 1 << 16
-_REL_TOL = 1e-9
-
-
-class NonMonotoneRuleError(RuntimeError):
-    """A load share decreased after a removal; the rule is not monotone."""
 
 
 @dataclass(frozen=True)
@@ -410,53 +405,6 @@ class PowerScaledRule:
 # vectorized sampling
 
 
-def _rule_table(rule: Rule, n: int) -> np.ndarray:
-    """Dense (2^n, n) table of load shares indexed by working-set mask.
-
-    A failed component carries no load, so slots outside the working set hold
-    0.0.  A table is checked for monotonicity once, when it is built.
-    """
-    cached = getattr(rule, "_table", None)
-    if cached is not None and cached.shape == (1 << n, n):
-        return cached
-    table = np.zeros((1 << n, n))
-    if hasattr(rule, "_vector"):
-        for mask in range(1, 1 << n):
-            vec = rule._vector(mask)
-            sel = ~np.isnan(vec)
-            table[mask, sel] = vec[sel]
-    else:
-        for mask in range(1, 1 << n):
-            lam = rule(Configuration.from_mask(n, mask))
-            for i, v in lam.values.items():
-                table[mask, i] = v
-    _check_monotone_table(table)
-    try:
-        rule._table = table
-    except AttributeError:
-        pass
-    return table
-
-
-def _check_monotone_table(table: np.ndarray) -> None:
-    """Raise if removing one component from a working set lowers a survivor's
-    share; by transitivity this covers every pair of nested working sets."""
-    n = table.shape[1]
-    for i in range(n):
-        # axis 1 is bit i of the mask: [:, 0] is the working set without i
-        pairs = table.reshape(-1, 2, 1 << i, n)
-        without, within = pairs[:, 0], pairs[:, 1]
-        drop = without < within * (1.0 - _REL_TOL)
-        drop[..., i] = False  # i itself fails and sheds its whole share
-        if drop.any():
-            hi, lo, j = np.unravel_index(np.argmax(drop), drop.shape)
-            mask = int(hi) << (i + 1) | 1 << i | int(lo)
-            raise NonMonotoneRuleError(
-                f"share of component {j} dropped from {within[hi, lo, j]} to "
-                f"{without[hi, lo, j]} when component {i} failed from working-set mask {mask}"
-            )
-
-
 def _cascade_strengths_block(x: np.ndarray, table: np.ndarray,
                              structure: StructureFunction) -> np.ndarray:
     """Strengths for a block of replicas, bit-mask state per replica.
@@ -534,9 +482,9 @@ def sample_bundle_strengths(model: StrengthModel, rule: Rule, structure: Structu
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
     n = structure.n
-    if (1 << n) * n * 8 > _TABLE_MAX_BYTES:
+    if not _table_fits(n):
         return _sample_scalar(model, rule, structure, replicas, seed)
-    table = _rule_table(rule, n)
+    table = share_table(rule, n)
     specs = [(ci, min(_CHUNK, replicas - ci * _CHUNK)) for ci in range((replicas + _CHUNK - 1) // _CHUNK)]
     if workers is None or workers <= 1 or len(specs) == 1:
         _init_worker(model, table, structure, seed, n)

@@ -420,11 +420,6 @@ def cmd_analyze(cfg: dict) -> None:
 
 def cmd_cycles(cfg: dict) -> None:
     _positive(cfg, "rows", "cols", "replicas", "shape", "scale", "s_star")
-    if not 0 < cfg["a"] < 1:
-        raise ValueError(
-            "degradation factor a must lie in (0, 1): without degradation "
-            "either the bundle fails in the first cycle or it never fails"
-        )
     outdir = _ensure_outdir(cfg["out"])
     n = cfg["rows"] * cfg["cols"]
     rule = _build_rule(cfg["rule"], cfg["rows"], cfg["cols"], n)

@@ -41,6 +41,14 @@ class StrengthModel:
     def rho(self) -> float:
         return 1.0 if self.family == "exponential" else self.shape
 
+    def component(self, i: int) -> "StrengthModel":
+        """Marginal law of component i: the same family and shape with the
+        scalar scale of that component (the model itself if its scale is
+        already a scalar)."""
+        if not isinstance(self.scale, tuple):
+            return self
+        return StrengthModel(self.family, self.shape, self.scale[i])
+
     def _scale_array(self, n: int | None = None) -> np.ndarray:
         sig = np.asarray(self.scale, dtype=float)
         if n is not None and sig.ndim == 1 and sig.size != n:
@@ -82,6 +90,20 @@ class StrengthModel:
         """Draw a (size, n) matrix of component strengths by inverse transform."""
         e = rng.standard_exponential((size, n))
         return self._scale_array(n) * e ** (1.0 / self.rho)
+
+
+def component_laws(dist, n: int) -> list:
+    """One strength law per component: a list or tuple must hold n laws, a
+    :class:`StrengthModel` is split into its component marginals, and any
+    other law is shared by all n components."""
+    if isinstance(dist, (list, tuple)):
+        if len(dist) != n:
+            raise ValueError(f"need {n} component distributions, got {len(dist)}")
+        return list(dist)
+    if isinstance(dist, StrengthModel):
+        dist._scale_array(n)  # a scale vector must have one entry per component
+        return [dist.component(i) for i in range(n)]
+    return [dist] * n
 
 
 def unit_exponential() -> StrengthModel:

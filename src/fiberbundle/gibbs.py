@@ -15,7 +15,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .loadshare import Configuration, Rule
+from .distributions import component_laws
+from .loadshare import Configuration, Rule, share_table
 
 __all__ = [
     "SubsetTable",
@@ -192,25 +193,11 @@ def total_variation(p: np.ndarray, q: np.ndarray) -> float:
     return 0.5 * float(np.abs(p - q).sum())
 
 
-def _rule_table_nan(rule: Rule, n: int) -> np.ndarray:
-    """(2^n, n) share table with NaN outside the working set."""
-    table = np.full((1 << n, n), np.nan)
-    if hasattr(rule, "_vector"):
-        for mask in range(1, 1 << n):
-            table[mask] = rule._vector(mask)
-    else:
-        for mask in range(1, 1 << n):
-            lam = rule(Configuration.from_mask(n, mask))
-            for i, v in lam.values.items():
-                table[mask, i] = v
-    return table
-
-
 def build_gibbs(n: int, s: float, rule: Rule, dist) -> GibbsModel:
     """Enumerate the exact measure of working sets at load per component s.
 
-    Computes the per-component log odds at every configuration (memoizing the
-    load-share solves), aggregates them, converts to potentials and energy by
+    Computes the per-component log odds at every configuration from the
+    rule's share table, aggregates them, converts to potentials and energy by
     the subset-lattice transforms, and normalizes in log space.
     """
     if n > MAX_ENUM_N:
@@ -220,13 +207,10 @@ def build_gibbs(n: int, s: float, rule: Rule, dist) -> GibbsModel:
         )
     if s <= 0:
         raise ValueError("load must be positive")
-    dists = dist if isinstance(dist, (list, tuple)) else [dist] * n
-    if len(dists) != n:
-        raise ValueError(f"need {n} component distributions, got {len(dists)}")
-
-    table = _rule_table_nan(rule, n)
+    dists = component_laws(dist, n)
+    table = share_table(rule, n)
     size = 1 << n
-    member = ~np.isnan(table)
+    member = ((np.arange(size)[:, None] >> np.arange(n)) & 1).astype(bool)
     sigma_sum = np.zeros(size)
     for i in range(n):
         col = table[:, i]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -29,6 +29,8 @@ __all__ = [
     "absorbing_load_share",
     "equal_load_share",
     "verify_monotone",
+    "share_table",
+    "NonMonotoneRuleError",
     "AbsorbingRule",
     "EqualRule",
     "UnitRule",
@@ -36,6 +38,12 @@ __all__ = [
 
 _CONDITION_LIMIT = 1e12
 _ROW_SUM_TOL = 1e-9
+_REL_TOL = 1e-9  # relative drop in a share that counts as non-monotone
+_TABLE_MAX_BYTES = 256 << 20  # 2^n * n float64 shares: n <= 20
+
+
+class NonMonotoneRuleError(RuntimeError):
+    """A load share decreased after a removal; the rule is not monotone."""
 
 
 class SingularAbsorptionError(RuntimeError):
@@ -272,38 +280,17 @@ def equal_load_share(n: int, a: Configuration) -> LoadShareVector:
 
 
 class AbsorbingRule:
-    """Callable load-sharing rule backed by absorption solves, memoized per
-    working-set mask.
-
-    The cache is a plain dict: writes are atomic under the GIL, so concurrent
-    evaluators at worst recompute a value (single-writer-wins, no torn reads).
-    """
+    """Callable load-sharing rule backed by absorption solves."""
 
     def __init__(self, transition: TransitionMatrix):
         self.transition = transition
-        self._cache: dict[int, np.ndarray] = {}
 
     @property
     def n(self) -> int:
         return self.transition.n
 
     def __call__(self, config: Configuration) -> LoadShareVector:
-        vec = self._vector(config.mask)
-        return LoadShareVector({i: float(vec[i]) for i in config.working})
-
-    def _vector(self, mask: int) -> np.ndarray:
-        """Length-n vector with lambda at working positions, NaN elsewhere."""
-        cached = self._cache.get(mask)
-        if cached is not None:
-            return cached
-        n = self.n
-        working = [i for i in range(n) if mask >> i & 1]
-        res = absorption_probabilities(self.transition, Configuration(n, frozenset(working)))
-        vec = np.full(n, np.nan)
-        extra = res.u.sum(axis=0) if res.u.size else np.zeros(len(working))
-        vec[list(res.working)] = 1.0 + extra
-        self._cache[mask] = vec
-        return vec
+        return absorbing_load_share(self.transition, config)
 
 
 class EqualRule:
@@ -316,14 +303,6 @@ class EqualRule:
 
     def __call__(self, config: Configuration) -> LoadShareVector:
         return equal_load_share(self.n, config)
-
-    def _vector(self, mask: int) -> np.ndarray:
-        vec = np.full(self.n, np.nan)
-        members = [i for i in range(self.n) if mask >> i & 1]
-        if not members:
-            raise ValueError("working set must be nonempty")
-        vec[members] = self.n / len(members)
-        return vec
 
 
 class UnitRule:
@@ -341,32 +320,98 @@ class UnitRule:
             raise ValueError("working set must be nonempty")
         return LoadShareVector({i: 1.0 for i in config.working})
 
-    def _vector(self, mask: int) -> np.ndarray:
-        vec = np.full(self.n, np.nan)
-        members = [i for i in range(self.n) if mask >> i & 1]
-        vec[members] = 1.0
-        return vec
-
 
 Rule = Callable[[Configuration], LoadShareVector]
 
 
-def _submasks(mask: int) -> Iterable[int]:
-    """Proper nonempty submasks of mask, standard descending enumeration."""
-    sub = (mask - 1) & mask
-    while sub:
-        yield sub
-        sub = (sub - 1) & mask
+def _table_fits(n: int) -> bool:
+    return (1 << n) * n * 8 <= _TABLE_MAX_BYTES
+
+
+def _fill_table(rule: Rule, n: int) -> np.ndarray:
+    """Unchecked (2^n, n) share table, 0.0 outside each working set."""
+    table = np.zeros((1 << n, n))
+    for mask in range(1, 1 << n):
+        for i, v in rule(Configuration.from_mask(n, mask)).values.items():
+            table[mask, i] = v
+    return table
+
+
+def _first_drop(table: np.ndarray) -> tuple[int, int, int] | None:
+    """First (mask, i, j) where removing component i from working-set ``mask``
+    lowers survivor j's share by more than the relative tolerance, or None.
+    By transitivity, single removals cover every pair of nested working sets."""
+    n = table.shape[1]
+    for i in range(n):
+        # axis 1 is bit i of the mask: [:, 0] is the working set without i
+        pairs = table.reshape(-1, 2, 1 << i, n)
+        without, within = pairs[:, 0], pairs[:, 1]
+        drop = without < within * (1.0 - _REL_TOL)
+        drop[..., i] = False  # i itself fails and sheds its whole share
+        if drop.any():
+            hi, lo, j = np.unravel_index(np.argmax(drop), drop.shape)
+            return int(hi) << (i + 1) | 1 << i | int(lo), i, int(j)
+    return None
+
+
+_last_table: list = [None, None]  # rule and table of the latest share_table build
+
+
+def share_table(rule: Rule, n: int) -> np.ndarray:
+    """Read-only (2^n, n) float64 table of load shares indexed by working-set
+    mask, 0.0 outside the working set (a failed component carries no load).
+
+    Built from one ``rule`` call per nonempty mask and checked once for
+    monotonicity.  The latest table is kept with its rule, matched by
+    identity, so the sampler and the Gibbs builder share one build.
+    """
+    if not _table_fits(n):
+        raise ValueError(
+            f"a share table for n = {n} takes {(1 << n) * n * 8} bytes, "
+            f"more than the {_TABLE_MAX_BYTES}-byte bound"
+        )
+    last_rule, last = _last_table
+    if last_rule is rule and last.shape[1] == n:
+        return last
+    table = _fill_table(rule, n)
+    drop = _first_drop(table)
+    if drop is not None:
+        mask, i, j = drop
+        raise NonMonotoneRuleError(
+            f"share of component {j} dropped from {table[mask, j]} to "
+            f"{table[mask & ~(1 << i), j]} when component {i} failed from working-set mask {mask}"
+        )
+    table.flags.writeable = False
+    _last_table[:] = rule, table
+    return table
 
 
 def verify_monotone(rule: Rule, n: int, budget: int = 200_000, seed: int = 0) -> MonotoneCheck:
     """Check that failures never relieve a survivor: lambda_j(B) <= lambda_j(A)
     for every A subset of B containing j, plus positive total load.
 
-    Exhaustive over the subset lattice for n <= 12 (3^n ordered pairs),
-    randomized pairs up to ``budget`` beyond that.  Returns the first
-    violating (A, B, j) triple if any.
+    For n <= 12 the whole share table is read: the first working set with a
+    total share <= 0 comes back as (B, B, -1), else the first single removal
+    that lowers a survivor's share as (A, B, j) with A = B minus the removed
+    component.  Beyond that, randomized pairs up to ``budget``.  Drops are
+    measured relative to the larger share.
     """
+
+    def members(mask: int) -> frozenset[int]:
+        return frozenset(i for i in range(n) if mask >> i & 1)
+
+    if n <= 12:
+        table = _fill_table(rule, n)
+        low = np.flatnonzero(table[1:].sum(axis=1) <= 0)
+        if low.size:
+            b = members(int(low[0]) + 1)
+            return MonotoneCheck(False, (b, b, -1))
+        drop = _first_drop(table)
+        if drop is None:
+            return MonotoneCheck(True, None)
+        bmask, i, j = drop
+        return MonotoneCheck(False, (members(bmask & ~(1 << i)), members(bmask), j))
+
     cache: dict[int, dict[int, float]] = {}
 
     def shares(mask: int) -> dict[int, float]:
@@ -375,26 +420,6 @@ def verify_monotone(rule: Rule, n: int, budget: int = 200_000, seed: int = 0) ->
             got = dict(rule(Configuration.from_mask(n, mask)).values)
             cache[mask] = got
         return got
-
-    def check_pair(amask: int, bmask: int) -> MonotoneCheck | None:
-        la, lb = shares(amask), shares(bmask)
-        for j, val in la.items():
-            if lb[j] > val + 1e-12:
-                a = frozenset(i for i in range(n) if amask >> i & 1)
-                b = frozenset(i for i in range(n) if bmask >> i & 1)
-                return MonotoneCheck(False, (a, b, j))
-        return None
-
-    if n <= 12:
-        for bmask in range(1, 1 << n):
-            if sum(shares(bmask).values()) <= 0:
-                b = frozenset(i for i in range(n) if bmask >> i & 1)
-                return MonotoneCheck(False, (b, b, -1))
-            for amask in _submasks(bmask):
-                bad = check_pair(amask, bmask)
-                if bad is not None:
-                    return bad
-        return MonotoneCheck(True, None)
 
     rng = random.Random(seed)
     full = (1 << n) - 1
@@ -408,9 +433,9 @@ def verify_monotone(rule: Rule, n: int, budget: int = 200_000, seed: int = 0) ->
             if amask == bmask:
                 amask = 0
         if sum(shares(bmask).values()) <= 0:
-            b = frozenset(i for i in range(n) if bmask >> i & 1)
-            return MonotoneCheck(False, (b, b, -1))
-        bad = check_pair(amask, bmask)
-        if bad is not None:
-            return bad
+            return MonotoneCheck(False, (members(bmask), members(bmask), -1))
+        la, lb = shares(amask), shares(bmask)
+        for j, val in la.items():
+            if val < lb[j] * (1.0 - _REL_TOL):
+                return MonotoneCheck(False, (members(amask), members(bmask), j))
     return MonotoneCheck(True, None)

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .cascade import BreakingPattern, enumerate_patterns
-from .distributions import unit_exponential
+from .distributions import component_laws, unit_exponential
 from .loadshare import Configuration, Rule
 
 __all__ = [
@@ -329,19 +329,10 @@ class PatternDensityInput:
     s: tuple[float, ...]
 
 
-def _per_component(dist, n: int) -> list:
-    if hasattr(dist, "cdf"):
-        return [dist] * n
-    dists = list(dist)
-    if len(dists) != n:
-        raise ValueError(f"need {n} component distributions, got {len(dists)}")
-    return dists
-
-
 def pattern_density_input(pattern: BreakingPattern, rule: Rule, n: int, dist,
                           s: Sequence[float]) -> PatternDensityInput:
     """Compute the share bounds of a pattern from the rule and package them."""
-    dists = _per_component(dist, n)
+    dists = component_laws(dist, n)
     working = frozenset(range(n))
     shares = []
     bounds = []
@@ -379,6 +370,16 @@ def pattern_density_input(pattern: BreakingPattern, rule: Rule, n: int, dist,
     )
 
 
+def _cycle_factor(inp: PatternDensityInput, u: int, s_u: float, out: float = 1.0) -> float:
+    """Multiply cycle u's Phase-I factor a_u f(a_u s_u), then each Phase-II
+    band F(U s_u) - F(L s_u), into the running product ``out``."""
+    a_u = inp.phase1_shares[u]
+    out *= a_u * float(inp.pdfs[inp.pattern.cycles[u].phase1](a_u * s_u))
+    for (i2, lo, hi) in inp.bounds[u]:
+        out *= float(inp.cdfs[i2](hi * s_u)) - float(inp.cdfs[i2](lo * s_u))
+    return out
+
+
 def phase1_pattern_density(inp: PatternDensityInput) -> float:
     """Joint density of the Phase-I stresses and the breaking pattern.
 
@@ -395,11 +396,8 @@ def phase1_pattern_density(inp: PatternDensityInput) -> float:
     if any(v <= 0 for v in s):
         return 0.0
     out = 1.0
-    for u, cyc in enumerate(inp.pattern.cycles):
-        a_u = inp.phase1_shares[u]
-        out *= a_u * float(inp.pdfs[cyc.phase1](a_u * s[u]))
-        for (i2, lo, hi) in inp.bounds[u]:
-            out *= float(inp.cdfs[i2](hi * s[u])) - float(inp.cdfs[i2](lo * s[u]))
+    for u in range(len(s)):
+        out = _cycle_factor(inp, u, s[u], out)
     return max(out, 0.0)
 
 
@@ -416,19 +414,11 @@ def pattern_probability(pattern: BreakingPattern, rule: Rule, n: int, dist,
     f = len(pattern.cycles)
     inp = pattern_density_input(pattern, rule, n, dist, [float(u + 1) for u in range(f)])
 
-    def cycle_factor(u: int, s_u: float) -> float:
-        cyc = inp.pattern.cycles[u]
-        a_u = inp.phase1_shares[u]
-        val = a_u * float(inp.pdfs[cyc.phase1](a_u * s_u))
-        for (i2, lo, hi) in inp.bounds[u]:
-            val *= float(inp.cdfs[i2](hi * s_u)) - float(inp.cdfs[i2](lo * s_u))
-        return val
-
     def nested(u: int, lower: float) -> float:
         if u == f:
             return 1.0
         val, _ = integrate.quad(
-            lambda t: cycle_factor(u, t) * nested(u + 1, t),
+            lambda t: _cycle_factor(inp, u, t) * nested(u + 1, t),
             lower, upper, epsabs=epsabs, epsrel=epsrel, limit=200,
         )
         return val

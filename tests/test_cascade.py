@@ -32,6 +32,7 @@ from fiberbundle.loadshare import (
     EqualRule,
     LoadShareVector,
     build_grid_graph,
+    share_table,
     transition_matrix,
 )
 
@@ -292,7 +293,7 @@ class TestSampling:
     def test_kernel_equals_scalar_cascade_exactly(self, rule, structure, model):
         n = structure.n
         x = model.sample(np.random.default_rng(3), n, 2000)
-        fast = cascade._cascade_strengths_block(x, cascade._rule_table(rule, n), structure)
+        fast = cascade._cascade_strengths_block(x, share_table(rule, n), structure)
         slow = np.array([simulate_cascade(row, rule, structure).strength for row in x])
         assert np.array_equal(fast, slow)
 
@@ -300,7 +301,7 @@ class TestSampling:
         # a zero strength fails at load 0; the bundle then carries on with the rest
         x = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 0.0], [2.0, 3.0]])
         got = cascade._cascade_strengths_block(
-            x, cascade._rule_table(EqualRule(2), 2), StructureFunction.parallel(2))
+            x, share_table(EqualRule(2), 2), StructureFunction.parallel(2))
         assert got.tolist() == [0.5, 0.5, 0.0, 2.0]
         assert x[0].tolist() == [0.0, 1.0]
 
@@ -316,7 +317,7 @@ class TestSampling:
         def no_table(rule, n):
             raise AssertionError(f"dense share table requested for n = {n}")
 
-        monkeypatch.setattr(cascade, "_rule_table", no_table)
+        monkeypatch.setattr(cascade, "share_table", no_table)
         rule, st = EqualRule(21), StructureFunction.parallel(21)
         got = sample_bundle_strengths(unit_exponential(), rule, st, 3, seed=4)
         x = unit_exponential().sample(cascade._chunk_rng(4, 0), 21, 3)

@@ -1,16 +1,19 @@
 """Subset-lattice transforms, exact state measures, and the LMF reduction."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from fiberbundle import gibbs as gb
+from fiberbundle.cascade import StructureFunction, sample_bundle_strengths
 from fiberbundle.distributions import StrengthModel, unit_exponential
 from fiberbundle.loadshare import (
     AbsorbingRule,
     Configuration,
     EqualRule,
+    LoadShareVector,
     UnitRule,
     build_grid_graph,
     transition_matrix,
@@ -166,11 +169,61 @@ class TestBuildGibbs:
             expected *= float(d.sf(1.0))
         assert model.prob(frozenset(range(n))) == pytest.approx(expected, rel=1e-10)
 
+    def test_per_component_scale_vector(self):
+        scales = (1.0, 1.5, 2.0)
+        vector = gb.build_gibbs(3, 0.5, EqualRule(3), StrengthModel("weibull", 5.0, scales))
+        listed = gb.build_gibbs(3, 0.5, EqualRule(3),
+                                [StrengthModel("weibull", 5.0, sc) for sc in scales])
+        assert np.array_equal(vector.sigma.values, listed.sigma.values)
+        assert np.array_equal(vector.energy.values, listed.energy.values)
+        assert vector.logz == listed.logz
+
+    def test_scale_vector_length_checked(self):
+        with pytest.raises(ValueError, match="length 2"):
+            gb.build_gibbs(3, 0.5, EqualRule(3), StrengthModel("weibull", 5.0, (1.0, 2.0)))
+
     def test_grid_potentials_finite(self):
         rule = AbsorbingRule(transition_matrix(build_grid_graph(2, 2)))
         model = gb.build_gibbs(4, 0.2, rule, WEIBULL)
         assert np.all(np.isfinite(model.potentials.values))
         assert np.all(np.isfinite(model.energy.values))
+
+
+@dataclass
+class HalfEqualRule:
+    """Non-frozen dataclass rule: it defines __eq__, so it is unhashable."""
+
+    n: int
+
+    def __call__(self, cfg):
+        return LoadShareVector({i: 0.5 * self.n / len(cfg.working) for i in cfg.working})
+
+
+class TestOneTablePerRule:
+    def test_rule_called_once_per_mask(self):
+        n = 4
+        calls = []
+
+        def counting(cfg):
+            calls.append(cfg.mask)
+            return EqualRule(n)(cfg)
+
+        samples = sample_bundle_strengths(unit_exponential(), counting,
+                                          StructureFunction.parallel(n), 1000, seed=2)
+        for p in (10, 50):
+            gb.build_gibbs(n, gb.strength_percentile(samples, p), counting, WEIBULL)
+        assert sorted(calls) == list(range(1, 1 << n))
+
+    def test_unhashable_rule(self):
+        rule = HalfEqualRule(3)
+        with pytest.raises(TypeError):
+            hash(rule)
+        samples = sample_bundle_strengths(unit_exponential(), rule,
+                                          StructureFunction.parallel(3), 500, seed=1)
+        level = float(np.median(samples))
+        model = gb.build_gibbs(3, level, rule, WEIBULL)
+        expected = gb.build_gibbs(3, level, lambda cfg: rule(cfg), WEIBULL)
+        assert np.array_equal(model.energy.values, expected.energy.values)
 
 
 class TestLMF:

@@ -3,18 +3,21 @@
 import numpy as np
 import pytest
 
+from fiberbundle import cascade
 from fiberbundle.loadshare import (
     AbsorbingRule,
     Configuration,
     EqualRule,
     LoadShareVector,
     MonotoneCheck,
+    NonMonotoneRuleError,
     UnitRule,
     absorbing_load_share,
     absorption_probabilities,
     build_grid_graph,
     complete_graph_transition,
     equal_load_share,
+    share_table,
     transition_matrix,
     verify_monotone,
 )
@@ -219,6 +222,14 @@ class TestVerifyMonotone:
         assert not check.ok
         a, b, j = check.counterexample
         assert a < b and j in a
+        assert len(b - a) == 1
+        assert rule(Configuration(4, a))[j] < rule(Configuration(4, b))[j]
+
+    def test_nonpositive_total_caught(self):
+        def rule(cfg):
+            return LoadShareVector({i: 0.0 if cfg.working == {1} else 1.0 for i in cfg.working})
+
+        assert verify_monotone(rule, 3) == MonotoneCheck(False, (frozenset({1}), frozenset({1}), -1))
 
     def test_randomized_branch(self):
         check = verify_monotone(EqualRule(14), 14, budget=300, seed=7)
@@ -237,6 +248,44 @@ class TestVerifyMonotone:
                 for j, val in shares[sub].items():
                     assert shares[bmask][j] <= val + 1e-12
                 sub = (sub - 1) & bmask
+
+
+class TestShareTable:
+    def test_rule_values_inside_zero_outside(self):
+        rule = grid_rule(2, 3)
+        table = share_table(rule, 6)
+        assert table.shape == (64, 6) and table.dtype == np.float64
+        assert not table[0].any()
+        for mask in range(1, 64):
+            lam = rule(Configuration.from_mask(6, mask))
+            for i in range(6):
+                assert table[mask, i] == (lam[i] if mask >> i & 1 else 0.0)
+
+    def test_latest_table_is_reused_for_the_same_rule_only(self):
+        rule = EqualRule(4)
+        table = share_table(rule, 4)
+        assert share_table(rule, 4) is table
+        assert not table.flags.writeable
+        other = share_table(EqualRule(4), 4)
+        assert other is not table and np.array_equal(other, table)
+
+    def test_non_monotone_rule_rejected(self):
+        def rule(cfg):
+            return LoadShareVector({i: float(len(cfg.working)) for i in cfg.working})
+
+        with pytest.raises(NonMonotoneRuleError, match="dropped"):
+            share_table(rule, 3)
+        assert cascade.NonMonotoneRuleError is NonMonotoneRuleError
+
+    def test_table_bound_checked_before_any_work(self):
+        # a 2^21 x 21 float64 table would take 352 MB
+        def rule(cfg):
+            raise AssertionError("rule called for a table over the bound")
+
+        with pytest.raises(ValueError, match="bytes"):
+            share_table(EqualRule(21), 21)
+        with pytest.raises(ValueError, match="bytes"):
+            share_table(rule, 30)
 
 
 class TestConfiguration:

@@ -11,7 +11,7 @@ from scipy import integrate
 from fiberbundle import threshold as th
 from fiberbundle.cascade import StructureFunction, enumerate_patterns, parse_pattern, \
     sample_bundle_strengths
-from fiberbundle.distributions import unit_exponential
+from fiberbundle.distributions import StrengthModel, unit_exponential
 from fiberbundle.loadshare import EqualRule, UnitRule
 
 
@@ -240,6 +240,18 @@ class TestPatternDensity:
                                        unit_exponential(), [0.5, 0.3])
         with pytest.raises(ValueError, match="increasing"):
             th.phase1_pattern_density(inp)
+
+    def test_per_component_scale_vector(self):
+        scales = (1.0, 1.5, 2.0)
+        parts = [StrengthModel("weibull", 5.0, sc) for sc in scales]
+        s = [0.4, 0.9]
+        inp = th.pattern_density_input(parse_pattern("2(1) 3"), EqualRule(3), 3,
+                                       StrengthModel("weibull", 5.0, scales), s)
+        # equal rule: 1 f_2(s1) (F_1(1.5 s1) - F_1(s1)) * 3 f_3(3 s2)
+        expected = 1.0 * float(parts[1].pdf(1.0 * s[0]))
+        expected *= float(parts[0].cdf(1.5 * s[0])) - float(parts[0].cdf(1.0 * s[0]))
+        expected *= 3.0 * float(parts[2].pdf(3.0 * s[1]))
+        assert th.phase1_pattern_density(inp) == expected
 
     def test_two_component_probabilities(self):
         er = EqualRule(2)
