@@ -1,8 +1,9 @@
 """Command-line front end: seeded simulation runs and plot-ready CSV/JSON.
 
-Commands: simulate, gibbs, analyze, cycles, density.  Options may come from a
-key=value config file (--config); explicit flags win.  Every output directory
-receives a manifest.json echoing the fully resolved configuration.
+Commands: simulate, gibbs, analyze, cycles, density.  Each command takes only
+its own options (its row of _COMMANDS), as flags or as keys of a key=value
+config file (--config); explicit flags win.  Every output directory receives a
+manifest.json echoing the command's resolved options.
 
 Exit codes: 0 success, 2 usage/configuration, 3 numerical failure, 4 I/O.
 """
@@ -14,6 +15,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -21,12 +23,13 @@ from . import __version__, gibbs, stats, threshold
 from .cascade import (
     ChainSpec,
     StructureFunction,
+    _check_degradation,
     chain_strength,
     cycles_to_failure_samples,
     parse_pattern,
     sample_bundle_strengths,
 )
-from .distributions import StrengthModel
+from .distributions import FAMILIES, StrengthModel
 from .loadshare import AbsorbingRule, EqualRule, UnitRule, build_grid_graph, transition_matrix
 
 
@@ -93,70 +96,87 @@ def _grid_values(spec: str) -> np.ndarray:
     return lo + step * np.arange(count + 1)
 
 
-def _build_rule(name: str, rows: int, cols: int, n: int):
-    if name == "equal":
-        return EqualRule(n)
-    if name == "unit":
-        return UnitRule(n)
-    if name == "absorbing":
-        return AbsorbingRule(transition_matrix(build_grid_graph(rows, cols)))
-    raise ValueError(f"unknown rule {name!r}")
-
-
-def _build_structure(name: str, rows: int, cols: int) -> StructureFunction:
-    if name == "parallel":
-        return StructureFunction.parallel(rows * cols)
-    if name == "column-paths":
-        return StructureFunction.column_paths(rows, cols)
-    raise ValueError(f"unknown structure {name!r}")
-
-
-def _build_model(family: str, shape: float, scale: float) -> StrengthModel:
-    if family == "exponential":
-        return StrengthModel(family="exponential", shape=1.0, scale=scale)
-    return StrengthModel(family=family, shape=shape, scale=scale)
-
-
-# ---------------------------------------------------------------------------
-# option plumbing: argparse collects raw values, config file fills the gaps
-
-
-_COMMON = {
-    "rows": (int, 4),
-    "cols": (int, 4),
-    "rule": (str, "absorbing"),
-    "structure": (str, "column-paths"),
-    "family": (str, "weibull"),
-    "shape": (float, 5.0),
-    "scale": (float, 2.0),
-    "replicas": (int, 100_000),
-    "seed": (int, 0),
-    "chain": (int, 1),
-    "tail_lo": (float, 1e-5),
-    "tail_hi": (float, 1e-3),
-    "percentiles": (str, ""),
-    "a": (float, 0.9),
-    "s_star": (float, 1.0),
-    "workers": (int, 0),  # 0 -> available parallelism
-    "out": (str, "out"),
-    "samples": (str, ""),
-    "input": (str, ""),
-    "kind": (str, ""),
-    "m": (int, 2),
-    "k": (int, 2),
-    "l": (int, 4),
-    "n": (int, 6),
-    "grid": (str, ""),
-    "x_grid": (str, ""),
-    "y_grid": (str, ""),
-    "x": (float, 0.5),
-    "y": (float, 1.0),
-    "pattern": (str, ""),
-    "s": (list, []),
+_RULES = {
+    "absorbing": lambda rows, cols: AbsorbingRule(transition_matrix(build_grid_graph(rows, cols))),
+    "equal": lambda rows, cols: EqualRule(rows * cols),
+    "unit": lambda rows, cols: UnitRule(rows * cols),
+}
+_STRUCTURES = {
+    "parallel": lambda rows, cols: StructureFunction.parallel(rows * cols),
+    "column-paths": StructureFunction.column_paths,
 }
 
 
-def _load_config_file(path: str) -> dict:
+def _bundle(cfg: dict) -> tuple[int, object, StrengthModel]:
+    """Component count, load-sharing rule and strength model of the grid bundle."""
+    rows, cols = cfg["rows"], cfg["cols"]
+    shape = 1.0 if cfg["family"] == "exponential" else cfg["shape"]
+    model = StrengthModel(family=cfg["family"], shape=shape, scale=cfg["scale"])
+    return rows * cols, _RULES[cfg["rule"]](rows, cols), model
+
+
+def _structure(cfg: dict) -> StructureFunction:
+    return _STRUCTURES[cfg["structure"]](cfg["rows"], cfg["cols"])
+
+
+# ---------------------------------------------------------------------------
+# options: _OPTIONS declares each option once, _COMMANDS names each command's row
+
+
+def _positive(value) -> None:
+    if value <= 0:
+        raise ValueError(f"must be positive, got {value}")
+
+
+class _Option(NamedTuple):
+    type: type
+    default: object
+    help: str
+    choices: tuple | None = None
+    check: Callable | None = None  # raises ValueError on a bad value
+
+
+_OPTIONS = {
+    "rows": _Option(int, 4, "grid rows", check=_positive),
+    "cols": _Option(int, 4, "grid columns", check=_positive),
+    "rule": _Option(str, "absorbing", "load-sharing rule", tuple(_RULES)),
+    "structure": _Option(str, "column-paths", "structure function", tuple(_STRUCTURES)),
+    "family": _Option(str, "weibull", "component strength law", FAMILIES),
+    "shape": _Option(float, 5.0, "Weibull shape; exponential fixes it at 1", check=_positive),
+    "scale": _Option(float, 2.0, "strength scale", check=_positive),
+    "replicas": _Option(int, 100_000, "bundles to sample", check=_positive),
+    "seed": _Option(int, 0, "random seed"),
+    "chain": _Option(int, 1, "bundles in series for chain.csv; 1 writes none", check=_positive),
+    "tail_lo": _Option(float, 1e-5, "lower probability of the tail-fit window"),
+    "tail_hi": _Option(float, 1e-3, "upper probability of the tail-fit window"),
+    "percentiles": _Option(str, "", "comma list of strength percentiles; first is the reference"),
+    "a": _Option(float, 0.9, "degradation factor per cycle, in (0, 1)", check=_check_degradation),
+    "s_star": _Option(float, 1.0, "peak load per component", check=_positive),
+    "workers": _Option(int, 0, "worker processes; 0 uses the available CPUs"),
+    "out": _Option(str, "out", "output directory"),
+    "samples": _Option(str, "", "strength samples file to take the percentiles from"),
+    "input": _Option(str, "", "value,censored CSV to analyze"),
+    "kind": _Option(str, "", "density to tabulate",
+                    ("irwin-hall", "mixing", "order-stat-joint", "tilted", "pattern")),
+    "m": _Option(int, 2, "irwin-hall: number of uniforms", check=_positive),
+    "k": _Option(int, 2, "order-statistic index k"),
+    "l": _Option(int, 4, "order-statistic index l"),
+    "n": _Option(int, 6, "sample size n"),
+    "grid": _Option(str, "", "lo:hi:step evaluation grid (irwin-hall, mixing)"),
+    "x_grid": _Option(str, "", "lo:hi:step grid for x (order-stat-joint)"),
+    "y_grid": _Option(str, "", "lo:hi:step grid for y - x (order-stat-joint)"),
+    "x": _Option(float, 0.5, "tilted: conditioning value x"),
+    "y": _Option(float, 1.0, "tilted: conditioning value y"),
+    "pattern": _Option(str, "", "breaking pattern, e.g. '1(2,3) 4'"),
+    "s": _Option(list, (), "stress vector, comma list (repeatable)"),
+}
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _load_config_file(path: str, command: str, keys) -> dict:
     values = {}
     try:
         lines = Path(path).read_text().splitlines()
@@ -170,9 +190,9 @@ def _load_config_file(path: str) -> dict:
             raise InputFormatError(f"{path}:{ln}: expected key=value, got {line!r}")
         key, _, raw = line.partition("=")
         key = key.strip().replace("-", "_")
-        if key not in _COMMON:
-            raise InputFormatError(f"{path}:{ln}: unknown option {key!r}")
-        typ, _ = _COMMON[key]
+        if key not in keys:
+            raise InputFormatError(f"{path}:{ln}: {command} has no option {key!r}")
+        typ = _OPTIONS[key].type
         try:
             values[key] = raw.strip().split() if typ is list else typ(raw.strip())
         except ValueError:
@@ -181,17 +201,24 @@ def _load_config_file(path: str) -> dict:
 
 
 def _resolve(args: argparse.Namespace) -> dict:
-    from_file = _load_config_file(args.config) if args.config else {}
-    resolved = {}
-    for key, (_, default) in _COMMON.items():
-        flag_val = getattr(args, key, None)
-        if flag_val is not None and flag_val != []:
-            resolved[key] = flag_val
-        elif key in from_file:
-            resolved[key] = from_file[key]
-        else:
-            resolved[key] = default
-    return resolved
+    """The command's options, each from its flag, else the config file, else its default."""
+    keys = _COMMANDS[args.command][1]
+    from_file = _load_config_file(args.config, args.command, keys) if args.config else {}
+    cfg = {}
+    for key in keys:
+        opt = _OPTIONS[key]
+        value = getattr(args, key)
+        if value is None:
+            value = from_file.get(key, opt.default)
+        try:
+            if opt.choices and value not in opt.choices:
+                raise ValueError(f"must be one of {', '.join(opt.choices)}; got {value!r}")
+            if opt.check:
+                opt.check(value)
+        except ValueError as exc:
+            raise ValueError(f"{_flag(key)}: {exc}") from None
+        cfg[key] = value
+    return cfg
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -200,58 +227,22 @@ def _parser() -> argparse.ArgumentParser:
         description="Fiber-bundle strength simulation and censored-strength analysis",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, doc in [
-        ("simulate", "sample bundle strengths; emit samples, Weibull plot, tail fit"),
-        ("gibbs", "enumerate the exact state measure; emit potentials and LMF fits"),
-        ("analyze", "Kaplan-Meier curve and censored Weibull MLE for a sample file"),
-        ("cycles", "cycles-to-failure under geometric strength degradation"),
-        ("density", "tabulate one of the threshold densities"),
-    ]:
-        p = sub.add_parser(name, help=doc)
-        p.add_argument("--config", default=None, help="key=value config file; flags win")
-        p.add_argument("--rows", type=int)
-        p.add_argument("--cols", type=int)
-        p.add_argument("--rule", choices=["absorbing", "equal", "unit"])
-        p.add_argument("--structure", choices=["parallel", "column-paths"])
-        p.add_argument("--family", choices=["weibull", "exponential"])
-        p.add_argument("--shape", type=float)
-        p.add_argument("--scale", type=float)
-        p.add_argument("--replicas", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--chain", type=int)
-        p.add_argument("--tail-lo", dest="tail_lo", type=float)
-        p.add_argument("--tail-hi", dest="tail_hi", type=float)
-        p.add_argument("--percentiles", help="comma list; first is the reference")
-        p.add_argument("--a", type=float, help="degradation factor in (0,1)")
-        p.add_argument("--s-star", dest="s_star", type=float, help="peak load per component")
-        p.add_argument("--workers", type=int)
-        p.add_argument("--out")
-        p.add_argument("--samples", help="strength samples file (gibbs percentile source)")
-        p.add_argument("--input", help="censored sample CSV (analyze)")
-        p.add_argument("--kind", choices=["irwin-hall", "mixing", "order-stat-joint",
-                                          "tilted", "pattern"])
-        p.add_argument("--m", type=int)
-        p.add_argument("--k", type=int)
-        p.add_argument("--l", type=int)
-        p.add_argument("--n", type=int)
-        p.add_argument("--grid", help="lo:hi:step evaluation grid")
-        p.add_argument("--x-grid", dest="x_grid", help="lo:hi:step grid for x")
-        p.add_argument("--y-grid", dest="y_grid", help="lo:hi:step grid for y")
-        p.add_argument("--x", type=float)
-        p.add_argument("--y", type=float)
-        p.add_argument("--pattern", help="breaking pattern, e.g. '1(2,3) 4'")
-        p.add_argument("--s", action="append", help="stress vector, comma list (repeatable)")
+    for name, (cmd, keys) in _COMMANDS.items():
+        p = sub.add_parser(name, help=cmd.__doc__, description=cmd.__doc__)
+        p.add_argument("--config", help="key=value file of this command's options; flags win")
+        for key in keys:
+            opt = _OPTIONS[key]
+            shown = f" (default {opt.default})" if opt.default not in ("", ()) else ""
+            if opt.type is list:
+                how = {"action": "append"}
+            else:
+                how = {"type": opt.type, "choices": opt.choices}
+            p.add_argument(_flag(key), help=opt.help + shown, **how)
     return parser
 
 
 # ---------------------------------------------------------------------------
 # commands
-
-
-def _positive(cfg: dict, *keys: str) -> None:
-    for key in keys:
-        if cfg[key] <= 0:
-            raise ValueError(f"{key} must be positive, got {cfg[key]}")
 
 
 def _workers(cfg: dict) -> int:
@@ -264,12 +255,10 @@ def _workers(cfg: dict) -> int:
 
 
 def cmd_simulate(cfg: dict) -> None:
-    _positive(cfg, "rows", "cols", "replicas", "shape", "scale", "chain")
+    """Sample bundle strengths; emit samples, Weibull plot and lower-tail fit."""
+    _, rule, model = _bundle(cfg)
+    structure = _structure(cfg)
     outdir = _ensure_outdir(cfg["out"])
-    n = cfg["rows"] * cfg["cols"]
-    rule = _build_rule(cfg["rule"], cfg["rows"], cfg["cols"], n)
-    structure = _build_structure(cfg["structure"], cfg["rows"], cfg["cols"])
-    model = _build_model(cfg["family"], cfg["shape"], cfg["scale"])
     samples = sample_bundle_strengths(
         model, rule, structure, cfg["replicas"], seed=cfg["seed"], workers=_workers(cfg)
     )
@@ -308,21 +297,19 @@ def _percentile_list(cfg: dict) -> list[float]:
 
 
 def cmd_gibbs(cfg: dict) -> None:
-    _positive(cfg, "rows", "cols", "shape", "scale")
+    """Enumerate the exact state measure; emit potentials and LMF fits."""
     n = cfg["rows"] * cfg["cols"]
     if n > gibbs.MAX_ENUM_N:
         raise ValueError(f"rows*cols = {n} exceeds the enumeration bound {gibbs.MAX_ENUM_N}")
     ps = _percentile_list(cfg)
+    _, rule, model = _bundle(cfg)
     outdir = _ensure_outdir(cfg["out"])
-    rule = _build_rule(cfg["rule"], cfg["rows"], cfg["cols"], n)
-    structure = _build_structure(cfg["structure"], cfg["rows"], cfg["cols"])
-    model = _build_model(cfg["family"], cfg["shape"], cfg["scale"])
     if cfg["samples"]:
         samples = _read_strengths(cfg["samples"])
     else:
-        _positive(cfg, "replicas")
         samples = sample_bundle_strengths(
-            model, rule, structure, cfg["replicas"], seed=cfg["seed"], workers=_workers(cfg)
+            model, rule, _structure(cfg), cfg["replicas"], seed=cfg["seed"],
+            workers=_workers(cfg),
         )
     levels = {p: gibbs.strength_percentile(samples, p) for p in ps}
     models = {p: gibbs.build_gibbs(n, levels[p], rule, model) for p in ps}
@@ -399,6 +386,7 @@ def _read_censored(path: str) -> list[tuple[float, bool]]:
 
 
 def cmd_analyze(cfg: dict) -> None:
+    """Kaplan-Meier curve and censored Weibull MLE for a value,censored CSV."""
     if not cfg["input"]:
         raise ValueError("analyze needs --input pointing at a value,censored CSV")
     outdir = _ensure_outdir(cfg["out"])
@@ -419,12 +407,10 @@ def cmd_analyze(cfg: dict) -> None:
 
 
 def cmd_cycles(cfg: dict) -> None:
-    _positive(cfg, "rows", "cols", "replicas", "shape", "scale", "s_star")
+    """Cycles to failure under geometric strength degradation."""
+    _, rule, model = _bundle(cfg)
+    structure = _structure(cfg)
     outdir = _ensure_outdir(cfg["out"])
-    n = cfg["rows"] * cfg["cols"]
-    rule = _build_rule(cfg["rule"], cfg["rows"], cfg["cols"], n)
-    structure = _build_structure(cfg["structure"], cfg["rows"], cfg["cols"])
-    model = _build_model(cfg["family"], cfg["shape"], cfg["scale"])
     counts = cycles_to_failure_samples(
         model, rule, structure, cfg["s_star"], cfg["a"], cfg["replicas"],
         seed=cfg["seed"], workers=_workers(cfg),
@@ -440,13 +426,10 @@ def cmd_cycles(cfg: dict) -> None:
 
 
 def cmd_density(cfg: dict) -> None:
+    """Tabulate one of the threshold densities."""
     kind = cfg["kind"]
-    if not kind:
-        raise ValueError("density needs --kind")
-    outdir = _ensure_outdir(cfg["out"])
     derived: dict = {}
     if kind == "irwin-hall":
-        _positive(cfg, "m")
         grid = _grid_values(cfg["grid"] or f"0:{cfg['m']}:0.1")
         columns = (grid, threshold.irwin_hall_pdf(cfg["m"], grid))
         header = ["t", "pdf"]
@@ -481,15 +464,13 @@ def cmd_density(cfg: dict) -> None:
         f2 = np.tile(tc.factor2(g2), g1.size)
         columns = (np.repeat(g1, g2.size), np.tile(g2, g1.size), f1 * f2, f1, f2)
         header = ["theta1", "theta2", "pdf", "factor1", "factor2"]
-    elif kind == "pattern":
+    else:  # pattern
         if not cfg["pattern"]:
             raise ValueError("pattern density needs --pattern")
         if not cfg["s"]:
             raise ValueError("pattern density needs at least one --s stress vector")
         pattern = parse_pattern(cfg["pattern"])
-        n = cfg["rows"] * cfg["cols"]
-        rule = _build_rule(cfg["rule"], cfg["rows"], cfg["cols"], n)
-        model = _build_model(cfg["family"], cfg["shape"], cfg["scale"])
+        n, rule, model = _bundle(cfg)
         f = len(pattern.cycles)
         stresses, density = [], []
         for spec in cfg["s"]:
@@ -501,18 +482,20 @@ def cmd_density(cfg: dict) -> None:
             density.append(threshold.phase1_pattern_density(inp))
         columns = (*np.array(stresses).T, density)
         header = [f"s{u + 1}" for u in range(f)] + ["density"]
-    else:
-        raise ValueError(f"unknown density kind {kind!r}")
+    outdir = _ensure_outdir(cfg["out"])
     _write_csv(outdir / "density.csv", header, *columns)
     _manifest(outdir, "density", cfg, derived)
 
 
+_BUNDLE = ("rows", "cols", "rule", "family", "shape", "scale")
+_SAMPLING = ("structure", "replicas", "seed", "workers")
 _COMMANDS = {
-    "simulate": cmd_simulate,
-    "gibbs": cmd_gibbs,
-    "analyze": cmd_analyze,
-    "cycles": cmd_cycles,
-    "density": cmd_density,
+    "simulate": (cmd_simulate, (*_BUNDLE, *_SAMPLING, "chain", "tail_lo", "tail_hi", "out")),
+    "gibbs": (cmd_gibbs, (*_BUNDLE, *_SAMPLING, "percentiles", "samples", "out")),
+    "analyze": (cmd_analyze, ("input", "out")),
+    "cycles": (cmd_cycles, (*_BUNDLE, *_SAMPLING, "a", "s_star", "out")),
+    "density": (cmd_density, ("kind", "m", "k", "l", "n", "grid", "x_grid", "y_grid", "x", "y",
+                              "pattern", "s", *_BUNDLE, "out")),
 }
 
 
@@ -523,7 +506,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         cfg = _resolve(args)
-        _COMMANDS[args.command](cfg)
+        _COMMANDS[args.command][0](cfg)
     except gibbs.PositivityError as exc:
         # a ValueError subclass, but a numerical failure rather than a usage error
         print(f"numerical failure: {exc}", file=sys.stderr)

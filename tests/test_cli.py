@@ -1,7 +1,9 @@
 """End-to-end command-line runs against temp directories."""
 
+import argparse
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -138,6 +140,26 @@ class TestConfigFile:
     def test_missing_config_file(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.cfg")]) == 4
 
+    def test_key_of_another_command_reported(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("rows=1\nkind=pattern\n")
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 4
+        assert f"{cfg}:2" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line, named", [
+        ("rule=bogus", "absorbing, equal, unit"),
+        ("replicas=0", "positive"),
+    ])
+    def test_bad_value_is_usage_error(self, tmp_path, capsys, line, named):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestAnalyze:
     def test_km_and_fit(self, tmp_path):
@@ -191,8 +213,9 @@ class TestCycles:
         assert all(r[0] == "1" for r in rows)
 
     def test_degradation_bound_rejected(self, tmp_path):
-        for a in ("1.0", "1.4"):
+        for a in ("1.0", "1.2", "1.4"):
             assert main(["cycles", "--a", a, "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
 
     def test_summary_quantiles(self, tmp_path):
         out = tmp_path / "cy"
@@ -303,6 +326,89 @@ class TestDensityCommand:
         assert main(["density", "--kind", "irwin-hall", "--m", "-3",
                      "--out", str(tmp_path / "o")]) == 2
         assert main(["density", "--out", str(tmp_path / "o")]) == 2
+
+
+_ROWS = {
+    "simulate": {"rows", "cols", "rule", "structure", "family", "shape", "scale", "replicas",
+                 "seed", "workers", "chain", "tail_lo", "tail_hi", "out"},
+    "gibbs": {"rows", "cols", "rule", "structure", "family", "shape", "scale", "replicas",
+              "seed", "workers", "percentiles", "samples", "out"},
+    "analyze": {"input", "out"},
+    "cycles": {"rows", "cols", "rule", "structure", "family", "shape", "scale", "replicas",
+               "seed", "workers", "a", "s_star", "out"},
+    "density": {"kind", "m", "k", "l", "n", "grid", "x_grid", "y_grid", "x", "y", "pattern",
+                "s", "rows", "cols", "rule", "family", "shape", "scale", "out"},
+}
+_SMALL = ["--rows", "1", "--cols", "2", "--rule", "equal", "--family", "exponential",
+          "--scale", "1"]
+
+
+class TestOptionRows:
+    def test_each_command_takes_its_own_flags(self):
+        sub = next(a for a in cli._parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        for name, keys in _ROWS.items():
+            flags = {f for a in sub.choices[name]._actions for f in a.option_strings}
+            assert flags - {"-h", "--help", "--config"} == {
+                "--" + k.replace("_", "-") for k in keys}
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--input", "obs.csv", "--replicas", "5"],
+        ["density", "--kind", "irwin-hall", "--chain", "2"],
+        ["simulate", "--kind", "pattern"],
+    ], ids=["analyze-replicas", "density-chain", "simulate-kind"])
+    def test_flag_of_another_command_rejected(self, tmp_path, argv):
+        out = tmp_path / "o"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [["--s", "0.3"], ["--pattern", "1(2)"]],
+                             ids=["no-pattern", "no-stress"])
+    def test_rejected_pattern_density_leaves_no_output_directory(self, tmp_path, args):
+        out = tmp_path / "o"
+        assert main(["density", "--kind", "pattern", *args, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, args", [
+        ("simulate", [*_SMALL, "--replicas", "5000", "--tail-lo", "1e-3", "--tail-hi", "1e-1",
+                      "--workers", "1"]),
+        ("gibbs", [*_SMALL, "--replicas", "2000", "--percentiles", "10,50", "--workers", "1"]),
+        ("analyze", ["--input", "{obs}"]),
+        ("cycles", [*_SMALL, "--replicas", "2000", "--a", "0.8", "--workers", "1"]),
+        ("density", ["--kind", "irwin-hall", "--m", "2"]),
+    ])
+    def test_manifest_echoes_only_the_commands_options(self, tmp_path, command, args):
+        obs = tmp_path / "obs.csv"
+        obs.write_text("value,censored\n1.0,0\n1.5,0\n2.0,0\n")
+        out = tmp_path / "o"
+        argv = [command, *(a.format(obs=obs) for a in args), "--out", str(out)]
+        assert main(argv) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert set(config) == _ROWS[command]
+
+
+def _readme_command_line():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return text.split("## Command line", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_examples_parse():
+    block = _readme_command_line().split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("fiberbundle ")]
+    assert len(commands) == 7
+    for argv in commands:
+        cli._parser().parse_args(argv[1:])
+
+
+def test_readme_option_table_matches_rows():
+    listed = {}
+    for line in _readme_command_line().splitlines():
+        cells = [c.strip(" `") for c in line.split("|")[1:-1]]
+        if len(cells) == 2 and cells[0] in _ROWS:
+            listed[cells[0]] = set(cells[1].split())
+    assert listed == {name: {"--" + k.replace("_", "-") for k in keys}
+                      for name, keys in _ROWS.items()}
 
 
 def write_rows(path, header, rows):
