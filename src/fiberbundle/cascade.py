@@ -16,6 +16,7 @@ from __future__ import annotations
 import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -258,6 +259,58 @@ def _as_strengths(x) -> np.ndarray:
     return arr
 
 
+def _share_walk(rule: Rule, n: int) -> Callable[[frozenset[int]], LoadShareVector]:
+    """Shares along a walk down nested working sets, one ``rule`` call per set.
+
+    Asking again for the latest set returns its shares without a call, and the
+    empty set has none.  Each new set's shares are checked against the previous
+    set's: a survivor whose share drops by more than the relative tolerance
+    raises :class:`NonMonotoneRuleError`.
+    """
+    latest: list = [None, LoadShareVector({})]
+
+    def shares(working: frozenset[int]) -> LoadShareVector:
+        if not working:
+            return LoadShareVector({})
+        if working == latest[0]:
+            return latest[1]
+        lam = rule(Configuration(n, working))
+        for j, old in latest[1].values.items():
+            if j in lam.values and lam[j] < old * (1.0 - _REL_TOL):
+                raise NonMonotoneRuleError(
+                    f"share of component {j} dropped from {old} to {lam[j]} after removals"
+                )
+        latest[:] = working, lam
+        return lam
+
+    return shares
+
+
+def _pattern_steps(pattern: BreakingPattern, rule: Rule, n: int) -> Iterator[tuple]:
+    """Walk a breaking pattern's cycles down its working sets, through one share walk.
+
+    Yields ``(cycle, working, shares, bursts, survivors, survivor_shares)`` per
+    cycle, where ``bursts`` holds ``(group, before, after)``: the shares the
+    group survived (before the previous removal) and failed under (after it).
+    The walk follows the pattern, not the strengths, so replay and the
+    pattern density share it.
+    """
+    for i in sorted(pattern.components()):
+        if not 0 <= i < n:
+            raise ValueError(f"pattern names component {i + 1}, but the bundle has n = {n}")
+    shares = _share_walk(rule, n)
+    working = frozenset(range(n))
+    for cyc in pattern.cycles:
+        lam = shares(working)
+        before, cur, bursts = lam, working - {cyc.phase1}, []
+        for grp in cyc.groups:
+            after = shares(cur)
+            bursts.append((grp, before, after))
+            before, cur = after, cur - grp
+        yield cyc, working, lam, tuple(bursts), cur, shares(cur)
+        working = cur
+
+
 def simulate_cascade(x, rule: Rule, structure: StructureFunction) -> CascadeResult:
     """Run one full Phase I/II cascade and record the breaking pattern.
 
@@ -271,19 +324,7 @@ def simulate_cascade(x, rule: Rule, structure: StructureFunction) -> CascadeResu
     if xs.size != n:
         raise ValueError(f"expected {n} strengths, got {xs.size}")
 
-    last_shares: dict[int, float] = {}
-
-    def shares(working: frozenset[int]) -> LoadShareVector:
-        lam = rule(Configuration(n, working))
-        for j, old in last_shares.items():
-            if j in lam.values and lam[j] < old * (1.0 - _REL_TOL):
-                raise NonMonotoneRuleError(
-                    f"share of component {j} dropped from {old} to {lam[j]} after removals"
-                )
-        last_shares.clear()
-        last_shares.update(lam.values)
-        return lam
-
+    shares = _share_walk(rule, n)
     working = frozenset(range(n))
     survivor_sets = [working]
     stresses: list[float] = []
@@ -334,47 +375,22 @@ def replay_pattern(pattern: BreakingPattern, x, rule: Rule, structure: Structure
     bookkeeping in :func:`simulate_cascade`, which it serves as an oracle for.
     """
     xs = _as_strengths(x)
-    n = structure.n
-    working = frozenset(range(n))
     prev_s = 0.0
-
-    def lam_of(members: frozenset[int]) -> LoadShareVector:
-        return rule(Configuration(n, members))
-
-    for idx, cyc in enumerate(pattern.cycles):
-        if cyc.phase1 not in working or not cyc.components() <= working:
-            return False
-        lam = lam_of(working)
+    last = len(pattern.cycles) - 1
+    for idx, (cyc, working, lam, bursts, cur, lam_t) in enumerate(
+            _pattern_steps(pattern, rule, structure.n)):
         s_u = xs[cyc.phase1] / lam[cyc.phase1]
         if s_u <= prev_s:
             return False
-        for j in working:
-            if j != cyc.phase1 and xs[j] < lam[j] * s_u * (1.0 - rtol):
+        if any(xs[j] < lam[j] * s_u * (1.0 - rtol) for j in working if j != cyc.phase1):
+            return False
+        for grp, lam_lo, lam_hi in bursts:
+            if not all(lam_lo[j] * s_u * (1.0 - rtol) < xs[j] <= lam_hi[j] * s_u * (1.0 + rtol)
+                       for j in grp):
                 return False
-        lower = working
-        cur = working - {cyc.phase1}
-        for grp in cyc.groups:
-            if not grp <= cur:
-                return False
-            lam_lo = lam_of(lower)
-            lam_hi = lam_of(cur)
-            for j in grp:
-                if lam_hi[j] < lam_lo[j] * (1.0 - rtol):
-                    raise NonMonotoneRuleError(
-                        f"share of component {j} dropped after removals during replay"
-                    )
-                if not (lam_lo[j] * s_u * (1.0 - rtol) < xs[j] <= lam_hi[j] * s_u * (1.0 + rtol)):
-                    return False
-            lower = cur
-            cur = cur - grp
-        if cur:
-            lam_t = lam_of(cur)
-            if any(xs[j] <= lam_t[j] * s_u * (1.0 - rtol) for j in cur):
-                return False  # burst should have continued
-        working = cur
-        alive = structure.works(working)
-        final = idx == len(pattern.cycles) - 1
-        if alive == final:
+        if any(xs[j] <= lam_t[j] * s_u * (1.0 - rtol) for j in cur):
+            return False  # burst should have continued
+        if structure.works(cur) == (idx == last):
             return False
         prev_s = s_u
     return True

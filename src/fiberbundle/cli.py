@@ -1,8 +1,9 @@
 """Command-line front end: seeded simulation runs and plot-ready CSV/JSON.
 
 Commands: simulate, gibbs, analyze, cycles, density.  Each command takes only
-its own options (its row of _COMMANDS), as flags or as keys of a key=value
-config file (--config); explicit flags win.  Every output directory receives a
+its own options (its row of _COMMANDS), and each density kind only those it
+reads (_KIND_READS), as flags or as keys of a key=value config file
+(--config); explicit flags win.  Every output directory receives a
 manifest.json echoing the command's resolved options.
 
 Exit codes: 0 success, 2 usage/configuration, 3 numerical failure, 4 I/O.
@@ -128,6 +129,23 @@ def _positive(value) -> None:
         raise ValueError(f"must be positive, got {value}")
 
 
+def _non_negative(value) -> None:
+    if value < 0:
+        raise ValueError(f"must be 0 (all available CPUs) or positive, got {value}")
+
+
+_BUNDLE = ("rows", "cols", "rule", "family", "shape", "scale")
+_SAMPLING = ("structure", "replicas", "seed", "workers")
+# the options each density kind reads, besides --kind and --out
+_KIND_READS = {
+    "irwin-hall": ("m", "grid"),
+    "mixing": ("k", "n", "grid"),
+    "order-stat-joint": ("k", "l", "n", "x_grid", "y_grid"),
+    "tilted": ("k", "l", "n", "x", "y"),
+    "pattern": ("pattern", "s", *_BUNDLE),
+}
+
+
 class _Option(NamedTuple):
     type: type
     default: object
@@ -152,12 +170,12 @@ _OPTIONS = {
     "percentiles": _Option(str, "", "comma list of strength percentiles; first is the reference"),
     "a": _Option(float, 0.9, "degradation factor per cycle, in (0, 1)", check=_check_degradation),
     "s_star": _Option(float, 1.0, "peak load per component", check=_positive),
-    "workers": _Option(int, 0, "worker processes; 0 uses the available CPUs"),
+    "workers": _Option(int, 0, "worker processes; 0 uses the available CPUs",
+                       check=_non_negative),
     "out": _Option(str, "out", "output directory"),
     "samples": _Option(str, "", "strength samples file to take the percentiles from"),
     "input": _Option(str, "", "value,censored CSV to analyze"),
-    "kind": _Option(str, "", "density to tabulate",
-                    ("irwin-hall", "mixing", "order-stat-joint", "tilted", "pattern")),
+    "kind": _Option(str, "", "density to tabulate", tuple(_KIND_READS)),
     "m": _Option(int, 2, "irwin-hall: number of uniforms", check=_positive),
     "k": _Option(int, 2, "order-statistic index k"),
     "l": _Option(int, 4, "order-statistic index l"),
@@ -201,13 +219,18 @@ def _load_config_file(path: str, command: str, keys) -> dict:
 
 
 def _resolve(args: argparse.Namespace) -> dict:
-    """The command's options, each from its flag, else the config file, else its default."""
+    """The command's options, each from its flag, else the config file, else its default.
+
+    A density kind takes only the options it reads.
+    """
     keys = _COMMANDS[args.command][1]
     from_file = _load_config_file(args.config, args.command, keys) if args.config else {}
-    cfg = {}
+    cfg, given = {}, []
     for key in keys:
         opt = _OPTIONS[key]
         value = getattr(args, key)
+        if value is not None or key in from_file:
+            given.append(key)
         if value is None:
             value = from_file.get(key, opt.default)
         try:
@@ -218,6 +241,10 @@ def _resolve(args: argparse.Namespace) -> dict:
         except ValueError as exc:
             raise ValueError(f"{_flag(key)}: {exc}") from None
         cfg[key] = value
+    if args.command == "density":
+        unread = [_flag(k) for k in given if k not in ("kind", "out", *_KIND_READS[cfg["kind"]])]
+        if unread:
+            raise ValueError(f"--kind {cfg['kind']} does not read {', '.join(unread)}")
     return cfg
 
 
@@ -487,15 +514,13 @@ def cmd_density(cfg: dict) -> None:
     _manifest(outdir, "density", cfg, derived)
 
 
-_BUNDLE = ("rows", "cols", "rule", "family", "shape", "scale")
-_SAMPLING = ("structure", "replicas", "seed", "workers")
 _COMMANDS = {
     "simulate": (cmd_simulate, (*_BUNDLE, *_SAMPLING, "chain", "tail_lo", "tail_hi", "out")),
     "gibbs": (cmd_gibbs, (*_BUNDLE, *_SAMPLING, "percentiles", "samples", "out")),
     "analyze": (cmd_analyze, ("input", "out")),
     "cycles": (cmd_cycles, (*_BUNDLE, *_SAMPLING, "a", "s_star", "out")),
-    "density": (cmd_density, ("kind", "m", "k", "l", "n", "grid", "x_grid", "y_grid", "x", "y",
-                              "pattern", "s", *_BUNDLE, "out")),
+    "density": (cmd_density, ("kind", *dict.fromkeys(k for ks in _KIND_READS.values() for k in ks),
+                              "out")),
 }
 
 

@@ -17,9 +17,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .cascade import BreakingPattern, enumerate_patterns
-from .distributions import component_laws, unit_exponential
-from .loadshare import Configuration, Rule
+from .cascade import BreakingPattern, _pattern_steps, enumerate_patterns
+from .distributions import component_laws
+from .loadshare import Rule
 
 __all__ = [
     "irwin_hall_pdf",
@@ -333,33 +333,10 @@ def pattern_density_input(pattern: BreakingPattern, rule: Rule, n: int, dist,
                           s: Sequence[float]) -> PatternDensityInput:
     """Compute the share bounds of a pattern from the rule and package them."""
     dists = component_laws(dist, n)
-    working = frozenset(range(n))
-    shares = []
-    bounds = []
-    for cyc in pattern.cycles:
-        if cyc.phase1 not in working:
-            raise ValueError(f"cycle component {cyc.phase1} already failed")
-        lam = rule(Configuration(n, working))
+    shares, bounds = [], []
+    for cyc, _, lam, bursts, _, _ in _pattern_steps(pattern, rule, n):
         shares.append(lam[cyc.phase1])
-        lower = working
-        cur = working - {cyc.phase1}
-        rows = []
-        for grp in cyc.groups:
-            if not grp <= cur:
-                raise ValueError("burst group contains failed components")
-            lam_lo = rule(Configuration(n, lower))
-            lam_hi = rule(Configuration(n, cur))
-            for i2 in sorted(grp):
-                lo, hi = lam_lo[i2], lam_hi[i2]
-                if hi < lo:
-                    raise ValueError(
-                        f"bounds inverted for component {i2}: rule is not monotone"
-                    )
-                rows.append((i2, lo, hi))
-            lower = cur
-            cur = cur - grp
-        bounds.append(tuple(rows))
-        working = cur
+        bounds.append(tuple((j, lo[j], hi[j]) for grp, lo, hi in bursts for j in sorted(grp)))
     return PatternDensityInput(
         pattern=pattern,
         cdfs=tuple(d.cdf for d in dists),
@@ -467,18 +444,15 @@ def parallel_exponential_tail_constant(rule: Rule, n: int) -> float:
         raise ValueError("pattern enumeration is exponential; n <= 5 only")
     total = 0.0
     for pattern in enumerate_patterns(n):
-        f = len(pattern.cycles)
-        inp = pattern_density_input(pattern, rule, n, unit_exponential(),
-                                    [float(u + 1) for u in range(f)])
         coeff = 1.0
         denom = 1.0
         cum = 0
-        for u in range(len(pattern.cycles)):
-            coeff *= inp.phase1_shares[u]
-            for (_, lo, hi) in inp.bounds[u]:
-                coeff *= hi - lo
-            cum += len(inp.bounds[u])
+        for u, (cyc, _, lam, bursts, _, _) in enumerate(_pattern_steps(pattern, rule, n)):
+            coeff *= lam[cyc.phase1]
+            for grp, lo, hi in bursts:
+                for j in sorted(grp):
+                    coeff *= hi[j] - lo[j]
+                cum += len(grp)
             denom *= (u + 1) + cum
         total += coeff / denom
     return total
-

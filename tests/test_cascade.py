@@ -7,6 +7,7 @@ import pytest
 from scipy import integrate, stats as sps
 
 from fiberbundle import cascade
+from fiberbundle import threshold as th
 from fiberbundle.cascade import (
     BreakingPattern,
     ChainSpec,
@@ -39,6 +40,11 @@ from fiberbundle.loadshare import (
 
 def grid_rule(rows, cols):
     return AbsorbingRule(transition_matrix(build_grid_graph(rows, cols)))
+
+
+def size_rule(cfg):
+    """Non-monotone: every survivor's share is the size of the working set."""
+    return LoadShareVector({i: float(len(cfg.working)) for i in cfg.working})
 
 
 class TestHandTraces:
@@ -82,11 +88,8 @@ class TestHandTraces:
             ComponentStrengths((0.0, 1.0))
 
     def test_non_monotone_rule_detected(self):
-        def bad(cfg):
-            return LoadShareVector({i: float(len(cfg.working)) for i in cfg.working})
-
         with pytest.raises(NonMonotoneRuleError):
-            simulate_cascade([0.5, 0.9, 1.4], bad, StructureFunction.parallel(3))
+            simulate_cascade([0.5, 0.9, 1.4], size_rule, StructureFunction.parallel(3))
 
 
 class TestStructureFunction:
@@ -164,6 +167,67 @@ class TestReplay:
         assert not replay_pattern(
             parse_pattern("1 2"), [0.4, 0.7], EqualRule(2), StructureFunction.parallel(2)
         )
+
+
+class CountingRule:
+    def __init__(self, base):
+        self.base, self.calls = base, []
+
+    def __call__(self, config):
+        self.calls.append(config.working)
+        return self.base(config)
+
+
+def pattern_working_sets(pattern, n):
+    """Every nonempty working set a pattern passes through, survivors included."""
+    working, sets = frozenset(range(n)), set()
+    for cyc in pattern.cycles:
+        sets.add(working)
+        working = working - {cyc.phase1}
+        for grp in cyc.groups:
+            sets.add(working)
+            working = working - grp
+    sets.add(working)
+    return sets - {frozenset()}
+
+
+class TestPatternWalk:
+    def test_one_rule_call_per_working_set(self):
+        base, st = grid_rule(3, 3), StructureFunction.column_paths(3, 3)
+        model = StrengthModel("weibull", 5.0, 2.0)
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            x = model.sample(rng, 9, 1)[0]
+            sim = CountingRule(base)
+            res = simulate_cascade(x, sim, st)
+            want = pattern_working_sets(res.pattern, 9)
+            replay, density = CountingRule(base), CountingRule(base)
+            assert replay_pattern(res.pattern, x, replay, st)
+            th.pattern_density_input(res.pattern, density, 9, model, res.phase1_stresses)
+            for rule in (sim, replay, density):
+                assert len(rule.calls) == len(set(rule.calls))
+                assert set(rule.calls) == want
+
+    @pytest.mark.parametrize("run", [
+        lambda: simulate_cascade([0.5, 0.9, 1.4], size_rule, StructureFunction.parallel(3)),
+        lambda: replay_pattern(parse_pattern("1 2 3"), [0.5, 0.9, 1.4], size_rule,
+                               StructureFunction.parallel(3)),
+        lambda: replay_pattern(parse_pattern("1(2) 3"), [0.5, 0.9, 1.4], size_rule,
+                               StructureFunction.parallel(3)),
+        lambda: th.pattern_density_input(parse_pattern("1 2 3"), size_rule, 3,
+                                         unit_exponential(), [0.1, 0.2, 0.3]),
+        lambda: th.parallel_exponential_tail_constant(size_rule, 3),
+    ], ids=["cascade", "replay", "replay-burst", "density-input", "tail-constant"])
+    def test_one_monotonicity_check(self, run):
+        with pytest.raises(NonMonotoneRuleError, match="dropped"):
+            run()
+
+    def test_label_outside_bundle_named(self):
+        pattern, st = parse_pattern("3"), StructureFunction.parallel(2)
+        with pytest.raises(ValueError, match="component 3, but the bundle has n = 2"):
+            replay_pattern(pattern, [0.5, 0.9], EqualRule(2), st)
+        with pytest.raises(ValueError, match="component 3, but the bundle has n = 2"):
+            th.pattern_density_input(pattern, EqualRule(2), 2, unit_exponential(), [0.3])
 
 
 class TestInvariants:
@@ -306,11 +370,8 @@ class TestSampling:
         assert x[0].tolist() == [0.0, 1.0]
 
     def test_sampler_rejects_non_monotone_rule(self):
-        def bad(cfg):
-            return LoadShareVector({i: float(len(cfg.working)) for i in cfg.working})
-
         with pytest.raises(NonMonotoneRuleError, match="dropped"):
-            sample_bundle_strengths(unit_exponential(), bad, StructureFunction.parallel(3), 10)
+            sample_bundle_strengths(unit_exponential(), size_rule, StructureFunction.parallel(3), 10)
 
     def test_bundle_too_large_for_a_table_uses_scalar_path(self, monkeypatch):
         # a 2^21 x 21 float64 table would take 352 MB

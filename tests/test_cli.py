@@ -322,6 +322,24 @@ class TestDensityCommand:
         expected = (np.exp(-0.3) - np.exp(-0.6)) * np.exp(-0.3)
         assert float(rows[0][1]) == pytest.approx(expected)
 
+    def test_pattern_label_outside_bundle(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        assert main(["density", "--kind", "pattern", "--pattern", "3", "--rows", "1", "--cols", "2",
+                     "--rule", "equal", "--s", "0.3", "--out", str(out)]) == 2
+        assert "component 3, but the bundle has n = 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_options_the_kind_does_not_read_rejected(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        assert main(["density", "--kind", "irwin-hall", "--m", "2", "--pattern", "1(2)",
+                     "--k", "9", "--out", str(out)]) == 2
+        assert "--kind irwin-hall does not read --k, --pattern" in capsys.readouterr().err
+        conf = tmp_path / "c.cfg"
+        conf.write_text("kind=mixing\nk=2\nn=5\nrule=equal\n")
+        assert main(["density", "--config", str(conf), "--out", str(out)]) == 2
+        assert "--kind mixing does not read --rule" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_kind(self, tmp_path):
         assert main(["density", "--kind", "irwin-hall", "--m", "-3",
                      "--out", str(tmp_path / "o")]) == 2
@@ -411,6 +429,15 @@ def test_readme_option_table_matches_rows():
                       for name, keys in _ROWS.items()}
 
 
+def test_readme_kind_table_matches_reads():
+    listed = {}
+    for line in _readme_command_line().splitlines():
+        cells = [c.strip(" `") for c in line.split("|")[1:-1]]
+        if len(cells) == 2 and cells[0] in cli._KIND_READS:
+            listed[cells[0]] = cells[1].split()
+    assert listed == {kind: [cli._flag(k) for k in keys] for kind, keys in cli._KIND_READS.items()}
+
+
 def write_rows(path, header, rows):
     """The row-at-a-time writer that the column writer replaced, kept as its oracle."""
     with open(path, "w") as fh:
@@ -495,6 +522,13 @@ def test_density_table_equals_pointwise_rows(tmp_path, kind, args, header):
 
 
 class TestWorkers:
+    def test_negative_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["simulate", *_SMALL, "--replicas", "100", "--workers", "-3",
+                     "--out", str(out)]) == 2
+        assert "--workers" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_uses_affinity_mask(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)

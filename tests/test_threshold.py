@@ -10,9 +10,10 @@ from scipy import integrate
 
 from fiberbundle import threshold as th
 from fiberbundle.cascade import StructureFunction, enumerate_patterns, parse_pattern, \
-    sample_bundle_strengths
+    sample_bundle_strengths, simulate_cascade
 from fiberbundle.distributions import StrengthModel, unit_exponential
-from fiberbundle.loadshare import EqualRule, UnitRule
+from fiberbundle.loadshare import AbsorbingRule, EqualRule, UnitRule, build_grid_graph, \
+    share_table, transition_matrix
 
 
 def _irwin_hall_rational(m, tv):
@@ -252,6 +253,30 @@ class TestPatternDensity:
         expected *= float(parts[0].cdf(1.5 * s[0])) - float(parts[0].cdf(1.0 * s[0]))
         expected *= 3.0 * float(parts[2].pdf(3.0 * s[1]))
         assert th.phase1_pattern_density(inp) == expected
+
+    def test_absorbing_bounds_read_the_share_table(self):
+        # oracle: the dense table indexed by the pattern's working-set masks
+        rule = AbsorbingRule(transition_matrix(build_grid_graph(2, 3)))
+        table = share_table(rule, 6)
+        st = StructureFunction.column_paths(2, 3)
+        rng = np.random.default_rng(8)
+        bursts = 0
+        for _ in range(60):
+            x = rng.standard_exponential(6) + 0.01
+            pattern = simulate_cascade(x, rule, st).pattern
+            inp = th.pattern_density_input(pattern, rule, 6, unit_exponential(),
+                                           [1.0] * len(pattern.cycles))
+            mask = (1 << 6) - 1
+            for u, cyc in enumerate(pattern.cycles):
+                assert inp.phase1_shares[u] == table[mask, cyc.phase1]
+                lower, cur, rows = mask, mask & ~(1 << cyc.phase1), []
+                for grp in cyc.groups:
+                    rows += [(j, table[lower, j], table[cur, j]) for j in sorted(grp)]
+                    lower, cur = cur, cur & ~sum(1 << j for j in grp)
+                assert inp.bounds[u] == tuple(rows)
+                bursts += len(rows)
+                mask = cur
+        assert bursts > 20
 
     def test_two_component_probabilities(self):
         er = EqualRule(2)
