@@ -8,7 +8,8 @@ structure.  The bundle strength is the Phase-I stress of the terminal cycle.
 
 Two execution paths are provided: a scalar :func:`simulate_cascade` that
 records the full breaking pattern, and a vectorized sampler that evaluates
-many replicas at once against a precomputed load-share table.
+many replicas at once against a precomputed load-share table.  A bundle too
+large for the table runs the scalar cascade in the sampler's same chunks.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ class ComponentStrengths:
 
     def __post_init__(self):
         object.__setattr__(self, "x", tuple(float(v) for v in self.x))
-        if any(v <= 0 for v in self.x):
+        if not all(v > 0 for v in self.x):  # a NaN is not > 0 either
             raise ValueError("all component strengths must be strictly positive")
 
     def __len__(self) -> int:
@@ -248,13 +249,16 @@ class ChainSpec:
             raise ValueError("chain length must be >= 1")
 
 
-def _as_strengths(x) -> np.ndarray:
+def _as_strengths(x, n: int) -> np.ndarray:
+    """The n component strengths as a float vector, each one > 0 (so not NaN)."""
     if isinstance(x, ComponentStrengths):
         x = x.x
     arr = np.asarray(x, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("strengths must be a nonempty 1-d vector")
-    if np.any(arr <= 0):
+    if arr.ndim != 1:
+        raise ValueError("strengths must be a 1-d vector")
+    if arr.size != n:
+        raise ValueError(f"expected {n} strengths, got {arr.size}")
+    if not np.all(arr > 0):
         raise ValueError("all component strengths must be strictly positive")
     return arr
 
@@ -319,11 +323,8 @@ def simulate_cascade(x, rule: Rule, structure: StructureFunction) -> CascadeResu
     its (recomputed) share of that load, one burst group per recomputation.
     Stops once the survivor set contains no minimal path set.
     """
-    xs = _as_strengths(x)
     n = structure.n
-    if xs.size != n:
-        raise ValueError(f"expected {n} strengths, got {xs.size}")
-
+    xs = _as_strengths(x, n)
     shares = _share_walk(rule, n)
     working = frozenset(range(n))
     survivor_sets = [working]
@@ -364,8 +365,7 @@ def simulate_cascade(x, rule: Rule, structure: StructureFunction) -> CascadeResu
     )
 
 
-def replay_pattern(pattern: BreakingPattern, x, rule: Rule, structure: StructureFunction,
-                   rtol: float = _REL_TOL) -> bool:
+def replay_pattern(pattern: BreakingPattern, x, rule: Rule, structure: StructureFunction) -> bool:
     """Check a pattern against the strength vector by replaying its constraints.
 
     Verifies, cycle by cycle: the Phase-I equality defining each breaking
@@ -374,7 +374,8 @@ def replay_pattern(pattern: BreakingPattern, x, rule: Rule, structure: Structure
     the structure survives exactly until the final cycle.  Independent of the
     bookkeeping in :func:`simulate_cascade`, which it serves as an oracle for.
     """
-    xs = _as_strengths(x)
+    xs = _as_strengths(x, structure.n)
+    lo, hi = 1.0 - _REL_TOL, 1.0 + _REL_TOL
     prev_s = 0.0
     last = len(pattern.cycles) - 1
     for idx, (cyc, working, lam, bursts, cur, lam_t) in enumerate(
@@ -382,13 +383,12 @@ def replay_pattern(pattern: BreakingPattern, x, rule: Rule, structure: Structure
         s_u = xs[cyc.phase1] / lam[cyc.phase1]
         if s_u <= prev_s:
             return False
-        if any(xs[j] < lam[j] * s_u * (1.0 - rtol) for j in working if j != cyc.phase1):
+        if any(xs[j] < lam[j] * s_u * lo for j in working if j != cyc.phase1):
             return False
         for grp, lam_lo, lam_hi in bursts:
-            if not all(lam_lo[j] * s_u * (1.0 - rtol) < xs[j] <= lam_hi[j] * s_u * (1.0 + rtol)
-                       for j in grp):
+            if not all(lam_lo[j] * s_u * lo < xs[j] <= lam_hi[j] * s_u * hi for j in grp):
                 return False
-        if any(xs[j] <= lam_t[j] * s_u * (1.0 - rtol) for j in cur):
+        if any(xs[j] <= lam_t[j] * s_u * lo for j in cur):
             return False  # burst should have continued
         if structure.works(cur) == (idx == last):
             return False
@@ -475,15 +475,18 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
 _WORKER: dict = {}
 
 
-def _init_worker(model, table, structure, seed, n):
-    _WORKER.update(model=model, table=table, structure=structure, seed=seed, n=n)
+def _init_worker(model, table, rule, structure, seed, n):
+    _WORKER.update(model=model, table=table, rule=rule, structure=structure, seed=seed, n=n)
 
 
-def _run_worker_chunk(spec: tuple[int, int]) -> tuple[int, np.ndarray]:
+def _run_worker_chunk(spec: tuple[int, int]) -> np.ndarray:
     ci, size = spec
-    rng = _chunk_rng(_WORKER["seed"], ci)
-    x = _WORKER["model"].sample(rng, _WORKER["n"], size)
-    return ci, _cascade_strengths_block(x, _WORKER["table"], _WORKER["structure"])
+    w = _WORKER
+    x = w["model"].sample(_chunk_rng(w["seed"], ci), w["n"], size)
+    if w["table"] is not None:
+        return _cascade_strengths_block(x, w["table"], w["structure"])
+    # no dense table for this n: one scalar cascade per replica
+    return np.array([simulate_cascade(row, w["rule"], w["structure"]).strength for row in x])
 
 
 def sample_bundle_strengths(model: StrengthModel, rule: Rule, structure: StructureFunction,
@@ -493,40 +496,24 @@ def sample_bundle_strengths(model: StrengthModel, rule: Rule, structure: Structu
 
     Deterministic in (seed, replica index): replicas are generated in fixed
     chunks with a per-chunk generator keyed by (seed, chunk), so the output
-    is byte-identical regardless of the worker count.
+    is byte-identical regardless of the worker count.  Chunks run the
+    vectorized kernel on the rule's share table when it fits its byte bound,
+    else the scalar cascade per replica; workers receive the rule only then.
     """
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
     n = structure.n
-    if not _table_fits(n):
-        return _sample_scalar(model, rule, structure, replicas, seed)
-    table = share_table(rule, n)
+    table = share_table(rule, n) if _table_fits(n) else None
+    initargs = (model, table, rule if table is None else None, structure, seed, n)
     specs = [(ci, min(_CHUNK, replicas - ci * _CHUNK)) for ci in range((replicas + _CHUNK - 1) // _CHUNK)]
     if workers is None or workers <= 1 or len(specs) == 1:
-        _init_worker(model, table, structure, seed, n)
-        parts = [_run_worker_chunk(spec)[1] for spec in specs]
+        _init_worker(*initargs)
+        parts = [_run_worker_chunk(spec) for spec in specs]
     else:
-        parts_by_ci: dict[int, np.ndarray] = {}
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                                 initargs=(model, table, structure, seed, n)) as pool:
-            for ci, part in pool.map(_run_worker_chunk, specs, chunksize=4):
-                parts_by_ci[ci] = part
-        parts = [parts_by_ci[ci] for ci, _ in specs]
+                                 initargs=initargs) as pool:
+            parts = list(pool.map(_run_worker_chunk, specs, chunksize=4))
     return np.concatenate(parts)
-
-
-def _sample_scalar(model, rule, structure, replicas, seed):
-    # slow path for bundles too large for a dense share table
-    out = np.empty(replicas)
-    n = structure.n
-    pos = 0
-    for ci in range((replicas + _CHUNK - 1) // _CHUNK):
-        size = min(_CHUNK, replicas - pos)
-        x = model.sample(_chunk_rng(seed, ci), n, size)
-        for r in range(size):
-            out[pos + r] = simulate_cascade(x[r], rule, structure).strength
-        pos += size
-    return out
 
 
 def chain_strength(samples, chain: ChainSpec, seed: int = 0,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -31,7 +32,8 @@ from .cascade import (
     sample_bundle_strengths,
 )
 from .distributions import FAMILIES, StrengthModel
-from .loadshare import AbsorbingRule, EqualRule, UnitRule, build_grid_graph, transition_matrix
+from .loadshare import (AbsorbingRule, EqualRule, UnitRule, build_grid_graph, share_table,
+                        transition_matrix)
 
 
 class InputFormatError(OSError):
@@ -285,6 +287,8 @@ def cmd_simulate(cfg: dict) -> None:
     """Sample bundle strengths; emit samples, Weibull plot and lower-tail fit."""
     _, rule, model = _bundle(cfg)
     structure = _structure(cfg)
+    window = (cfg["tail_lo"], cfg["tail_hi"])
+    stats.tail_window(cfg["replicas"], window)  # too few points fails before sampling
     outdir = _ensure_outdir(cfg["out"])
     samples = sample_bundle_strengths(
         model, rule, structure, cfg["replicas"], seed=cfg["seed"], workers=_workers(cfg)
@@ -292,7 +296,7 @@ def cmd_simulate(cfg: dict) -> None:
     _write_csv(outdir / "samples.csv", ["strength"], samples)
     lx, ly = stats.weibull_plot_from_samples(samples)
     _write_csv(outdir / "weibull_plot.csv", ["ln_x", "ln_neg_ln_sf"], lx, ly)
-    fit = stats.lower_tail_slope(samples, window=(cfg["tail_lo"], cfg["tail_hi"]))
+    fit = stats.lower_tail_slope(samples, window=window)
     rho = model.rho
     _write_json(outdir / "tail_fit.json", {
         "slope": fit.slope,
@@ -325,15 +329,12 @@ def _percentile_list(cfg: dict) -> list[float]:
 
 def cmd_gibbs(cfg: dict) -> None:
     """Enumerate the exact state measure; emit potentials and LMF fits."""
-    n = cfg["rows"] * cfg["cols"]
-    if n > gibbs.MAX_ENUM_N:
-        raise ValueError(f"rows*cols = {n} exceeds the enumeration bound {gibbs.MAX_ENUM_N}")
     ps = _percentile_list(cfg)
-    _, rule, model = _bundle(cfg)
+    n, rule, model = _bundle(cfg)
+    share_table(rule, n)  # bounds n; the sampler and build_gibbs reuse this table
+    samples = _read_strengths(cfg["samples"]) if cfg["samples"] else None
     outdir = _ensure_outdir(cfg["out"])
-    if cfg["samples"]:
-        samples = _read_strengths(cfg["samples"])
-    else:
+    if samples is None:
         samples = sample_bundle_strengths(
             model, rule, _structure(cfg), cfg["replicas"], seed=cfg["seed"],
             workers=_workers(cfg),
@@ -361,63 +362,58 @@ def cmd_gibbs(cfg: dict) -> None:
     _manifest(outdir, "gibbs", cfg, {"strength_levels": {str(p): levels[p] for p in ps}})
 
 
-def _read_strengths(path: str) -> np.ndarray:
+def _positive_value(text: str) -> float:
+    value = float(text)
+    if not 0 < value < math.inf:  # NaN fails too
+        raise ValueError(f"not a finite positive value: {text!r}")
+    return value
+
+
+def _read_rows(path: str, what: str, header: str, parse: Callable[[str], object]) -> list:
+    """One parsed value per nonblank line, skipping a first line that starts
+    with ``header``; a line ``parse`` rejects is a malformed row."""
     try:
         lines = Path(path).read_text().splitlines()
     except OSError as exc:
-        raise OSError(f"cannot read samples file {path!r}: {exc}") from exc
-    vals = []
-    bad = []
+        raise OSError(f"cannot read {what} file {path!r}: {exc}") from exc
+    rows, bad = [], []
     for ln, line in enumerate(lines, start=1):
         line = line.strip()
-        if not line or (ln == 1 and line.lower().startswith("strength")):
+        if not line or (ln == 1 and line.lower().replace(" ", "").startswith(header)):
             continue
         try:
-            vals.append(float(line))
-        except ValueError:
-            bad.append(ln)
-    if bad:
-        raise InputFormatError(f"{path}: malformed rows at lines {bad}")
-    if not vals:
-        raise InputFormatError(f"{path}: no strength values found")
-    return np.asarray(vals)
-
-
-def _read_censored(path: str) -> list[tuple[float, bool]]:
-    try:
-        lines = Path(path).read_text().splitlines()
-    except OSError as exc:
-        raise OSError(f"cannot read input file {path!r}: {exc}") from exc
-    rows = []
-    bad = []
-    for ln, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line or (ln == 1 and line.lower().replace(" ", "") in ("value,censored",)):
-            continue
-        parts = line.split(",")
-        try:
-            if len(parts) != 2:
-                raise ValueError
-            value = float(parts[0])
-            flag = int(parts[1])
-            if flag not in (0, 1) or value <= 0:
-                raise ValueError
-            rows.append((value, bool(flag)))
+            rows.append(parse(line))
         except ValueError:
             bad.append(ln)
     if bad:
         raise InputFormatError(f"{path}: malformed rows at lines {bad}")
     if not rows:
-        raise InputFormatError(f"{path}: no observations found")
+        raise InputFormatError(f"{path}: no {what} rows found")
     return rows
+
+
+def _read_strengths(path: str) -> np.ndarray:
+    return np.asarray(_read_rows(path, "samples", "strength", _positive_value))
+
+
+def _censored_row(line: str) -> tuple[float, bool]:
+    value, flag = line.split(",")  # any other field count is a ValueError
+    flag = int(flag)
+    if flag not in (0, 1):
+        raise ValueError(f"censoring flag must be 0 or 1, got {flag}")
+    return _positive_value(value), bool(flag)
+
+
+def _read_censored(path: str) -> list[tuple[float, bool]]:
+    return _read_rows(path, "input", "value,censored", _censored_row)
 
 
 def cmd_analyze(cfg: dict) -> None:
     """Kaplan-Meier curve and censored Weibull MLE for a value,censored CSV."""
     if not cfg["input"]:
         raise ValueError("analyze needs --input pointing at a value,censored CSV")
-    outdir = _ensure_outdir(cfg["out"])
     data = _read_censored(cfg["input"])
+    outdir = _ensure_outdir(cfg["out"])
     km = stats.kaplan_meier(data)
     _write_csv(outdir / "km.csv", ["time", "surv", "lo", "hi"],
                km.times, km.survival, km.lower, km.upper)

@@ -33,9 +33,6 @@ __all__ = [
     "total_variation",
 ]
 
-MAX_ENUM_N = 20
-
-
 class PositivityError(ValueError):
     """A component CDF hit 0 or 1 at its shared load, so the log odds are
     undefined (the positivity condition fails)."""
@@ -198,13 +195,9 @@ def build_gibbs(n: int, s: float, rule: Rule, dist) -> GibbsModel:
 
     Computes the per-component log odds at every configuration from the
     rule's share table, aggregates them, converts to potentials and energy by
-    the subset-lattice transforms, and normalizes in log space.
+    the subset-lattice transforms, and normalizes in log space.  The table's
+    byte bound limits n (n <= 20).
     """
-    if n > MAX_ENUM_N:
-        raise ValueError(
-            f"n = {n} exceeds the exact-enumeration bound {MAX_ENUM_N}; "
-            "use sampling for larger bundles"
-        )
     if s <= 0:
         raise ValueError("load must be positive")
     dists = component_laws(dist, n)

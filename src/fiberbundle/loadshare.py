@@ -9,7 +9,6 @@ resulting multipliers form a monotone load-sharing rule.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -329,7 +328,16 @@ def _table_fits(n: int) -> bool:
 
 
 def _fill_table(rule: Rule, n: int) -> np.ndarray:
-    """Unchecked (2^n, n) share table, 0.0 outside each working set."""
+    """Unchecked (2^n, n) share table, 0.0 outside each working set.
+
+    The byte bound is the only size limit on n; it is checked before any
+    rule call or allocation.
+    """
+    if not _table_fits(n):
+        raise ValueError(
+            f"a share table for n = {n} takes {(1 << n) * n * 8} bytes, more than the "
+            f"{_TABLE_MAX_BYTES}-byte bound; use sampling for larger bundles"
+        )
     table = np.zeros((1 << n, n))
     for mask in range(1, 1 << n):
         for i, v in rule(Configuration.from_mask(n, mask)).values.items():
@@ -365,11 +373,6 @@ def share_table(rule: Rule, n: int) -> np.ndarray:
     monotonicity.  The latest table is kept with its rule, matched by
     identity, so the sampler and the Gibbs builder share one build.
     """
-    if not _table_fits(n):
-        raise ValueError(
-            f"a share table for n = {n} takes {(1 << n) * n * 8} bytes, "
-            f"more than the {_TABLE_MAX_BYTES}-byte bound"
-        )
     last_rule, last = _last_table
     if last_rule is rule and last.shape[1] == n:
         return last
@@ -386,56 +389,27 @@ def share_table(rule: Rule, n: int) -> np.ndarray:
     return table
 
 
-def verify_monotone(rule: Rule, n: int, budget: int = 200_000, seed: int = 0) -> MonotoneCheck:
+def verify_monotone(rule: Rule, n: int) -> MonotoneCheck:
     """Check that failures never relieve a survivor: lambda_j(B) <= lambda_j(A)
     for every A subset of B containing j, plus positive total load.
 
-    For n <= 12 the whole share table is read: the first working set with a
-    total share <= 0 comes back as (B, B, -1), else the first single removal
-    that lowers a survivor's share as (A, B, j) with A = B minus the removed
-    component.  Beyond that, randomized pairs up to ``budget``.  Drops are
-    measured relative to the larger share.
+    Reads the whole share table, so n is bounded as for :func:`share_table`:
+    the first working set with a total share <= 0 comes back as (B, B, -1),
+    else the first single removal that lowers a survivor's share as (A, B, j)
+    with A = B minus the removed component.  Drops are measured relative to
+    the larger share.
     """
 
     def members(mask: int) -> frozenset[int]:
         return frozenset(i for i in range(n) if mask >> i & 1)
 
-    if n <= 12:
-        table = _fill_table(rule, n)
-        low = np.flatnonzero(table[1:].sum(axis=1) <= 0)
-        if low.size:
-            b = members(int(low[0]) + 1)
-            return MonotoneCheck(False, (b, b, -1))
-        drop = _first_drop(table)
-        if drop is None:
-            return MonotoneCheck(True, None)
-        bmask, i, j = drop
-        return MonotoneCheck(False, (members(bmask & ~(1 << i)), members(bmask), j))
-
-    cache: dict[int, dict[int, float]] = {}
-
-    def shares(mask: int) -> dict[int, float]:
-        got = cache.get(mask)
-        if got is None:
-            got = dict(rule(Configuration.from_mask(n, mask)).values)
-            cache[mask] = got
-        return got
-
-    rng = random.Random(seed)
-    full = (1 << n) - 1
-    for _ in range(budget):
-        bmask = rng.randrange(1, full + 1)
-        if bin(bmask).count("1") < 2:
-            continue
-        amask = 0
-        while not (0 < amask < bmask):
-            amask = bmask & rng.randrange(1, full + 1)
-            if amask == bmask:
-                amask = 0
-        if sum(shares(bmask).values()) <= 0:
-            return MonotoneCheck(False, (members(bmask), members(bmask), -1))
-        la, lb = shares(amask), shares(bmask)
-        for j, val in la.items():
-            if val < lb[j] * (1.0 - _REL_TOL):
-                return MonotoneCheck(False, (members(amask), members(bmask), j))
-    return MonotoneCheck(True, None)
+    table = _fill_table(rule, n)
+    low = np.flatnonzero(table[1:].sum(axis=1) <= 0)
+    if low.size:
+        b = members(int(low[0]) + 1)
+        return MonotoneCheck(False, (b, b, -1))
+    drop = _first_drop(table)
+    if drop is None:
+        return MonotoneCheck(True, None)
+    bmask, i, j = drop
+    return MonotoneCheck(False, (members(bmask & ~(1 << i)), members(bmask), j))

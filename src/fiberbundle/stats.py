@@ -6,6 +6,7 @@ from __future__ import annotations
 import logging
 import math
 import warnings
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from itertools import product
@@ -23,6 +24,7 @@ __all__ = [
     "weibull_mle_censored",
     "weibull_plot_points",
     "weibull_plot_from_samples",
+    "tail_window",
     "lower_tail_slope",
     "inflation_factor",
     "pbd_prior_weights",
@@ -205,6 +207,27 @@ class TailFit:
     window: tuple[float, float]
 
 
+def tail_window(nobs: int, window: tuple[float, float]) -> range:
+    """Positions in a sorted sample of size ``nobs`` that the lower-tail fit
+    uses: those whose empirical probability (position + 1) / nobs lies in
+    ``window`` and below 1.  Fewer than 100 raise ``ValueError``.
+
+    Depends on the sample size only, so a run can be checked before sampling.
+    """
+    lo, hi = window
+    first = stop = 0
+    if lo <= hi:  # False for a NaN bound too: no probability lies in the window
+        ranks = range(1, nobs)  # nobs / nobs = 1 is never in the window
+        first = bisect_left(ranks, lo, key=lambda k: k / nobs)
+        stop = bisect_right(ranks, hi, key=lambda k: k / nobs)
+    if stop - first < 100:
+        raise ValueError(
+            f"only {stop - first} points in quantile window {window}; "
+            "increase the replica count"
+        )
+    return range(first, stop)
+
+
 def lower_tail_slope(samples, window: tuple[float, float] = (1e-5, 1e-3)) -> TailFit:
     """OLS slope of the Weibull plot restricted to an empirical-quantile window.
 
@@ -212,17 +235,10 @@ def lower_tail_slope(samples, window: tuple[float, float] = (1e-5, 1e-3)) -> Tai
     component shape gives the inflation factor.
     """
     xs = np.sort(np.asarray(samples, dtype=float))
-    nobs = xs.size
-    ranks = np.arange(1, nobs + 1) / nobs
+    pos = tail_window(xs.size, window)
+    lx = np.log(xs[pos.start:pos.stop])
+    ly = np.log(-np.log(1.0 - np.arange(pos.start + 1, pos.stop + 1) / xs.size))
     lo, hi = window
-    sel = (ranks >= lo) & (ranks <= hi) & (ranks < 1.0)
-    if int(sel.sum()) < 100:
-        raise ValueError(
-            f"only {int(sel.sum())} points in quantile window {window}; "
-            "increase the replica count"
-        )
-    lx = np.log(xs[sel])
-    ly = np.log(-np.log(1.0 - ranks[sel]))
     n = lx.size
     sxx = float(np.sum((lx - lx.mean()) ** 2))
     slope = float(np.sum((lx - lx.mean()) * (ly - ly.mean())) / sxx)

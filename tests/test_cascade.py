@@ -91,6 +91,16 @@ class TestHandTraces:
         with pytest.raises(NonMonotoneRuleError):
             simulate_cascade([0.5, 0.9, 1.4], size_rule, StructureFunction.parallel(3))
 
+    def test_nan_strength_rejected(self):
+        # NaN <= 0 is false, so a sign test alone lets it through
+        with pytest.raises(ValueError, match="strictly positive"):
+            ComponentStrengths((math.nan, 1.0))
+        with pytest.raises(ValueError, match="strictly positive"):
+            simulate_cascade([math.nan, 1.0], EqualRule(2), StructureFunction.parallel(2))
+        with pytest.raises(ValueError, match="strictly positive"):
+            replay_pattern(parse_pattern("1 2"), [math.nan, 1.0], EqualRule(2),
+                           StructureFunction.parallel(2))
+
 
 class TestStructureFunction:
     def test_parallel_sets(self):
@@ -167,6 +177,15 @@ class TestReplay:
         assert not replay_pattern(
             parse_pattern("1 2"), [0.4, 0.7], EqualRule(2), StructureFunction.parallel(2)
         )
+
+    @pytest.mark.parametrize("x", [[0.4, 1.2, 99.0], [0.4]], ids=["long", "short"])
+    def test_strength_count_checked(self, x):
+        rule, st = EqualRule(2), StructureFunction.parallel(2)
+        expected = f"expected 2 strengths, got {len(x)}"
+        with pytest.raises(ValueError, match=expected):
+            replay_pattern(parse_pattern("1 2"), x, rule, st)
+        with pytest.raises(ValueError, match=expected):
+            simulate_cascade(x, rule, st)
 
 
 class CountingRule:
@@ -383,6 +402,24 @@ class TestSampling:
         got = sample_bundle_strengths(unit_exponential(), rule, st, 3, seed=4)
         x = unit_exponential().sample(cascade._chunk_rng(4, 0), 21, 3)
         assert np.array_equal(got, [simulate_cascade(row, rule, st).strength for row in x])
+
+    def test_bundle_too_large_for_a_table_runs_on_the_pool(self, monkeypatch):
+        pools = []
+
+        class RecordingPool(cascade.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs["max_workers"])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cascade, "_CHUNK", 50)
+        monkeypatch.setattr(cascade, "ProcessPoolExecutor", RecordingPool)
+        model, rule, st = unit_exponential(), EqualRule(21), StructureFunction.parallel(21)
+        serial = sample_bundle_strengths(model, rule, st, 200, seed=6, workers=1)
+        pooled = sample_bundle_strengths(model, rule, st, 200, seed=6, workers=2)
+        assert pools == [2]
+        assert np.array_equal(serial, pooled)
+        x = np.concatenate([model.sample(cascade._chunk_rng(6, ci), 21, 50) for ci in range(4)])
+        assert np.array_equal(serial, [simulate_cascade(row, rule, st).strength for row in x])
 
 
 class TestChain:

@@ -103,6 +103,14 @@ class TestSimulate:
     def test_unknown_flag_usage_error(self):
         assert main(["simulate", "--bogus"]) == 2
 
+    def test_tail_window_checked_before_sampling(self, tmp_path, capsys):
+        # 5000 replicas put 5 points in the default window (1e-5, 1e-3)
+        out = tmp_path / "o"
+        assert main(["simulate", "--rows", "2", "--cols", "2", "--replicas", "5000",
+                     "--out", str(out)]) == 2
+        assert "only 5 points" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_byte_identical_across_worker_counts(self, tmp_path):
         texts = []
         for w in (1, 2):
@@ -185,6 +193,14 @@ class TestAnalyze:
         assert main(["analyze", "--input", str(f), "--out", str(tmp_path / "o")]) == 4
         err = capsys.readouterr().err
         assert "3" in err and "5" in err  # 1-based line numbers of bad rows
+        assert not (tmp_path / "o").exists()
+
+    def test_non_finite_value_is_malformed(self, tmp_path, capsys):
+        f = tmp_path / "obs.csv"
+        f.write_text("value,censored\n1.0,0\ninf,1\n2.0,0\nnan,0\n")
+        assert main(["analyze", "--input", str(f), "--out", str(tmp_path / "o")]) == 4
+        assert "lines [3, 5]" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_all_censored_km_only(self, tmp_path):
         f = tmp_path / "obs.csv"
@@ -285,6 +301,18 @@ class TestGibbsCommand:
             "gibbs", "--rows", "5", "--cols", "5", "--percentiles", "50",
             "--out", str(tmp_path / "o"),
         ]) == 2
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("bad", ["nan", "-3"])
+    def test_non_positive_strength_is_malformed(self, tmp_path, capsys, bad):
+        samples = tmp_path / "s.csv"
+        samples.write_text(f"strength\n1.5\n{bad}\n2.0\n")
+        assert main([
+            "gibbs", "--rows", "1", "--cols", "2", "--percentiles", "50",
+            "--samples", str(samples), "--out", str(tmp_path / "o"),
+        ]) == 4
+        assert "lines [3]" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestDensityCommand:

@@ -232,8 +232,27 @@ class TestVerifyMonotone:
         assert verify_monotone(rule, 3) == MonotoneCheck(False, (frozenset({1}), frozenset({1}), -1))
 
     def test_randomized_branch(self):
-        check = verify_monotone(EqualRule(14), 14, budget=300, seed=7)
+        check = verify_monotone(EqualRule(14), 14)
         assert check.ok
+
+    def test_exhaustive_beyond_twelve_components(self):
+        # one drop at one single removal, which random pairs of nested sets miss
+        full = frozenset(range(14))
+
+        def rule(cfg):
+            lam = EqualRule(14)(cfg).values
+            if cfg.working == full - {13}:
+                lam = {**lam, 0: 0.5}
+            return LoadShareVector(lam)
+
+        assert verify_monotone(rule, 14) == MonotoneCheck(False, (full - {13}, full, 0))
+
+    def test_bound_checked_before_any_rule_call(self):
+        def rule(cfg):
+            raise AssertionError("rule called for a table over the bound")
+
+        with pytest.raises(ValueError, match="bytes"):
+            verify_monotone(rule, 21)
 
     def test_monotonicity_exhaustive_pairs(self):
         # direct lattice sweep, independent of verify_monotone internals

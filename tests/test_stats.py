@@ -154,6 +154,22 @@ class TestLowerTailSlope:
         with pytest.raises(ValueError, match="replica"):
             st.lower_tail_slope(np.linspace(1, 2, 1000))
 
+    @pytest.mark.parametrize("nobs, window", [
+        (100_000, (1e-5, 1e-3)), (1000, (0.0, 1.0)), (1000, (-1.0, 2.0)), (999, (0.1, 0.3)),
+        (3000, (1 / 3, 2 / 3)), (1000, (0.5, 0.1)), (1000, (math.nan, 0.5)),
+        (1000, (0.0, math.nan)), (5000, (1e-5, 1e-3)),
+    ])
+    def test_window_is_the_rank_mask(self, nobs, window):
+        # the empirical probabilities i / nobs, i = 1..nobs, inside the window and below 1
+        ranks = np.arange(1, nobs + 1) / nobs
+        lo, hi = window
+        want = np.flatnonzero((ranks >= lo) & (ranks <= hi) & (ranks < 1.0))
+        if want.size < 100:
+            with pytest.raises(ValueError, match=f"only {want.size} points"):
+                st.tail_window(nobs, window)
+        else:
+            assert list(st.tail_window(nobs, window)) == want.tolist()
+
 
 class TestInflationFactor:
     @pytest.mark.parametrize("rho_g,rho,k", [(20.0, 5.0, 4.0), (5.0, 5.0, 1.0), (15.0, 5.0, 3.0)])
