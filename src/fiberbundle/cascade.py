@@ -23,7 +23,7 @@ import numpy as np
 
 from .distributions import StrengthModel
 from .loadshare import (_REL_TOL, Configuration, LoadShareVector, NonMonotoneRuleError, Rule,
-                        _table_fits, share_table)
+                        _check_shares, _table_fits, share_table)
 
 __all__ = [
     "ComponentStrengths",
@@ -111,13 +111,8 @@ class StructureFunction:
         return any(path <= working for path in self.minimal_path_sets())
 
     def _path_masks(self) -> np.ndarray:
-        masks = []
-        for path in self.minimal_path_sets():
-            m = 0
-            for i in path:
-                m |= 1 << i
-            masks.append(m)
-        return np.asarray(masks, dtype=np.int64)
+        return np.asarray([Configuration(self.n, path).mask for path in self.minimal_path_sets()],
+                          dtype=np.int64)
 
     def _works_masks(self, masks: np.ndarray) -> np.ndarray:
         if self.kind == "parallel":
@@ -267,9 +262,10 @@ def _share_walk(rule: Rule, n: int) -> Callable[[frozenset[int]], LoadShareVecto
     """Shares along a walk down nested working sets, one ``rule`` call per set.
 
     Asking again for the latest set returns its shares without a call, and the
-    empty set has none.  Each new set's shares are checked against the previous
-    set's: a survivor whose share drops by more than the relative tolerance
-    raises :class:`NonMonotoneRuleError`.
+    empty set has none.  Each new set's shares must be finite and > 0 on its
+    members and absent elsewhere (else ``ValueError``), and are checked against
+    the previous set's: a survivor whose share drops by more than the relative
+    tolerance raises :class:`NonMonotoneRuleError`.
     """
     latest: list = [None, LoadShareVector({})]
 
@@ -278,7 +274,8 @@ def _share_walk(rule: Rule, n: int) -> Callable[[frozenset[int]], LoadShareVecto
             return LoadShareVector({})
         if working == latest[0]:
             return latest[1]
-        lam = rule(Configuration(n, working))
+        config = Configuration(n, working)
+        lam = _check_shares(config, rule(config))
         for j, old in latest[1].values.items():
             if j in lam.values and lam[j] < old * (1.0 - _REL_TOL):
                 raise NonMonotoneRuleError(
@@ -524,9 +521,6 @@ def chain_strength(samples, chain: ChainSpec, seed: int = 0,
         raise ValueError("bundle sample pool is empty")
     if draws is None:
         draws = max(1, pool.size // chain.m)
-    if chain.m == 1:
-        rng = np.random.default_rng([seed])
-        return pool[rng.integers(0, pool.size, size=draws)]
     rng = np.random.default_rng([seed])
     idx = rng.integers(0, pool.size, size=(draws, chain.m))
     return pool[idx].min(axis=1)

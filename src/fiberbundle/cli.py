@@ -479,10 +479,8 @@ def cmd_density(cfg: dict) -> None:
         header = ["x", "y", "direct", "mixture", "rel_err"]
     elif kind == "tilted":
         tc = threshold.TiltedConditional(cfg["k"], cfg["l"], cfg["n"], cfg["x"], cfg["y"])
-        lo1, hi1 = cfg["n"] - cfg["k"] + 1, cfg["n"]
-        lo2, hi2 = cfg["n"] - cfg["l"] + 1, cfg["n"] - cfg["k"]
-        g1 = _grid_values(f"{lo1}:{hi1}:{(hi1 - lo1) / 20}")
-        g2 = _grid_values(f"{lo2}:{hi2}:{(hi2 - lo2) / 20}")
+        g1, g2 = (_grid_values(f"{lo}:{hi}:{(hi - lo) / 20}")
+                  for lo, hi in (tc.law1.support, tc.law2.support))
         f1 = np.repeat(tc.factor1(g1), g2.size)
         f2 = np.tile(tc.factor2(g2), g1.size)
         columns = (np.repeat(g1, g2.size), np.tile(g2, g1.size), f1 * f2, f1, f2)

@@ -52,10 +52,7 @@ class SubsetTable:
             raise ValueError(f"expected {1 << self.n} entries, got {vals.shape}")
 
     def value(self, subset: frozenset[int]) -> float:
-        mask = 0
-        for i in subset:
-            mask |= 1 << i
-        return float(self.values[mask])
+        return float(self.values[Configuration(self.n, subset).mask])
 
     @property
     def sizes(self) -> np.ndarray:
@@ -164,10 +161,7 @@ class GibbsModel:
         return np.exp(self.log_probs)
 
     def prob(self, working: frozenset[int]) -> float:
-        mask = 0
-        for i in working:
-            mask |= 1 << i
-        return float(np.exp(self.log_probs[mask]))
+        return float(np.exp(self.log_probs[Configuration(self.n, working).mask]))
 
 
 def _logsumexp(a: np.ndarray) -> float:
@@ -202,13 +196,11 @@ def build_gibbs(n: int, s: float, rule: Rule, dist) -> GibbsModel:
         raise ValueError("load must be positive")
     dists = component_laws(dist, n)
     table = share_table(rule, n)
-    size = 1 << n
-    member = ((np.arange(size)[:, None] >> np.arange(n)) & 1).astype(bool)
-    sigma_sum = np.zeros(size)
+    masks = np.arange(1 << n)
+    sigma_sum = np.zeros(masks.size)
     for i in range(n):
-        col = table[:, i]
-        sel = member[:, i]
-        load = col[sel] * s
+        sel = (masks >> i) & 1 == 1
+        load = table[sel, i] * s
         ls = _log_survival(dists[i], load)
         bad = ~(np.isfinite(ls) & (ls < 0.0))
         if np.any(bad):
@@ -217,9 +209,7 @@ def build_gibbs(n: int, s: float, rule: Rule, dist) -> GibbsModel:
                 f"positivity condition fails at component {i}, configuration mask "
                 f"{mask}, load {float(load[np.argmax(bad)])}"
             )
-        contrib = np.zeros(size)
-        contrib[sel] = _odds_from_logsf(ls)
-        sigma_sum += contrib
+        sigma_sum[sel] += _odds_from_logsf(ls)
     sigma = SubsetTable(n, sigma_sum)
     potentials = mobius_potentials(sigma)
     energy = mobius_energy(potentials)

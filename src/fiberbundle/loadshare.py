@@ -9,6 +9,7 @@ resulting multipliers form a monotone load-sharing rule.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -345,6 +346,32 @@ def _fill_table(rule: Rule, n: int) -> np.ndarray:
     return table
 
 
+def _first_invalid(table: np.ndarray) -> tuple[int, int] | None:
+    """First (mask, i) where member i's share is not finite and > 0, or failed
+    component i's is not 0.0; None if every share keeps that contract."""
+    masks, first = np.arange(table.shape[0]), []
+    for i, col in enumerate(table.T):  # column by column: no 2^n x n temporaries
+        ok = np.where((masks >> i) & 1 == 1, (col > 0.0) & (col < np.inf), col == 0.0)
+        if not ok.all():
+            first.append((int(np.argmin(ok)), i))
+    return min(first, default=None)
+
+
+def _invalid_share(working: frozenset[int], i: int, value: float) -> ValueError:
+    return ValueError(f"rule gave component {i} the share {value} at working set "
+                      f"{sorted(working)}; a member needs a finite share > 0, a failed one none")
+
+
+def _check_shares(config: Configuration, lam: LoadShareVector) -> LoadShareVector:
+    """``lam`` if it keeps :func:`_first_invalid`'s contract on ``config``, a
+    missing member read as 0.0; else ``ValueError``."""
+    for i in sorted(config.working | lam.values.keys()):
+        v = lam.values.get(i, 0.0)
+        if not (0.0 < v < math.inf if i in config.working else v == 0.0):
+            raise _invalid_share(config.working, i, v)
+    return lam
+
+
 def _first_drop(table: np.ndarray) -> tuple[int, int, int] | None:
     """First (mask, i, j) where removing component i from working-set ``mask``
     lowers survivor j's share by more than the relative tolerance, or None.
@@ -369,14 +396,20 @@ def share_table(rule: Rule, n: int) -> np.ndarray:
     """Read-only (2^n, n) float64 table of load shares indexed by working-set
     mask, 0.0 outside the working set (a failed component carries no load).
 
-    Built from one ``rule`` call per nonempty mask and checked once for
-    monotonicity.  The latest table is kept with its rule, matched by
-    identity, so the sampler and the Gibbs builder share one build.
+    Built from one ``rule`` call per nonempty mask and checked once: each
+    member's share finite and > 0, no share for a failed component (else
+    ``ValueError``), and no share dropping after a failure.  The latest table
+    is kept with its rule, matched by identity, so the sampler and the Gibbs
+    builder share one build.
     """
     last_rule, last = _last_table
     if last_rule is rule and last.shape[1] == n:
         return last
     table = _fill_table(rule, n)
+    invalid = _first_invalid(table)
+    if invalid is not None:
+        mask, i = invalid
+        raise _invalid_share(Configuration.from_mask(n, mask).working, i, table[mask, i])
     drop = _first_drop(table)
     if drop is not None:
         mask, i, j = drop
@@ -391,22 +424,22 @@ def share_table(rule: Rule, n: int) -> np.ndarray:
 
 def verify_monotone(rule: Rule, n: int) -> MonotoneCheck:
     """Check that failures never relieve a survivor: lambda_j(B) <= lambda_j(A)
-    for every A subset of B containing j, plus positive total load.
+    for every A subset of B containing j, plus valid shares.
 
     Reads the whole share table, so n is bounded as for :func:`share_table`:
-    the first working set with a total share <= 0 comes back as (B, B, -1),
-    else the first single removal that lowers a survivor's share as (A, B, j)
-    with A = B minus the removed component.  Drops are measured relative to
-    the larger share.
+    the first working set whose shares break the contract of :func:`share_table`
+    comes back as (B, B, -1), else the first single removal that lowers a
+    survivor's share as (A, B, j) with A = B minus the removed component.
+    Drops are measured relative to the larger share.
     """
 
     def members(mask: int) -> frozenset[int]:
-        return frozenset(i for i in range(n) if mask >> i & 1)
+        return Configuration.from_mask(n, mask).working
 
     table = _fill_table(rule, n)
-    low = np.flatnonzero(table[1:].sum(axis=1) <= 0)
-    if low.size:
-        b = members(int(low[0]) + 1)
+    invalid = _first_invalid(table)
+    if invalid is not None:
+        b = members(invalid[0])
         return MonotoneCheck(False, (b, b, -1))
     drop = _first_drop(table)
     if drop is None:

@@ -44,8 +44,8 @@ class CensoredSample:
     censored: bool = False
 
     def __post_init__(self):
-        if self.value <= 0:
-            raise ValueError("strength observations must be positive")
+        if not 0 < self.value < math.inf:  # NaN fails too
+            raise ValueError(f"strength observations must be positive and finite, got {self.value}")
 
 
 @dataclass(frozen=True)

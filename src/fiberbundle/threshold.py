@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -20,6 +20,7 @@ import numpy as np
 from .cascade import BreakingPattern, _pattern_steps, enumerate_patterns
 from .distributions import component_laws
 from .loadshare import Rule
+from .stats import tail_window
 
 __all__ = [
     "irwin_hall_pdf",
@@ -69,7 +70,7 @@ def irwin_hall_pdf(m: int, t) -> float | np.ndarray:
 
 
 def _integrate_panels(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
-                      knots: Sequence[float] = (), tol: float = _PANEL_TOL) -> float:
+                      knots: Sequence[float] = ()) -> float:
     """Adaptive Gauss-Legendre integration, pre-split at known kinks."""
     points = sorted({lo, hi, *(k for k in knots if lo < k < hi)})
 
@@ -91,21 +92,24 @@ def _integrate_panels(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: floa
 
     total = 0.0
     for a, b in zip(points[:-1], points[1:]):
-        total += adapt(a, b, gl(a, b), tol, 0)
+        total += adapt(a, b, gl(a, b), _PANEL_TOL, 0)
     return total
 
 
 @dataclass(frozen=True)
 class MixingDensity:
-    """Size-biased shifted Irwin-Hall density b_m(theta - shift) / theta**power.
+    """Shifted Irwin-Hall density b_m(theta - shift) e^{-tilt theta} / theta**power.
 
     Supported on [shift, shift + m]; m = 0 degenerates to an atom at ``shift``
-    (kept symbolic: ``is_atom`` with unnormalized weight shift**-power).
+    (kept symbolic: ``is_atom`` with unnormalized weight shift**-power).  The
+    order-statistic laws are size-biased (power > 0, tilt 0); the thresholds'
+    conditional laws given the stresses are tilted instead (power 0).
     """
 
     m: int
     shift: float
     power: int
+    tilt: float = 0.0
 
     @property
     def is_atom(self) -> bool:
@@ -115,22 +119,26 @@ class MixingDensity:
     def support(self) -> tuple[float, float]:
         return (self.shift, self.shift + self.m)
 
+    def _integrate(self, f: Callable[[np.ndarray], np.ndarray]) -> float:
+        """Integral of f over the support, split at the knots shift + j."""
+        lo, hi = self.support
+        return _integrate_panels(f, lo, hi, [self.shift + j for j in range(1, self.m)])
+
     @cached_property
     def normalizer(self) -> float:
         """Integral of the unnormalized density (atom: its raw weight)."""
         if self.is_atom:
             return self.shift ** (-self.power)
-        lo, hi = self.support
-        knots = [self.shift + j for j in range(1, self.m)]
-        return _integrate_panels(self._raw, lo, hi, knots)
+        return self._integrate(self._raw)
 
     def _raw(self, theta):
         theta = np.asarray(theta, dtype=float)
-        return irwin_hall_pdf(self.m, theta - self.shift) / theta**self.power
+        raw = irwin_hall_pdf(self.m, theta - self.shift) / theta**self.power
+        return raw * np.exp(-self.tilt * theta) if self.tilt else raw
 
     def pdf(self, theta) -> float | np.ndarray:
         if self.is_atom:
-            raise ValueError("point-mass mixing density has no pdf; use the atom directly")
+            raise ValueError(f"point mass at theta = {self.shift}; no density to evaluate")
         theta_arr = np.asarray(theta, dtype=float)
         lo, hi = self.support
         inside = (theta_arr >= lo) & (theta_arr <= hi)
@@ -141,10 +149,7 @@ class MixingDensity:
         """E[Theta**r] under the normalized density."""
         if self.is_atom:
             return self.shift**r
-        lo, hi = self.support
-        knots = [self.shift + j for j in range(1, self.m)]
-        raw = _integrate_panels(lambda t: self._raw(t) * t**r, lo, hi, knots)
-        return raw / self.normalizer
+        return self._integrate(lambda t: self._raw(t) * t**r) / self.normalizer
 
     def gamma_mixture_pdf(self, shape: int, z: float) -> float:
         """Integral of gamma(shape, rate=theta) density at z over this mixing law."""
@@ -152,10 +157,7 @@ class MixingDensity:
             return 0.0
         if self.is_atom:
             return _gamma_pdf(z, shape, self.shift)
-        lo, hi = self.support
-        knots = [self.shift + j for j in range(1, self.m)]
-        raw = _integrate_panels(lambda t: _gamma_pdf(z, shape, t) * self._raw(t), lo, hi, knots)
-        return raw / self.normalizer
+        return self._integrate(lambda t: _gamma_pdf(z, shape, t) * self._raw(t)) / self.normalizer
 
 
 def _gamma_pdf(z, shape: int, rate):
@@ -183,10 +185,7 @@ def _spacing_mixing(k: int, l: int, n: int) -> MixingDensity:
 
 def order_stat_mixing_density(k: int, n: int, theta) -> float | np.ndarray:
     """Evaluate the order-statistic mixing density a_{k;n} at theta."""
-    mix = order_stat_mixing(k, n)
-    if mix.is_atom:
-        raise ValueError(f"a_({k};{n}) is a point mass at theta={n}; no density to evaluate")
-    return mix.pdf(theta)
+    return order_stat_mixing(k, n).pdf(theta)
 
 
 @dataclass(frozen=True)
@@ -254,9 +253,10 @@ class OrderStatJointDensity:
 class TiltedConditional:
     """Conditional law of the mixing thresholds given (X, Y) = (x, y).
 
-    Each factor is an exponentially tilted shifted convolution of uniforms,
-    e^{-x theta} b_m(theta - shift), normalized by quadrature; the joint is
-    the product of the two factors (conditional independence is structural).
+    Each factor is the corresponding order-statistic mixing law with the size
+    bias replaced by an exponential tilt, e^{-x theta} b_m(theta - shift); the
+    joint is the product of the two factors (conditional independence is
+    structural).
     """
 
     k: int
@@ -276,33 +276,21 @@ class TiltedConditional:
                 "(k = 1 or l = k + 1); handle symbolically"
             )
 
-    def _factor(self, m: int, shift: float, tilt: float):
-        lo, hi = shift, shift + m
-        knots = [shift + j for j in range(1, m)]
-
-        def raw(theta):
-            theta = np.asarray(theta, dtype=float)
-            return np.exp(-tilt * theta) * irwin_hall_pdf(m, theta - shift)
-
-        norm = _integrate_panels(raw, lo, hi, knots)
-
-        def pdf(theta):
-            theta_arr = np.asarray(theta, dtype=float)
-            inside = (theta_arr >= lo) & (theta_arr <= hi)
-            vals = np.where(inside, raw(np.clip(theta_arr, lo, hi)) / norm, 0.0)
-            return vals if theta_arr.ndim else float(vals)
-
-        return pdf
+    @cached_property
+    def law1(self) -> MixingDensity:
+        """Law of Theta_1 given X = x."""
+        return replace(order_stat_mixing(self.k, self.n), power=0, tilt=self.x)
 
     @cached_property
-    def factor1(self):
-        """Density of Theta_1 given X = x."""
-        return self._factor(self.k - 1, float(self.n - self.k + 1), self.x)
+    def law2(self) -> MixingDensity:
+        """Law of Theta_2 given (X, Y) = (x, y)."""
+        return replace(_spacing_mixing(self.k, self.l, self.n), power=0, tilt=self.y - self.x)
 
-    @cached_property
-    def factor2(self):
-        """Density of Theta_2 given (X, Y) = (x, y)."""
-        return self._factor(self.l - self.k - 1, float(self.n - self.l + 1), self.y - self.x)
+    def factor1(self, theta):
+        return self.law1.pdf(theta)
+
+    def factor2(self, theta):
+        return self.law2.pdf(theta)
 
     def pdf(self, theta1: float, theta2: float) -> float:
         return float(self.factor1(theta1)) * float(self.factor2(theta2))
@@ -411,25 +399,19 @@ def lower_tail_constant(m: int, samples=None, mixing: MixingDensity | None = Non
                         window: tuple[float, float] = (1e-5, 1e-3)) -> float:
     """Constant K of the power-law lower tail F(x) ~ K x**m.
 
-    From ``samples``: intercept of log(ECDF) - m log(x) over the empirical
-    quantile window (the slope m is known from the structure).  From a
-    ``mixing`` density: K = E[Theta**m] / m!.
+    From ``samples``: intercept of log(ECDF) - m log(x) over the points that
+    :func:`~fiberbundle.stats.tail_window` selects, as the tail slope does
+    (the slope m is known from the structure).  From a ``mixing`` density:
+    K = E[Theta**m] / m!.
     """
     if (samples is None) == (mixing is None):
         raise ValueError("provide exactly one of samples or mixing")
     if mixing is not None:
         return mixing.moment(m) / math.factorial(m)
     xs = np.sort(np.asarray(samples, dtype=float))
-    nobs = xs.size
-    ranks = np.arange(1, nobs + 1) / nobs
-    lo, hi = window
-    sel = (ranks >= lo) & (ranks <= hi)
-    if sel.sum() < 100:
-        raise ValueError(
-            f"only {int(sel.sum())} tail points in quantile window {window}; "
-            "increase the replica count"
-        )
-    logk = np.log(ranks[sel]) - m * np.log(xs[sel])
+    pos = tail_window(xs.size, window)
+    ranks = np.arange(pos.start + 1, pos.stop + 1) / xs.size
+    logk = np.log(ranks) - m * np.log(xs[pos.start:pos.stop])
     return float(np.exp(logk.mean()))
 
 

@@ -91,6 +91,23 @@ class TestHandTraces:
         with pytest.raises(NonMonotoneRuleError):
             simulate_cascade([0.5, 0.9, 1.4], size_rule, StructureFunction.parallel(3))
 
+    @pytest.mark.parametrize("defect,i", [
+        (lambda v: v.update({0: 0.0}), 0),
+        (lambda v: v.update({2: math.nan}), 2),
+        (lambda v: v.update({1: 1.5}), 1),
+        (lambda v: v.pop(0), 0),
+    ], ids=["zero", "nan", "extra-key", "missing-key"])
+    def test_invalid_shares_rejected(self, defect, i):
+        # component 1 fails first, so the cascade asks for the shares at {0, 2}
+        def rule(cfg):
+            values = dict(EqualRule(3)(cfg).values)
+            if cfg.working == {0, 2}:
+                defect(values)
+            return LoadShareVector(values)
+
+        with pytest.raises(ValueError, match=rf"component {i} the share .* at working set \[0, 2\]"):
+            simulate_cascade([2.0, 1.0, 3.0], rule, StructureFunction.parallel(3))
+
     def test_nan_strength_rejected(self):
         # NaN <= 0 is false, so a sign test alone lets it through
         with pytest.raises(ValueError, match="strictly positive"):
@@ -391,6 +408,14 @@ class TestSampling:
     def test_sampler_rejects_non_monotone_rule(self):
         with pytest.raises(NonMonotoneRuleError, match="dropped"):
             sample_bundle_strengths(unit_exponential(), size_rule, StructureFunction.parallel(3), 10)
+
+    def test_sampler_rejects_all_zero_shares(self):
+        # every ratio x / 0.0 is +inf, so the kernel never finds a failure
+        def zero_rule(cfg):
+            return LoadShareVector({i: 0.0 for i in cfg.working})
+
+        with pytest.raises(ValueError, match="finite share > 0"):
+            sample_bundle_strengths(unit_exponential(), zero_rule, StructureFunction.parallel(3), 3)
 
     def test_bundle_too_large_for_a_table_uses_scalar_path(self, monkeypatch):
         # a 2^21 x 21 float64 table would take 352 MB

@@ -119,6 +119,12 @@ class TestMobius:
             )
             assert total == pytest.approx(u.values[mask ^ (1 << i)] - u.values[mask], abs=1e-9)
 
+    def test_value_reads_the_mask(self):
+        table = gb.SubsetTable(3, np.arange(8.0))
+        assert table.value(frozenset({0, 2})) == 5.0
+        with pytest.raises(ValueError, match="out-of-range"):
+            table.value(frozenset({3}))
+
     def test_nonzero_empty_set_rejected(self):
         bad = np.ones(1 << 3)
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 """Grid graphs, transition matrices, absorption solves, and rule properties."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,26 @@ from fiberbundle.loadshare import (
 
 def grid_rule(rows, cols):
     return AbsorbingRule(transition_matrix(build_grid_graph(rows, cols)))
+
+
+# each breaks the rule-output contract for one component at working set {0, 2}
+DEFECTS = [
+    pytest.param(lambda v: v.update({0: 0.0}), 0, id="zero"),
+    pytest.param(lambda v: v.update({2: math.nan}), 2, id="nan"),
+    pytest.param(lambda v: v.update({1: 1.5}), 1, id="extra-key"),
+    pytest.param(lambda v: v.pop(0), 0, id="missing-key"),
+]
+
+
+def defective_rule(defect):
+    """The equal rule on 3 components with ``defect`` applied at {0, 2}."""
+    def rule(cfg):
+        values = dict(EqualRule(3)(cfg).values)
+        if cfg.working == {0, 2}:
+            defect(values)
+        return LoadShareVector(values)
+
+    return rule
 
 
 class TestGridGraph:
@@ -231,6 +253,11 @@ class TestVerifyMonotone:
 
         assert verify_monotone(rule, 3) == MonotoneCheck(False, (frozenset({1}), frozenset({1}), -1))
 
+    @pytest.mark.parametrize("defect,i", DEFECTS)
+    def test_invalid_shares_caught(self, defect, i):
+        b = frozenset({0, 2})
+        assert verify_monotone(defective_rule(defect), 3) == MonotoneCheck(False, (b, b, -1))
+
     def test_randomized_branch(self):
         check = verify_monotone(EqualRule(14), 14)
         assert check.ok
@@ -295,6 +322,11 @@ class TestShareTable:
         with pytest.raises(NonMonotoneRuleError, match="dropped"):
             share_table(rule, 3)
         assert cascade.NonMonotoneRuleError is NonMonotoneRuleError
+
+    @pytest.mark.parametrize("defect,i", DEFECTS)
+    def test_invalid_shares_rejected(self, defect, i):
+        with pytest.raises(ValueError, match=rf"component {i} the share .* at working set \[0, 2\]"):
+            share_table(defective_rule(defect), 3)
 
     def test_table_bound_checked_before_any_work(self):
         # a 2^21 x 21 float64 table would take 352 MB

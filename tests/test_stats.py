@@ -54,6 +54,13 @@ class TestKaplanMeier:
         with pytest.raises(ValueError):
             st.CensoredSample(0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("estimator", [st.kaplan_meier, st.weibull_mle_censored])
+    def test_non_finite_value_rejected(self, bad, estimator):
+        # NaN <= 0 is false, so a sign test alone lets it through
+        with pytest.raises(ValueError, match="positive and finite"):
+            estimator([(bad, 0), (1.0, 0), (2.0, 0)])
+
 
 class TestWeibullMLE:
     def test_recovers_generator_parameters(self):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from fiberbundle import stats as st
 from fiberbundle import threshold as th
 from fiberbundle.cascade import StructureFunction, enumerate_patterns, parse_pattern, \
     sample_bundle_strengths, simulate_cascade
@@ -113,7 +114,7 @@ class TestMixingDensity:
     def test_minimum_case_is_atom(self):
         mix = th.order_stat_mixing(1, 7)
         assert mix.is_atom and mix.support == (7.0, 7.0)
-        with pytest.raises(ValueError, match="point mass"):
+        with pytest.raises(ValueError, match="point mass at theta = 7.0"):
             th.order_stat_mixing_density(1, 7, 7.0)
 
     def test_k2_n5_closed_form(self):
@@ -206,6 +207,24 @@ class TestTilted:
             assert float(tc.factor1(theta)) == pytest.approx(
                 th.irwin_hall_pdf(k - 1, theta - shift), rel=1e-6
             )
+
+    @pytest.mark.parametrize("k,l,n,x,y", [(2, 4, 6, 0.5, 1.0), (3, 7, 9, 0.3, 1.7),
+                                           (4, 8, 8, 2.5, 4.0)])
+    def test_posterior_identity(self, k, l, n, x, y):
+        # Bayes: each factor is gamma likelihood x untilted mixing prior / evidence
+        tc = th.TiltedConditional(k, l, n, x, y)
+        for factor, law, shape, z in ((tc.factor1, th.order_stat_mixing(k, n), k, x),
+                                      (tc.factor2, th._spacing_mixing(k, l, n), l - k, y - x)):
+            lo, hi = law.support
+            evidence = law.gamma_mixture_pdf(shape, z)
+            for theta in np.linspace(lo, hi, 9):
+                want = float(th._gamma_pdf(z, shape, theta)) * law.pdf(theta) / evidence
+                assert factor(theta) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_laws_are_tilted_mixing_laws(self):
+        tc = th.TiltedConditional(3, 7, 9, 0.3, 1.7)
+        assert tc.law1 == th.MixingDensity(m=2, shift=7.0, power=0, tilt=0.3)
+        assert tc.law2 == th.MixingDensity(m=3, shift=3.0, power=0, tilt=1.7 - 0.3)
 
     def test_unsupported_theta_is_zero(self):
         tc = th.TiltedConditional(2, 4, 6, 0.5, 1.0)
@@ -318,6 +337,16 @@ class TestLowerTailConstant:
     def test_requires_enough_points(self):
         with pytest.raises(ValueError, match="replica"):
             th.lower_tail_constant(1, samples=np.arange(1, 500.0))
+
+    def test_window_is_the_tail_slope_window(self):
+        # a window reaching 1 would take log(ECDF) = 0 at the largest point,
+        # which the tail slope cannot use; both fits read tail_window's points
+        xs = np.random.default_rng(2).standard_exponential(1_000)
+        pos = st.tail_window(xs.size, (0.8, 1.0))
+        ranks = np.arange(pos.start + 1, pos.stop + 1) / xs.size
+        want = np.exp(np.mean(np.log(ranks) - np.log(np.sort(xs)[pos.start:pos.stop])))
+        assert th.lower_tail_constant(1, samples=xs, window=(0.8, 1.0)) == want
+        assert st.lower_tail_slope(xs, (0.8, 1.0)).n_points == pos.stop - pos.start
 
     def test_exactly_one_source(self):
         with pytest.raises(ValueError):
