@@ -329,7 +329,8 @@ def _table_fits(n: int) -> bool:
 
 
 def _fill_table(rule: Rule, n: int) -> np.ndarray:
-    """Unchecked (2^n, n) share table, 0.0 outside each working set.
+    """(2^n, n) share table, 0.0 outside each working set; the values are
+    unchecked, but a key outside range(n) raises ``ValueError``.
 
     The byte bound is the only size limit on n; it is checked before any
     rule call or allocation.
@@ -339,9 +340,13 @@ def _fill_table(rule: Rule, n: int) -> np.ndarray:
             f"a share table for n = {n} takes {(1 << n) * n * 8} bytes, more than the "
             f"{_TABLE_MAX_BYTES}-byte bound; use sampling for larger bundles"
         )
-    table = np.zeros((1 << n, n))
+    table, components = np.zeros((1 << n, n)), frozenset(range(n))
     for mask in range(1, 1 << n):
-        for i, v in rule(Configuration.from_mask(n, mask)).values.items():
+        config = Configuration.from_mask(n, mask)
+        shares = rule(config).values
+        if not shares.keys() <= components:
+            raise _outside_bundle(config, next(iter(shares.keys() - components)))
+        for i, v in shares.items():
             table[mask, i] = v
     return table
 
@@ -362,10 +367,18 @@ def _invalid_share(working: frozenset[int], i: int, value: float) -> ValueError:
                       f"{sorted(working)}; a member needs a finite share > 0, a failed one none")
 
 
+def _outside_bundle(config: Configuration, i) -> ValueError:
+    return ValueError(f"rule gave a share to component {i!r} at working set "
+                      f"{sorted(config.working)}; components are 0..{config.n - 1}")
+
+
 def _check_shares(config: Configuration, lam: LoadShareVector) -> LoadShareVector:
-    """``lam`` if it keeps :func:`_first_invalid`'s contract on ``config``, a
-    missing member read as 0.0; else ``ValueError``."""
+    """``lam`` if its keys are components of the bundle and it keeps
+    :func:`_first_invalid`'s contract on ``config``, a missing member read as
+    0.0; else ``ValueError``."""
     for i in sorted(config.working | lam.values.keys()):
+        if i not in range(config.n):
+            raise _outside_bundle(config, i)
         v = lam.values.get(i, 0.0)
         if not (0.0 < v < math.inf if i in config.working else v == 0.0):
             raise _invalid_share(config.working, i, v)

@@ -87,29 +87,15 @@ def kaplan_meier(samples) -> KMCurve:
         warnings.warn("all observations are censored; survival curve is constant 1")
         empty = np.empty(0)
         return KMCurve(empty, empty, empty, empty, empty)
-    order = np.argsort(values, kind="stable")
-    values, events = values[order], events[order]
-    times = []
-    surv = []
-    var = []
-    s = 1.0
-    greenwood = 0.0
-    nobs = values.size
-    for t in np.unique(values[events]):
-        at_risk = int(np.sum(values >= t))
-        deaths = int(np.sum((values == t) & events))
-        s *= 1.0 - deaths / at_risk
-        if at_risk > deaths:
-            greenwood += deaths / (at_risk * (at_risk - deaths))
-            var_t = s * s * greenwood
-        else:
-            var_t = 0.0  # curve hit zero; Greenwood is degenerate there
-        times.append(t)
-        surv.append(s)
-        var.append(var_t)
-    times = np.array(times)
-    surv = np.array(surv)
-    var = np.array(var)
+    times, deaths = np.unique(values[events], return_counts=True)
+    at_risk = values.size - np.searchsorted(np.sort(values), times)
+    # running product and sum, one term per event time in time order
+    surv = np.cumprod(1.0 - deaths / at_risk)
+    alive = at_risk > deaths
+    steps = np.zeros(times.size)
+    steps[alive] = deaths[alive] / (at_risk[alive] * (at_risk[alive] - deaths[alive]))
+    # where the curve hits zero, Greenwood is degenerate: variance 0
+    var = np.where(alive, surv * surv * np.cumsum(steps), 0.0)
     half = _Z95 * np.sqrt(var)
     return KMCurve(
         times=times,

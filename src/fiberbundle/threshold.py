@@ -71,28 +71,59 @@ def irwin_hall_pdf(m: int, t) -> float | np.ndarray:
 
 def _integrate_panels(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
                       knots: Sequence[float] = ()) -> float:
-    """Adaptive Gauss-Legendre integration, pre-split at known kinks."""
+    """Adaptive 16-point Gauss-Legendre integration, pre-split at known kinks.
+
+    ``f`` must be elementwise on a 1-d float array: its value at a node may
+    not depend on the other nodes of the call.  Bisection runs level by
+    level.  Level 0 makes one call of ``f`` for every panel's whole interval
+    and both of its halves; each later level makes one call for both halves
+    of every panel still open.  A panel closes when its halves agree with the
+    whole within its budget (``_PANEL_TOL``, halved at each split), or with a
+    warning past depth ``_MAX_DEPTH``.  The closed values are added in the
+    order of a depth-first recursion (left + right at a leaf, the two
+    children's sums above it, the pre-split panels in turn), so the result
+    does not depend on how nodes are batched.
+    """
     points = sorted({lo, hi, *(k for k in knots if lo < k < hi)})
+    if len(points) < 2:
+        return 0.0
 
-    def gl(a: float, b: float) -> float:
+    def gl(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        return half * float(np.sum(_GL_WEIGHTS * f(mid + half * _GL_NODES)))
+        vals = f((mid[:, None] + half[:, None] * _GL_NODES).ravel())
+        return half * (_GL_WEIGHTS * vals.reshape(-1, _GL_NODES.size)).sum(axis=1)
 
-    def adapt(a: float, b: float, whole: float, budget: float, depth: int) -> float:
-        mid = 0.5 * (a + b)
-        left, right = gl(a, mid), gl(mid, b)
-        residual = abs(left + right - whole)
-        if residual < budget:
-            return left + right
+    a, b = np.array(points[:-1]), np.array(points[1:])
+    mid = 0.5 * (a + b)
+    whole, left, right = np.split(gl(np.concatenate([a, a, mid]), np.concatenate([b, mid, b])), 3)
+    levels, budget = [], _PANEL_TOL
+    for depth in range(_MAX_DEPTH + 2):
+        sums = left + right
+        split = ~(np.abs(sums - whole) < budget)  # a NaN residual stays open
         if depth > _MAX_DEPTH:
-            _log.warning("panel [%r, %r] hit the depth cap %d with residual %.3g > %.3g",
-                         a, b, _MAX_DEPTH, residual, budget)
-            return left + right
-        return adapt(a, mid, left, budget / 2, depth + 1) + adapt(mid, b, right, budget / 2, depth + 1)
+            for i in np.flatnonzero(split):
+                _log.warning("panel [%r, %r] hit the depth cap %d with residual %.3g > %.3g",
+                             float(a[i]), float(b[i]), _MAX_DEPTH,
+                             float(abs(sums[i] - whole[i])), budget)
+            split[:] = False
+        levels.append((sums, split))
+        if not split.any():
+            break
+        # children of each split panel, left then right
+        a = np.stack([a[split], mid[split]], axis=1).ravel()
+        b = np.stack([mid[split], b[split]], axis=1).ravel()
+        whole = np.stack([left[split], right[split]], axis=1).ravel()
+        mid = 0.5 * (a + b)
+        left, right = np.split(gl(np.concatenate([a, mid]), np.concatenate([mid, b])), 2)
+        budget /= 2
 
+    vals = levels[-1][0]
+    for sums, split in reversed(levels[:-1]):
+        sums[split] = vals[0::2] + vals[1::2]
+        vals = sums
     total = 0.0
-    for a, b in zip(points[:-1], points[1:]):
-        total += adapt(a, b, gl(a, b), _PANEL_TOL, 0)
+    for v in vals.tolist():  # plain addition: sum() compensates from Python 3.12
+        total += v
     return total
 
 

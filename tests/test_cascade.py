@@ -108,6 +108,15 @@ class TestHandTraces:
         with pytest.raises(ValueError, match=rf"component {i} the share .* at working set \[0, 2\]"):
             simulate_cascade([2.0, 1.0, 3.0], rule, StructureFunction.parallel(3))
 
+    @pytest.mark.parametrize("key", [3, -1])
+    def test_key_outside_bundle_rejected(self, key):
+        # a zero share passes the value check, so only the key can be wrong
+        def rule(cfg):
+            return LoadShareVector({**EqualRule(3)(cfg).values, key: 0.0})
+
+        with pytest.raises(ValueError, match=rf"component {key} at working set \[0, 1, 2\]"):
+            simulate_cascade([2.0, 1.0, 3.0], rule, StructureFunction.parallel(3))
+
     def test_nan_strength_rejected(self):
         # NaN <= 0 is false, so a sign test alone lets it through
         with pytest.raises(ValueError, match="strictly positive"):

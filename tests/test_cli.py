@@ -340,6 +340,21 @@ class TestDensityCommand:
         _, rows = read_csv(out / "density.csv")
         assert max(float(r[4]) for r in rows) < 1e-6
 
+    def test_order_stat_joint_integrand_calls(self, tmp_path, monkeypatch):
+        # the benchmark's density sizes; the 16-node-at-a-time integrator made 2,121 calls
+        from fiberbundle import threshold
+
+        calls = []
+        pdf = threshold.irwin_hall_pdf
+        monkeypatch.setattr(threshold, "irwin_hall_pdf", lambda m, t: calls.append(m) or pdf(m, t))
+        rc = main(["density", "--kind", "order-stat-joint", "--k", "4", "--l", "9", "--n", "12",
+                   "--x-grid", "0.13:1.93:0.2", "--y-grid", "0.17:1.97:0.2",
+                   "--out", str(tmp_path / "d")])
+        assert rc == 0
+        _, rows = read_csv(tmp_path / "d" / "density.csv")
+        assert len(rows) == 100
+        assert len(calls) <= 250
+
     def test_pattern_density_row(self, tmp_path):
         out = tmp_path / "d"
         rc = main(["density", "--kind", "pattern", "--pattern", "1(2)", "--rows", "1",

@@ -328,6 +328,15 @@ class TestShareTable:
         with pytest.raises(ValueError, match=rf"component {i} the share .* at working set \[0, 2\]"):
             share_table(defective_rule(defect), 3)
 
+    @pytest.mark.parametrize("key", [3, -1])
+    def test_key_outside_bundle_rejected(self, key):
+        # -1 would index component 2's slot, and 3 the end of the row
+        rule = defective_rule(lambda v: v.update({key: 0.0}))
+        with pytest.raises(ValueError, match=rf"component {key} at working set \[0, 2\]"):
+            share_table(rule, 3)
+        with pytest.raises(ValueError, match=rf"component {key} at working set \[0, 2\]"):
+            verify_monotone(rule, 3)
+
     def test_table_bound_checked_before_any_work(self):
         # a 2^21 x 21 float64 table would take 352 MB
         def rule(cfg):

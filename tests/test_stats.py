@@ -9,7 +9,43 @@ from fiberbundle import stats as st
 from fiberbundle.distributions import StrengthModel
 
 
+def _kaplan_meier_loop(values, events):
+    """The per-time rescan the estimator used to run: at-risk and death counts
+    of each event time from the whole sample; (times, survival, variance)."""
+    values, events = np.asarray(values, dtype=float), np.asarray(events, dtype=bool)
+    times, surv, var = [], [], []
+    s, greenwood = 1.0, 0.0
+    for t in np.unique(values[events]):
+        at_risk = int(np.sum(values >= t))
+        deaths = int(np.sum((values == t) & events))
+        s *= 1.0 - deaths / at_risk
+        if at_risk > deaths:
+            greenwood += deaths / (at_risk * (at_risk - deaths))
+            var_t = s * s * greenwood
+        else:
+            var_t = 0.0
+        times.append(t)
+        surv.append(s)
+        var.append(var_t)
+    return np.array(times), np.array(surv), np.array(var)
+
+
 class TestKaplanMeier:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_per_time_loop_exactly(self, seed):
+        # rounded draws give ties; censoring at 0-60%; odd seeds end on deaths
+        rng = np.random.default_rng(seed)
+        size = int(rng.integers(5, 400))
+        values = np.round(rng.weibull(2.0, size) * 3, int(rng.integers(1, 3))) + 0.05
+        events = rng.random(size) >= rng.uniform(0.0, 0.6)
+        events[values == values.max()] = seed % 2 == 1
+        km = st.kaplan_meier(list(zip(values, ~events)))
+        times, surv, var = _kaplan_meier_loop(values, events)
+        assert np.array_equal(km.times, times)
+        assert np.array_equal(km.survival, surv)
+        assert np.array_equal(km.variance, var)
+        assert (km.survival[-1] == 0.0) == (seed % 2 == 1)
+
     def test_hand_product_limit(self):
         km = st.kaplan_meier([(1.0, False), (2.0, True), (3.0, False)])
         assert km.times == pytest.approx([1.0, 3.0])

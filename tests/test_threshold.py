@@ -29,6 +29,110 @@ def _irwin_hall_rational(m, tv):
     return float(acc / math.factorial(m - 1))
 
 
+def _integrate_panels_recursive(f, lo, hi, knots=()):
+    """Depth-first adaptive Gauss-Legendre, one 16-node call of ``f`` per
+    interval: the slow path the level-batched integrator must equal bit for bit."""
+    points = sorted({lo, hi, *(k for k in knots if lo < k < hi)})
+
+    def gl(a, b):
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        return half * float(np.sum(th._GL_WEIGHTS * f(mid + half * th._GL_NODES)))
+
+    def adapt(a, b, whole, budget, depth):
+        mid = 0.5 * (a + b)
+        left, right = gl(a, mid), gl(mid, b)
+        residual = abs(left + right - whole)
+        if residual < budget:
+            return left + right
+        if depth > th._MAX_DEPTH:
+            th._log.warning("panel [%r, %r] hit the depth cap %d with residual %.3g > %.3g",
+                            a, b, th._MAX_DEPTH, residual, budget)
+            return left + right
+        return adapt(a, mid, left, budget / 2, depth + 1) + adapt(mid, b, right, budget / 2, depth + 1)
+
+    total = 0.0
+    for a, b in zip(points[:-1], points[1:]):
+        total += adapt(a, b, gl(a, b), th._PANEL_TOL, 0)
+    return total
+
+
+class TestIntegratePanels:
+    """The level-batched integrator against the depth-first recursion, with ==."""
+
+    @staticmethod
+    def _both(monkeypatch, value):
+        """``value()`` through the batched integrator, then through the recursion."""
+        fast = value()
+        monkeypatch.setattr(th, "_integrate_panels", _integrate_panels_recursive)
+        slow = value()
+        monkeypatch.undo()
+        return fast, slow
+
+    @pytest.mark.parametrize("m", range(1, 31))
+    def test_irwin_hall_normalization(self, m):
+        def f(t):
+            return th.irwin_hall_pdf(m, t)
+
+        args = (f, 0.0, float(m), list(range(1, m)))
+        assert th._integrate_panels(*args) == _integrate_panels_recursive(*args)
+
+    @pytest.mark.parametrize("law", [
+        lambda: th.order_stat_mixing(2, 5),
+        lambda: th.order_stat_mixing(4, 12),
+        lambda: th.order_stat_mixing(9, 12),
+        lambda: th.order_stat_mixing(12, 30),
+        lambda: th._spacing_mixing(4, 9, 12),
+        lambda: th.TiltedConditional(3, 7, 9, 0.3, 1.7).law1,
+        lambda: th.TiltedConditional(3, 7, 9, 0.3, 1.7).law2,
+    ], ids=["k2n5", "k4n12", "k9n12", "k12n30", "spacing", "tilted1", "tilted2"])
+    def test_mixing_law_integrals(self, monkeypatch, law):
+        def values():
+            mix = law()  # fresh, so the cached normalizer is recomputed
+            return ([mix.normalizer] + [mix.moment(r) for r in (1, 2, 3)]
+                    + [mix.gamma_mixture_pdf(shape, z) for shape in (1, 4) for z in (0.13, 0.9, 2.5)])
+
+        fast, slow = self._both(monkeypatch, values)
+        assert fast == slow
+
+    def test_order_stat_joint_mixture(self, monkeypatch):
+        def values():
+            osj = th.OrderStatJointDensity(4, 9, 12)
+            return [osj.mixture(x, y) for x in (0.13, 0.73) for y in (0.97, 1.77)]
+
+        fast, slow = self._both(monkeypatch, values)
+        assert fast == slow
+
+    def test_depth_cap_same_value_and_warnings(self, caplog):
+        def step(t):
+            return (t > 0.3).astype(float)
+
+        with caplog.at_level(logging.WARNING, logger="fiberbundle.threshold"):
+            fast = th._integrate_panels(step, 0.0, 1.0)
+            n_fast = len(caplog.records)
+            slow = _integrate_panels_recursive(step, 0.0, 1.0)
+        assert fast == slow
+        assert n_fast >= 1 and len(caplog.records) == 2 * n_fast
+        assert sorted(r.getMessage() for r in caplog.records[:n_fast]) == \
+            sorted(r.getMessage() for r in caplog.records[n_fast:])
+
+    def test_empty_interval_calls_nothing(self):
+        def f(t):
+            raise AssertionError("integrand called on an empty interval")
+
+        assert th._integrate_panels(f, 0.7, 0.7, [0.7]) == 0.0
+
+    def test_one_integrand_call_per_level(self):
+        # every panel of a smooth integrand converges at level 0: one call
+        calls = []
+
+        def f(t):
+            calls.append(t.size)
+            return th.irwin_hall_pdf(6, t)
+
+        th._integrate_panels(f, 0.0, 6.0, [1, 2, 3, 4, 5])
+        assert calls == [6 * 3 * 16]
+
+
 class TestIrwinHall:
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7, 8, 12, 20, 30])
     def test_matches_rational_series(self, m):
