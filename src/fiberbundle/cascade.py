@@ -45,7 +45,8 @@ __all__ = [
     "PowerScaledRule",
 ]
 
-_CHUNK = 1 << 16
+_CHUNK = 1 << 16  # replicas per (seed, chunk) generator: fixes the sample stream
+_BLOCK = 1 << 13  # replicas drawn and run at a time: keeps the kernel's arrays in cache
 
 
 @dataclass(frozen=True)
@@ -477,13 +478,21 @@ def _init_worker(model, table, rule, structure, seed, n):
 
 
 def _run_worker_chunk(spec: tuple[int, int]) -> np.ndarray:
+    """Strengths of one chunk, drawn from its generator and run ``_BLOCK`` rows
+    at a time; the draws are sequential, so the blocks join into the chunk's
+    whole draw, and each replica's strength depends on its own row only."""
     ci, size = spec
     w = _WORKER
-    x = w["model"].sample(_chunk_rng(w["seed"], ci), w["n"], size)
-    if w["table"] is not None:
-        return _cascade_strengths_block(x, w["table"], w["structure"])
-    # no dense table for this n: one scalar cascade per replica
-    return np.array([simulate_cascade(row, w["rule"], w["structure"]).strength for row in x])
+    table, structure = w["table"], w["structure"]
+    rng = _chunk_rng(w["seed"], ci)
+    out = np.empty(size)
+    for lo in range(0, size, _BLOCK):
+        x = w["model"].sample(rng, w["n"], min(_BLOCK, size - lo))
+        if table is not None:
+            out[lo:lo + _BLOCK] = _cascade_strengths_block(x, table, structure)
+        else:  # no dense table for this n: one scalar cascade per replica
+            out[lo:lo + _BLOCK] = [simulate_cascade(row, w["rule"], structure).strength for row in x]
+    return out
 
 
 def sample_bundle_strengths(model: StrengthModel, rule: Rule, structure: StructureFunction,
@@ -493,7 +502,9 @@ def sample_bundle_strengths(model: StrengthModel, rule: Rule, structure: Structu
 
     Deterministic in (seed, replica index): replicas are generated in fixed
     chunks with a per-chunk generator keyed by (seed, chunk), so the output
-    is byte-identical regardless of the worker count.  Chunks run the
+    is byte-identical regardless of the worker count.  Each chunk is drawn
+    and run in blocks of 8,192 replicas, so the sampler's working memory does
+    not grow with ``replicas`` (only the returned array does).  Blocks run the
     vectorized kernel on the rule's share table when it fits its byte bound,
     else the scalar cascade per replica; workers receive the rule only then.
     """

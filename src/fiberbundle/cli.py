@@ -40,7 +40,7 @@ class InputFormatError(OSError):
     """Malformed input file content."""
 
 
-_CSV_BLOCK = 1 << 16
+_CSV_BLOCK = 1 << 13
 
 
 def _write_csv(path: Path, header: list[str], *columns) -> None:

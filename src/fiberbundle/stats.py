@@ -64,25 +64,26 @@ class KMCurve:
         return 1.0 if idx < 0 else float(self.survival[idx])
 
 
-def _as_censored(samples) -> list[CensoredSample]:
-    out = []
-    for s in samples:
-        if isinstance(s, CensoredSample):
-            out.append(s)
-        else:
-            value, censored = s
-            out.append(CensoredSample(float(value), bool(censored)))
-    if not out:
+def _as_censored(samples) -> tuple[np.ndarray, np.ndarray]:
+    """Values and event flags (True where not censored) of ``CensoredSample``
+    items or ``(value, censored)`` pairs, with the checks of ``CensoredSample``
+    made on the whole value array at once."""
+    pairs = [(s.value, s.censored) if isinstance(s, CensoredSample) else s for s in samples]
+    if not pairs:
         raise ValueError("empty sample")
-    return out
+    values = np.array([v for v, _ in pairs], dtype=float)
+    events = ~np.array([c for _, c in pairs], dtype=bool)
+    bad = np.flatnonzero(~((values > 0) & (values < math.inf)))  # NaN fails too
+    if bad.size:
+        raise ValueError(
+            f"strength observations must be positive and finite, got {float(values[bad[0]])}")
+    return values, events
 
 
 def kaplan_meier(samples) -> KMCurve:
     """Kaplan-Meier estimate; at tied times deaths are processed before
     censorings, so same-time censored items still count as at risk."""
-    data = _as_censored(samples)
-    values = np.array([s.value for s in data])
-    events = np.array([not s.censored for s in data])
+    values, events = _as_censored(samples)
     if not events.any():
         warnings.warn("all observations are censored; survival curve is constant 1")
         empty = np.empty(0)
@@ -128,9 +129,7 @@ def weibull_mle_censored(samples, tol: float = 1e-10) -> WeibullFit:
     """
     from scipy.optimize import brentq
 
-    data = _as_censored(samples)
-    x = np.array([s.value for s in data])
-    event = np.array([not s.censored for s in data])
+    x, event = _as_censored(samples)
     d = int(event.sum())
     if d < 2:
         raise ValueError("need at least 2 uncensored observations")

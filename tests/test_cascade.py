@@ -1,6 +1,7 @@
 """Cascade mechanics: hand traces, pattern replay, sampling, chains, cycles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -405,6 +406,43 @@ class TestSampling:
         fast = cascade._cascade_strengths_block(x, share_table(rule, n), structure)
         slow = np.array([simulate_cascade(row, rule, structure).strength for row in x])
         assert np.array_equal(fast, slow)
+
+    @pytest.mark.parametrize("rule, structure, model", [
+        (grid_rule(3, 3), StructureFunction.column_paths(3, 3),
+         StrengthModel("weibull", 3.0, (1.0, 1.4, 0.7, 1.1, 0.9, 1.3, 0.8, 1.2, 1.05))),
+        (EqualRule(5), StructureFunction.parallel(5), unit_exponential()),
+        (EqualRule(21), StructureFunction.parallel(21), unit_exponential()),
+    ], ids=["absorbing-3x3-scale-vector", "exponential", "scalar-path-n21"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_blocks_join_into_the_whole_chunk(self, monkeypatch, rule, structure, model, workers):
+        # 50-replica chunks run in 7-row blocks, the last one short; each chunk
+        # must equal one whole draw from its generator run in one piece
+        monkeypatch.setattr(cascade, "_BLOCK", 7)
+        monkeypatch.setattr(cascade, "_CHUNK", 50)
+        n, replicas = structure.n, 120
+        got = sample_bundle_strengths(model, rule, structure, replicas, seed=5, workers=workers)
+        parts = []
+        for ci, size in enumerate([50, 50, 20]):
+            x = model.sample(cascade._chunk_rng(5, ci), n, size)
+            if n > 20:  # no table: the scalar cascade is the chunk's reference
+                parts.append([simulate_cascade(row, rule, structure).strength for row in x])
+            else:
+                parts.append(cascade._cascade_strengths_block(x, share_table(rule, n), structure))
+        assert np.array_equal(got, np.concatenate(parts))
+
+    def test_sampler_memory_does_not_grow_with_the_chunk(self):
+        # a whole 65,536 x 12 chunk takes 6.3 MB per temporary (27 MiB peak);
+        # 8,192-row blocks keep the peak under 5 MiB
+        rule, structure = grid_rule(3, 4), StructureFunction.column_paths(3, 4)
+        share_table(rule, 12)
+        tracemalloc.start()
+        try:
+            sample_bundle_strengths(StrengthModel("weibull", 5.0, 1.0), rule, structure,
+                                    1 << 16, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
 
     def test_kernel_handles_zero_strengths(self):
         # a zero strength fails at load 0; the bundle then carries on with the rest

@@ -98,6 +98,35 @@ class TestKaplanMeier:
             estimator([(bad, 0), (1.0, 0), (2.0, 0)])
 
 
+class TestCensoredInput:
+    def test_pairs_build_no_censored_sample(self, monkeypatch):
+        # one object per row cost 0.4 s per estimator call on 200,000 rows
+        made = []
+        monkeypatch.setattr(st.CensoredSample, "__post_init__", lambda self: made.append(self))
+        data = [(1.0, False), (2.0, True), (3.0, False), (4.5, False), (6.0, True)]
+        km = st.kaplan_meier(data)
+        fit = st.weibull_mle_censored(data)
+        assert made == []
+        monkeypatch.undo()
+        objects = [st.CensoredSample(v, c) for v, c in data]
+        assert np.array_equal(st.kaplan_meier(objects).survival, km.survival)
+        assert st.weibull_mle_censored(objects) == fit
+
+    @pytest.mark.parametrize("rows, message", [
+        ([(1.0, False), (-2, True), (math.nan, False)], "positive and finite, got -2.0$"),
+        ([(1.0, False), (0.0, True)], "positive and finite, got 0.0$"),
+        ([(1.0, False), (math.inf, False)], "positive and finite, got inf$"),
+        ([], "^empty sample$"),
+    ], ids=["negative-first", "zero", "inf", "empty"])
+    def test_both_estimators_reject_a_bad_row_alike(self, rows, message):
+        errors = []
+        for estimator in (st.kaplan_meier, st.weibull_mle_censored):
+            with pytest.raises(ValueError, match=message) as info:
+                estimator(rows)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
+
+
 class TestWeibullMLE:
     def test_recovers_generator_parameters(self):
         model = StrengthModel("weibull", 22.04, 117.69)
