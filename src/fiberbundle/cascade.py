@@ -15,7 +15,6 @@ large for the table runs the scalar cascade in the sampler's same chunks.
 from __future__ import annotations
 
 import re
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -518,6 +517,9 @@ def sample_bundle_strengths(model: StrengthModel, rule: Rule, structure: Structu
         _init_worker(*initargs)
         parts = [_run_worker_chunk(spec) for spec in specs]
     else:
+        # imported here only: it loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                                  initargs=initargs) as pool:
             parts = list(pool.map(_run_worker_chunk, specs, chunksize=4))

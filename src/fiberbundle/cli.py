@@ -17,23 +17,18 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
-from . import __version__, gibbs, stats, threshold
-from .cascade import (
-    ChainSpec,
-    StructureFunction,
-    _check_degradation,
-    chain_strength,
-    cycles_to_failure_samples,
-    parse_pattern,
-    sample_bundle_strengths,
-)
+from . import __version__
 from .distributions import FAMILIES, StrengthModel
-from .loadshare import (AbsorbingRule, EqualRule, UnitRule, build_grid_graph, share_table,
-                        transition_matrix)
+
+if TYPE_CHECKING:
+    from .cascade import StructureFunction
+
+# Each command imports the numerical modules it runs when it runs, so a run
+# compiles and loads only those (see "Start-up" in README).
 
 
 class InputFormatError(OSError):
@@ -88,38 +83,71 @@ def _manifest(outdir: Path, command: str, config: dict, derived: dict | None = N
     _write_json(outdir / "manifest.json", payload)
 
 
-def _grid_values(spec: str) -> np.ndarray:
+_MAX_TABLE_ROWS = 1 << 20
+
+
+def _table_rows(flag: str, *sizes) -> None:
+    """Reject a density table of more than _MAX_TABLE_ROWS rows before it is built."""
+    rows = math.prod(sizes)
+    if rows > _MAX_TABLE_ROWS:
+        raise ValueError(f"{flag}: the table would have {rows} rows; at most {_MAX_TABLE_ROWS}")
+
+
+def _grid_values(spec: str, flag: str = "--grid") -> np.ndarray:
     try:
         lo, hi, step = (float(v) for v in spec.split(":"))
     except ValueError:
-        raise ValueError(f"bad grid spec {spec!r}; expected lo:hi:step") from None
+        raise ValueError(f"{flag}: bad grid spec {spec!r}; expected lo:hi:step") from None
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise ValueError(f"{flag}: bad grid spec {spec!r}; lo, hi and step must be finite")
     if step <= 0 or hi < lo:
-        raise ValueError(f"bad grid spec {spec!r}; need step > 0 and hi >= lo")
-    count = int(round((hi - lo) / step))
-    return lo + step * np.arange(count + 1)
+        raise ValueError(f"{flag}: bad grid spec {spec!r}; need step > 0 and hi >= lo")
+    span = (hi - lo) / step
+    count = round(span) + 1 if math.isfinite(span) else math.inf  # the quotient may overflow
+    _table_rows(flag, count)
+    return lo + step * np.arange(count)
 
 
 _RULES = {
-    "absorbing": lambda rows, cols: AbsorbingRule(transition_matrix(build_grid_graph(rows, cols))),
-    "equal": lambda rows, cols: EqualRule(rows * cols),
-    "unit": lambda rows, cols: UnitRule(rows * cols),
+    "absorbing": lambda ls, rows, cols: ls.AbsorbingRule(
+        ls.transition_matrix(ls.build_grid_graph(rows, cols))),
+    "equal": lambda ls, rows, cols: ls.EqualRule(rows * cols),
+    "unit": lambda ls, rows, cols: ls.UnitRule(rows * cols),
 }
 _STRUCTURES = {
-    "parallel": lambda rows, cols: StructureFunction.parallel(rows * cols),
-    "column-paths": StructureFunction.column_paths,
+    "parallel": lambda sf, rows, cols: sf.parallel(rows * cols),
+    "column-paths": lambda sf, rows, cols: sf.column_paths(rows, cols),
 }
 
 
 def _bundle(cfg: dict) -> tuple[int, object, StrengthModel]:
     """Component count, load-sharing rule and strength model of the grid bundle."""
+    from . import loadshare
+
     rows, cols = cfg["rows"], cfg["cols"]
     shape = 1.0 if cfg["family"] == "exponential" else cfg["shape"]
     model = StrengthModel(family=cfg["family"], shape=shape, scale=cfg["scale"])
-    return rows * cols, _RULES[cfg["rule"]](rows, cols), model
+    return rows * cols, _RULES[cfg["rule"]](loadshare, rows, cols), model
 
 
 def _structure(cfg: dict) -> StructureFunction:
-    return _STRUCTURES[cfg["structure"]](cfg["rows"], cfg["cols"])
+    from .cascade import StructureFunction
+
+    return _STRUCTURES[cfg["structure"]](StructureFunction, cfg["rows"], cfg["cols"])
+
+
+# The sampler's entry points, looked up on this module when a command runs, so
+# a caller may wrap them here.
+def sample_bundle_strengths(*args, **kwargs) -> np.ndarray:
+    from .cascade import sample_bundle_strengths
+
+    return sample_bundle_strengths(*args, **kwargs)
+
+
+def cycles_to_failure_samples(*args, **kwargs) -> np.ndarray:
+    from .cascade import cycles_to_failure_samples
+
+    return cycles_to_failure_samples(*args, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +162,12 @@ def _positive(value) -> None:
 def _non_negative(value) -> None:
     if value < 0:
         raise ValueError(f"must be 0 (all available CPUs) or positive, got {value}")
+
+
+def _degradation(value) -> None:
+    from .cascade import _check_degradation
+
+    _check_degradation(value)
 
 
 _BUNDLE = ("rows", "cols", "rule", "family", "shape", "scale")
@@ -170,7 +204,7 @@ _OPTIONS = {
     "tail_lo": _Option(float, 1e-5, "lower probability of the tail-fit window"),
     "tail_hi": _Option(float, 1e-3, "upper probability of the tail-fit window"),
     "percentiles": _Option(str, "", "comma list of strength percentiles; first is the reference"),
-    "a": _Option(float, 0.9, "degradation factor per cycle, in (0, 1)", check=_check_degradation),
+    "a": _Option(float, 0.9, "degradation factor per cycle, in (0, 1)", check=_degradation),
     "s_star": _Option(float, 1.0, "peak load per component", check=_positive),
     "workers": _Option(int, 0, "worker processes; 0 uses the available CPUs",
                        check=_non_negative),
@@ -285,6 +319,9 @@ def _workers(cfg: dict) -> int:
 
 def cmd_simulate(cfg: dict) -> None:
     """Sample bundle strengths; emit samples, Weibull plot and lower-tail fit."""
+    from . import stats
+    from .cascade import ChainSpec, chain_strength
+
     _, rule, model = _bundle(cfg)
     structure = _structure(cfg)
     window = (cfg["tail_lo"], cfg["tail_hi"])
@@ -329,6 +366,9 @@ def _percentile_list(cfg: dict) -> list[float]:
 
 def cmd_gibbs(cfg: dict) -> None:
     """Enumerate the exact state measure; emit potentials and LMF fits."""
+    from . import gibbs
+    from .loadshare import share_table
+
     ps = _percentile_list(cfg)
     n, rule, model = _bundle(cfg)
     share_table(rule, n)  # bounds n; the sampler and build_gibbs reuse this table
@@ -410,6 +450,8 @@ def _read_censored(path: str) -> list[tuple[float, bool]]:
 
 def cmd_analyze(cfg: dict) -> None:
     """Kaplan-Meier curve and censored Weibull MLE for a value,censored CSV."""
+    from . import stats
+
     if not cfg["input"]:
         raise ValueError("analyze needs --input pointing at a value,censored CSV")
     data = _read_censored(cfg["input"])
@@ -450,6 +492,8 @@ def cmd_cycles(cfg: dict) -> None:
 
 def cmd_density(cfg: dict) -> None:
     """Tabulate one of the threshold densities."""
+    from . import threshold
+
     kind = cfg["kind"]
     derived: dict = {}
     if kind == "irwin-hall":
@@ -467,8 +511,9 @@ def cmd_density(cfg: dict) -> None:
         derived["normalizing_constant"] = 1.0 / mix.normalizer
     elif kind == "order-stat-joint":
         joint = threshold.OrderStatJointDensity(cfg["k"], cfg["l"], cfg["n"])
-        xg = _grid_values(cfg["x_grid"] or "0.2:1.0:0.2")
-        yg = _grid_values(cfg["y_grid"] or "0.2:1.0:0.2")
+        xg = _grid_values(cfg["x_grid"] or "0.2:1.0:0.2", "--x-grid")
+        yg = _grid_values(cfg["y_grid"] or "0.2:1.0:0.2", "--y-grid")
+        _table_rows("--x-grid x --y-grid", xg.size, yg.size)
         x = np.repeat(xg, yg.size)
         y = x + np.tile(yg, xg.size)
         direct = np.array([joint.direct(xv, yv) for xv, yv in zip(x, y)])
@@ -479,7 +524,7 @@ def cmd_density(cfg: dict) -> None:
         header = ["x", "y", "direct", "mixture", "rel_err"]
     elif kind == "tilted":
         tc = threshold.TiltedConditional(cfg["k"], cfg["l"], cfg["n"], cfg["x"], cfg["y"])
-        g1, g2 = (_grid_values(f"{lo}:{hi}:{(hi - lo) / 20}")
+        g1, g2 = (_grid_values(f"{lo}:{hi}:{(hi - lo) / 20}", "--kind tilted")
                   for lo, hi in (tc.law1.support, tc.law2.support))
         f1 = np.repeat(tc.factor1(g1), g2.size)
         f2 = np.tile(tc.factor2(g2), g1.size)
@@ -490,6 +535,8 @@ def cmd_density(cfg: dict) -> None:
             raise ValueError("pattern density needs --pattern")
         if not cfg["s"]:
             raise ValueError("pattern density needs at least one --s stress vector")
+        from .cascade import parse_pattern
+
         pattern = parse_pattern(cfg["pattern"])
         n, rule, model = _bundle(cfg)
         f = len(pattern.cycles)
@@ -498,6 +545,8 @@ def cmd_density(cfg: dict) -> None:
             s = [float(v) for v in str(spec).split(",")]
             if len(s) != f:
                 raise ValueError(f"stress vector {spec!r} must have {f} entries")
+            if not all(map(math.isfinite, s)):
+                raise ValueError(f"--s: stress vector {spec!r} has a non-finite entry")
             inp = threshold.pattern_density_input(pattern, rule, n, model, s)
             stresses.append(s)
             density.append(threshold.phase1_pattern_density(inp))
@@ -526,16 +575,13 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve(args)
         _COMMANDS[args.command][0](cfg)
-    except gibbs.PositivityError as exc:
-        # a ValueError subclass, but a numerical failure rather than a usage error
+    except (ArithmeticError, RuntimeError) as exc:
+        # first, for errors that are a ValueError too (gibbs.PositivityError)
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (ValueError,) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ArithmeticError, RuntimeError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4

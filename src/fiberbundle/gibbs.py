@@ -33,9 +33,10 @@ __all__ = [
     "total_variation",
 ]
 
-class PositivityError(ValueError):
+class PositivityError(ValueError, ArithmeticError):
     """A component CDF hit 0 or 1 at its shared load, so the log odds are
-    undefined (the positivity condition fails)."""
+    undefined (the positivity condition fails).  Also an ArithmeticError, so
+    the command line reports it as a numerical failure."""
 
 
 @dataclass(frozen=True)

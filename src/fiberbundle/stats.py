@@ -197,14 +197,17 @@ def tail_window(nobs: int, window: tuple[float, float]) -> range:
     uses: those whose empirical probability (position + 1) / nobs lies in
     ``window`` and below 1.  Fewer than 100 raise ``ValueError``.
 
-    Depends on the sample size only, so a run can be checked before sampling.
+    A window with a NaN bound or with ``lo > hi`` holds no point and raises
+    ``ValueError`` naming the window.  Depends on the sample size only, so a
+    run can be checked before sampling.
     """
     lo, hi = window
-    first = stop = 0
-    if lo <= hi:  # False for a NaN bound too: no probability lies in the window
-        ranks = range(1, nobs)  # nobs / nobs = 1 is never in the window
-        first = bisect_left(ranks, lo, key=lambda k: k / nobs)
-        stop = bisect_right(ranks, hi, key=lambda k: k / nobs)
+    if not lo <= hi:  # a NaN bound fails too
+        raise ValueError(f"only 0 points in quantile window {window}: "
+                         "it needs lo <= hi and no NaN bound")
+    ranks = range(1, nobs)  # nobs / nobs = 1 is never in the window
+    first = bisect_left(ranks, lo, key=lambda k: k / nobs)
+    stop = bisect_right(ranks, hi, key=lambda k: k / nobs)
     if stop - first < 100:
         raise ValueError(
             f"only {stop - first} points in quantile window {window}; "

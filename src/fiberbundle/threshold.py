@@ -13,14 +13,16 @@ import logging
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from .cascade import BreakingPattern, _pattern_steps, enumerate_patterns
-from .distributions import component_laws
-from .loadshare import Rule
-from .stats import tail_window
+if TYPE_CHECKING:
+    from .cascade import BreakingPattern
+    from .loadshare import Rule
+
+# The order-statistic densities need NumPy only; the pattern functions and
+# lower_tail_constant import the modules they read when called.
 
 __all__ = [
     "irwin_hall_pdf",
@@ -351,6 +353,9 @@ class PatternDensityInput:
 def pattern_density_input(pattern: BreakingPattern, rule: Rule, n: int, dist,
                           s: Sequence[float]) -> PatternDensityInput:
     """Compute the share bounds of a pattern from the rule and package them."""
+    from .cascade import _pattern_steps
+    from .distributions import component_laws
+
     dists = component_laws(dist, n)
     shares, bounds = [], []
     for cyc, _, lam, bursts, _, _ in _pattern_steps(pattern, rule, n):
@@ -439,6 +444,8 @@ def lower_tail_constant(m: int, samples=None, mixing: MixingDensity | None = Non
         raise ValueError("provide exactly one of samples or mixing")
     if mixing is not None:
         return mixing.moment(m) / math.factorial(m)
+    from .stats import tail_window
+
     xs = np.sort(np.asarray(samples, dtype=float))
     pos = tail_window(xs.size, window)
     ranks = np.arange(pos.start + 1, pos.stop + 1) / xs.size
@@ -453,6 +460,8 @@ def parallel_exponential_tail_constant(rule: Rule, n: int) -> float:
     stress density: the Phase-I share product times the Phase-II band widths,
     divided by the ordered-simplex moment of the per-cycle stress powers.
     """
+    from .cascade import _pattern_steps, enumerate_patterns
+
     if n > 5:
         raise ValueError("pattern enumeration is exponential; n <= 5 only")
     total = 0.0

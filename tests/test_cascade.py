@@ -1,5 +1,6 @@
 """Cascade mechanics: hand traces, pattern replay, sampling, chains, cycles."""
 
+import concurrent.futures
 import math
 import tracemalloc
 
@@ -478,13 +479,14 @@ class TestSampling:
     def test_bundle_too_large_for_a_table_runs_on_the_pool(self, monkeypatch):
         pools = []
 
-        class RecordingPool(cascade.ProcessPoolExecutor):
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, *args, **kwargs):
                 pools.append(kwargs["max_workers"])
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(cascade, "_CHUNK", 50)
-        monkeypatch.setattr(cascade, "ProcessPoolExecutor", RecordingPool)
+        # the sampler imports the pool class from concurrent.futures when it needs one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         model, rule, st = unit_exponential(), EqualRule(21), StructureFunction.parallel(21)
         serial = sample_bundle_strengths(model, rule, st, 200, seed=6, workers=1)
         pooled = sample_bundle_strengths(model, rule, st, 200, seed=6, workers=2)

@@ -111,6 +111,16 @@ class TestSimulate:
         assert "only 5 points" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("window", [["--tail-lo", "nan"], ["--tail-lo", "0.5", "--tail-hi", "0.1"]],
+                             ids=["nan", "inverted"])
+    def test_bad_tail_window_named(self, tmp_path, capsys, window):
+        out = tmp_path / "o"
+        assert main(["simulate", *_SMALL, "--replicas", "5000", *window, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "quantile window (" in err and "lo <= hi" in err
+        assert "replica count" not in err
+        assert not out.exists()
+
     def test_byte_identical_across_worker_counts(self, tmp_path):
         texts = []
         for w in (1, 2):
@@ -285,7 +295,7 @@ class TestGibbsCommand:
             "--out", str(tmp_path / "o"),
         ]) == 2
 
-    def test_positivity_failure_is_numerical(self, tmp_path, capsys):
+    def test_positivity_failure_is_numerical(self, tmp_path, capsys, monkeypatch):
         # strengths of 1e-80 put every component CDF at 0, so the log odds
         # are undefined: exit 3 (numerical failure), not 2 (usage)
         samples = tmp_path / "tiny.csv"
@@ -295,6 +305,13 @@ class TestGibbsCommand:
             "--samples", str(samples), "--out", str(tmp_path / "o"),
         ]) == 3
         assert "positivity" in capsys.readouterr().err
+        # the exit code follows the error's kind, checked numerical first
+        for exc, code in ((ValueError("usage"), 2), (OverflowError("overflow"), 3)):
+            def fail(cfg, exc=exc):
+                raise exc
+
+            monkeypatch.setitem(cli._COMMANDS, "analyze", (fail, cli._COMMANDS["analyze"][1]))
+            assert main(["analyze", "--out", str(tmp_path / "o")]) == code
 
     def test_too_large_grid_rejected(self, tmp_path):
         assert main([
@@ -381,6 +398,39 @@ class TestDensityCommand:
         conf.write_text("kind=mixing\nk=2\nn=5\nrule=equal\n")
         assert main(["density", "--config", str(conf), "--out", str(out)]) == 2
         assert "--kind mixing does not read --rule" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args, flag", [
+        (["--kind", "irwin-hall", "--m", "2", "--grid", "0:1e15:1"], "--grid"),
+        (["--kind", "irwin-hall", "--m", "2", "--grid", "0:1:1e-8"], "--grid"),
+        (["--kind", "irwin-hall", "--m", "2", "--grid", "0:inf:1"], "--grid"),
+        (["--kind", "irwin-hall", "--m", "2", "--grid", "0:1:nan"], "--grid"),
+        (["--kind", "irwin-hall", "--m", "2", "--grid=-1e308:1e308:1"], "--grid"),
+        (["--kind", "mixing", "--k", "2", "--n", "5", "--grid", "nan:5:0.1"], "--grid"),
+        (["--kind", "order-stat-joint", "--x-grid", "0.1:1:inf"], "--x-grid"),
+        (["--kind", "order-stat-joint", "--x-grid", "0:2:1e-3", "--y-grid", "0:1:1e-3"],
+         "--x-grid x --y-grid"),
+    ], ids=["huge", "fine", "inf", "nan", "overflow", "mixing-nan", "x-inf", "product"])
+    def test_grid_bounded_before_allocating(self, tmp_path, capsys, args, flag):
+        out = tmp_path / "d"
+        assert main(["density", *args, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {flag}: ")
+        assert not out.exists()
+
+    def test_grid_at_the_row_bound_runs(self, tmp_path):
+        out = tmp_path / "d"
+        top = cli._MAX_TABLE_ROWS - 1
+        assert main(["density", "--kind", "irwin-hall", "--m", "1", "--grid", f"0:{top}:1",
+                     "--out", str(out)]) == 0
+        assert (out / "density.csv").read_text().count("\n") == cli._MAX_TABLE_ROWS + 1
+
+    @pytest.mark.parametrize("s", ["1,nan", "inf"])
+    def test_non_finite_stress_rejected(self, tmp_path, capsys, s):
+        out = tmp_path / "d"
+        pattern = "1 2" if "," in s else "1(2)"
+        assert main(["density", "--kind", "pattern", "--pattern", pattern, "--rows", "1",
+                     "--cols", "2", "--rule", "equal", "--s", s, "--out", str(out)]) == 2
+        assert "--s: stress vector" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unknown_kind(self, tmp_path):
@@ -603,6 +653,42 @@ prob = threshold.pattern_probability(parse_pattern("1 2"), EqualRule(2), 2, unit
 print(json.dumps({"loaded": loaded, "after_gibbs": after_gibbs, "analyze": rc_analyze,
                   "gibbs": rc_gibbs, "prob": prob}))
 """
+
+
+_MODULES_LOADED = """
+import json, sys
+def loaded():
+    return sorted(k for k in sys.modules if k.startswith(("fiberbundle.", "concurrent.futures",
+                                                          "multiprocessing")))
+import fiberbundle.cli as cli
+on_import = loaded()
+rc = cli.main(sys.argv[1:])
+print(json.dumps({"on_import": on_import, "rc": rc, "after": loaded()}))
+"""
+
+
+def _modules_loaded(*argv):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", _MODULES_LOADED, *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["rc"] == 0
+    return result
+
+
+def test_each_command_loads_only_its_modules(tmp_path):
+    density = _modules_loaded("density", "--kind", "order-stat-joint", "--out", str(tmp_path / "d"))
+    assert density["on_import"] == ["fiberbundle.cli", "fiberbundle.distributions"]
+    assert density["after"] == ["fiberbundle.cli", "fiberbundle.distributions",
+                                "fiberbundle.threshold"]
+    simulate = _modules_loaded("simulate", *_SMALL, "--replicas", "5000", "--tail-lo", "1e-3",
+                               "--tail-hi", "1e-1", "--workers", "1", "--out", str(tmp_path / "s"))
+    assert simulate["after"] == ["fiberbundle.cascade", "fiberbundle.cli",
+                                 "fiberbundle.distributions", "fiberbundle.loadshare",
+                                 "fiberbundle.stats"]
 
 
 def test_cli_import_loads_no_scipy(tmp_path):

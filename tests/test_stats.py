@@ -242,6 +242,13 @@ class TestLowerTailSlope:
         else:
             assert list(st.tail_window(nobs, window)) == want.tolist()
 
+    @pytest.mark.parametrize("window", [(0.5, 0.1), (math.nan, 0.5), (0.0, math.nan)])
+    def test_window_without_ordered_bounds_is_named(self, window):
+        # no replica count helps a NaN or inverted window
+        with pytest.raises(ValueError, match=r"quantile window \(.*lo <= hi") as err:
+            st.tail_window(100_000, window)
+        assert "replica count" not in str(err.value)
+
 
 class TestInflationFactor:
     @pytest.mark.parametrize("rho_g,rho,k", [(20.0, 5.0, 4.0), (5.0, 5.0, 1.0), (15.0, 5.0, 3.0)])
