@@ -22,7 +22,7 @@ import numpy as np
 
 from .distributions import StrengthModel
 from .loadshare import (_REL_TOL, Configuration, LoadShareVector, NonMonotoneRuleError, Rule,
-                        _check_shares, _table_fits, share_table)
+                        _checked_shares, _table_fits, share_table)
 
 __all__ = [
     "ComponentStrengths",
@@ -245,7 +245,8 @@ class ChainSpec:
 
 
 def _as_strengths(x, n: int) -> np.ndarray:
-    """The n component strengths as a float vector, each one > 0 (so not NaN)."""
+    """The n component strengths as a float vector, each one >= 0 (so not NaN);
+    a zero (an underflowed draw) fails at load 0, as in the kernel."""
     if isinstance(x, ComponentStrengths):
         x = x.x
     arr = np.asarray(x, dtype=float)
@@ -253,36 +254,39 @@ def _as_strengths(x, n: int) -> np.ndarray:
         raise ValueError("strengths must be a 1-d vector")
     if arr.size != n:
         raise ValueError(f"expected {n} strengths, got {arr.size}")
-    if not np.all(arr > 0):
-        raise ValueError("all component strengths must be strictly positive")
+    if not np.all(arr >= 0):
+        raise ValueError("all component strengths must be strictly positive or zero")
     return arr
 
 
-def _share_walk(rule: Rule, n: int) -> Callable[[frozenset[int]], LoadShareVector]:
-    """Shares along a walk down nested working sets, one ``rule`` call per set.
+def _share_walk(rule: Rule, n: int) -> Callable[[frozenset[int]], list[float]]:
+    """Share rows (lists of n floats, 0.0 outside the working set) along a walk
+    down nested working sets, one checked ``rule`` call per set, as in
+    :func:`~fiberbundle.loadshare.share_rows`.
 
-    Asking again for the latest set returns its shares without a call, and the
-    empty set has none.  Each new set's shares must be finite and > 0 on its
-    members and absent elsewhere (else ``ValueError``), and are checked against
-    the previous set's: a survivor whose share drops by more than the relative
-    tolerance raises :class:`NonMonotoneRuleError`.
+    Asking again for the latest set returns its row without a call, and the
+    empty set's row is all zeros.  A member whose share drops from the
+    previous set's by more than the relative tolerance raises
+    :class:`NonMonotoneRuleError`.
     """
-    latest: list = [None, LoadShareVector({})]
+    empty = [0.0] * n
+    latest: list = [None, empty]
 
-    def shares(working: frozenset[int]) -> LoadShareVector:
+    def shares(working: frozenset[int]) -> list[float]:
         if not working:
-            return LoadShareVector({})
+            return empty
         if working == latest[0]:
             return latest[1]
-        config = Configuration(n, working)
-        lam = _check_shares(config, rule(config))
-        for j, old in latest[1].values.items():
-            if j in lam.values and lam[j] < old * (1.0 - _REL_TOL):
+        row, prev = [0.0] * n, latest[1]
+        for i, v in _checked_shares(rule, Configuration(n, working)).items():
+            row[i] = v
+        for j in working:
+            if row[j] < prev[j] * (1.0 - _REL_TOL):
                 raise NonMonotoneRuleError(
-                    f"share of component {j} dropped from {old} to {lam[j]} after removals"
+                    f"share of component {j} dropped from {prev[j]} to {row[j]} after removals"
                 )
-        latest[:] = working, lam
-        return lam
+        latest[:] = working, row
+        return row
 
     return shares
 
@@ -327,16 +331,15 @@ def simulate_cascade(x, rule: Rule, structure: StructureFunction) -> CascadeResu
     survivor_sets = [working]
     stresses: list[float] = []
     cycles: list[PatternCycle] = []
-    prev_s = 0.0
     while True:
         lam = shares(working)
         order = sorted(working)
         ratios = [xs[i] / lam[i] for i in order]
         j = int(np.argmin(ratios))
         s_u, i0 = float(ratios[j]), order[j]
-        if stresses and s_u <= prev_s:
+        if stresses and s_u <= stresses[-1]:
             raise NonMonotoneRuleError(
-                f"phase-I stress did not increase ({prev_s} -> {s_u}); rule is not monotone"
+                f"phase-I stress did not increase ({stresses[-1]} -> {s_u}); rule is not monotone"
             )
         cur = working - {i0}
         groups: list[frozenset[int]] = []
@@ -351,7 +354,6 @@ def simulate_cascade(x, rule: Rule, structure: StructureFunction) -> CascadeResu
         stresses.append(s_u)
         survivor_sets.append(cur)
         working = cur
-        prev_s = s_u
         if not structure.works(working):
             break
     return CascadeResult(
@@ -378,12 +380,14 @@ def replay_pattern(pattern: BreakingPattern, x, rule: Rule, structure: Structure
     for idx, (cyc, working, lam, bursts, cur, lam_t) in enumerate(
             _pattern_steps(pattern, rule, structure.n)):
         s_u = xs[cyc.phase1] / lam[cyc.phase1]
-        if s_u <= prev_s:
+        if idx and s_u <= prev_s:
             return False
         if any(xs[j] < lam[j] * s_u * lo for j in working if j != cyc.phase1):
             return False
-        for grp, lam_lo, lam_hi in bursts:
-            if not all(lam_lo[j] * s_u * lo < xs[j] <= lam_hi[j] * s_u * hi for j in grp):
+        for k, (grp, lam_lo, lam_hi) in enumerate(bursts):
+            # the first group's lower bound is Phase-I minimality (a zero meets it)
+            if any(xs[j] > lam_hi[j] * s_u * hi or (k and xs[j] <= lam_lo[j] * s_u * lo)
+                   for j in grp):
                 return False
         if any(xs[j] <= lam_t[j] * s_u * lo for j in cur):
             return False  # burst should have continued
@@ -407,10 +411,7 @@ class PowerScaledRule:
         self.rho = float(rho)
 
     def __call__(self, config: Configuration) -> LoadShareVector:
-        lam = self.base(config)
-        sig = self.scales
-        if sig.ndim == 0:
-            sig = np.full(config.n, float(sig))
+        lam, sig = self.base(config), np.broadcast_to(self.scales, config.n)
         return LoadShareVector({i: (lam[i] / sig[i]) ** self.rho for i in config.working})
 
 
@@ -476,15 +477,16 @@ def _init_worker(model, table, rule, structure, seed, n):
     _WORKER.update(model=model, table=table, rule=rule, structure=structure, seed=seed, n=n)
 
 
-def _run_worker_chunk(spec: tuple[int, int]) -> np.ndarray:
-    """Strengths of one chunk, drawn from its generator and run ``_BLOCK`` rows
-    at a time; the draws are sequential, so the blocks join into the chunk's
-    whole draw, and each replica's strength depends on its own row only."""
+def _run_worker_chunk(spec: tuple[int, int], out: np.ndarray | None = None) -> np.ndarray:
+    """Strengths of one chunk, written into ``out`` if given, drawn from its
+    generator and run ``_BLOCK`` rows at a time; the draws are sequential, so
+    the blocks join into the chunk's whole draw, and each replica's strength
+    depends on its own row only."""
     ci, size = spec
     w = _WORKER
     table, structure = w["table"], w["structure"]
     rng = _chunk_rng(w["seed"], ci)
-    out = np.empty(size)
+    out = np.empty(size) if out is None else out
     for lo in range(0, size, _BLOCK):
         x = w["model"].sample(rng, w["n"], min(_BLOCK, size - lo))
         if table is not None:
@@ -502,8 +504,9 @@ def sample_bundle_strengths(model: StrengthModel, rule: Rule, structure: Structu
     Deterministic in (seed, replica index): replicas are generated in fixed
     chunks with a per-chunk generator keyed by (seed, chunk), so the output
     is byte-identical regardless of the worker count.  Each chunk is drawn
-    and run in blocks of 8,192 replicas, so the sampler's working memory does
-    not grow with ``replicas`` (only the returned array does).  Blocks run the
+    and run in blocks of 8,192 replicas, straight into the one returned array
+    (as each worker's chunk arrives, with workers), so the sampler's working
+    memory does not grow with ``replicas``.  Blocks run the
     vectorized kernel on the rule's share table when it fits its byte bound,
     else the scalar cascade per replica; workers receive the rule only then.
     """
@@ -513,17 +516,20 @@ def sample_bundle_strengths(model: StrengthModel, rule: Rule, structure: Structu
     table = share_table(rule, n) if _table_fits(n) else None
     initargs = (model, table, rule if table is None else None, structure, seed, n)
     specs = [(ci, min(_CHUNK, replicas - ci * _CHUNK)) for ci in range((replicas + _CHUNK - 1) // _CHUNK)]
+    out = np.empty(replicas)
     if workers is None or workers <= 1 or len(specs) == 1:
         _init_worker(*initargs)
-        parts = [_run_worker_chunk(spec) for spec in specs]
+        for ci, size in specs:
+            _run_worker_chunk((ci, size), out[ci * _CHUNK:ci * _CHUNK + size])
     else:
         # imported here only: it loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                                  initargs=initargs) as pool:
-            parts = list(pool.map(_run_worker_chunk, specs, chunksize=4))
-    return np.concatenate(parts)
+            for ci, part in enumerate(pool.map(_run_worker_chunk, specs, chunksize=4)):
+                out[ci * _CHUNK:ci * _CHUNK + part.size] = part
+    return out
 
 
 def chain_strength(samples, chain: ChainSpec, seed: int = 0,

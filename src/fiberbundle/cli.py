@@ -498,7 +498,10 @@ def cmd_density(cfg: dict) -> None:
     derived: dict = {}
     if kind == "irwin-hall":
         grid = _grid_values(cfg["grid"] or f"0:{cfg['m']}:0.1")
-        columns = (grid, threshold.irwin_hall_pdf(cfg["m"], grid))
+        try:
+            columns = (grid, threshold.irwin_hall_pdf(cfg["m"], grid))
+        except ValueError as exc:
+            raise ValueError(f"--m: {exc}") from None
         header = ["t", "pdf"]
     elif kind == "mixing":
         mix = threshold.order_stat_mixing(cfg["k"], cfg["n"])

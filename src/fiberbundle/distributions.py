@@ -55,21 +55,20 @@ class StrengthModel:
             raise ValueError(f"scale vector has length {sig.size}, expected {n}")
         return sig
 
-    def cdf(self, x):
+    def _hazard(self, x) -> np.ndarray:
+        """Cumulative hazard (x / scale)**rho, 0 for x <= 0."""
         x = np.asarray(x, dtype=float)
-        z = np.where(x > 0, x / self._scale_array(), 0.0)
-        return -np.expm1(-(z**self.rho))
+        return np.where(x > 0, x / self._scale_array(), 0.0) ** self.rho
+
+    def cdf(self, x):
+        return -np.expm1(-self._hazard(x))
 
     def sf(self, x):
-        x = np.asarray(x, dtype=float)
-        z = np.where(x > 0, x / self._scale_array(), 0.0)
-        return np.exp(-(z**self.rho))
+        return np.exp(-self._hazard(x))
 
     def logsf(self, x):
         # survival log stays finite far beyond where sf itself underflows
-        x = np.asarray(x, dtype=float)
-        z = np.where(x > 0, x / self._scale_array(), 0.0)
-        return -(z**self.rho)
+        return -self._hazard(x)
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -81,10 +80,6 @@ class StrengthModel:
             0.0,
         )
         return out
-
-    def ppf(self, q):
-        q = np.asarray(q, dtype=float)
-        return self._scale_array() * (-np.log1p(-q)) ** (1.0 / self.rho)
 
     def sample(self, rng: np.random.Generator, n: int, size: int) -> np.ndarray:
         """Draw a (size, n) matrix of component strengths by inverse transform."""

@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .distributions import component_laws
-from .loadshare import Configuration, Rule, share_table
+from .loadshare import Configuration, Rule, share_rows, share_table
 
 __all__ = [
     "SubsetTable",
@@ -60,32 +60,24 @@ class SubsetTable:
         return np.bitwise_count(np.arange(1 << self.n, dtype=np.uint64)).astype(np.int64)
 
 
-def _layered(values: np.ndarray, n: int, op) -> np.ndarray:
-    # in-place butterfly over the subset lattice, one bit layer at a time
+def _layered(values: np.ndarray, n: int, op: np.ufunc) -> np.ndarray:
+    # in-place butterfly over the subset lattice, one bit layer at a time:
+    # each set containing the bit takes op(itself, the set without it)
     out = values.copy()
     for b in range(n):
         shaped = out.reshape(-1, 2, 1 << b)
-        op(shaped)
-        out = shaped.reshape(-1)
+        op(shaped[:, 1, :], shaped[:, 0, :], out=shaped[:, 1, :])
     return out
 
 
 def _zeta(values: np.ndarray, n: int) -> np.ndarray:
     """g(B) = sum over A subset of B of f(A)."""
-
-    def op(shaped):
-        shaped[:, 1, :] += shaped[:, 0, :]
-
-    return _layered(values, n, op)
+    return _layered(values, n, np.add)
 
 
 def _mobius(values: np.ndarray, n: int) -> np.ndarray:
     """g(K) = alternating sum over A subset of K of (-1)^{|K \\ A|} f(A)."""
-
-    def op(shaped):
-        shaped[:, 1, :] -= shaped[:, 0, :]
-
-    return _layered(values, n, op)
+    return _layered(values, n, np.subtract)
 
 
 def mobius_potentials(sigma: SubsetTable) -> SubsetTable:
@@ -129,11 +121,11 @@ def _odds_from_logsf(logsf: np.ndarray) -> np.ndarray:
 
 
 def log_odds(a: Configuration, i: int, s: float, rule: Rule, dist) -> float:
-    """log of survival odds of component i at its shared load lambda_i(A) * s."""
+    """log of survival odds of component i at its shared load lambda_i(A) * s,
+    the share read through :func:`~fiberbundle.loadshare.share_rows`."""
     if i not in a.working:
         raise ValueError(f"component {i} is not in the working set")
-    lam = rule(a)
-    load = lam[i] * s
+    load = float(share_rows(rule, a.n, (a.mask,))[0, i]) * s
     ls = float(_log_survival(dist, load))
     if not (np.isfinite(ls) and ls < 0.0):
         raise PositivityError(

@@ -30,7 +30,9 @@ __all__ = [
     "equal_load_share",
     "verify_monotone",
     "share_table",
+    "share_rows",
     "NonMonotoneRuleError",
+    "InvalidShareError",
     "AbsorbingRule",
     "EqualRule",
     "UnitRule",
@@ -39,11 +41,22 @@ __all__ = [
 _CONDITION_LIMIT = 1e12
 _ROW_SUM_TOL = 1e-9
 _REL_TOL = 1e-9  # relative drop in a share that counts as non-monotone
-_TABLE_MAX_BYTES = 256 << 20  # 2^n * n float64 shares: n <= 20
+_TABLE_MAX_BYTES = 256 << 20  # 2^n * n float64 shares: n <= 20; n * n transitions: n <= 5,792
 
 
 class NonMonotoneRuleError(RuntimeError):
     """A load share decreased after a removal; the rule is not monotone."""
+
+
+class InvalidShareError(ValueError):
+    """A rule gave a member a share that is not finite and > 0, or a failed
+    component a nonzero share; ``mask`` is the working set's mask."""
+
+    def __init__(self, config: "Configuration", i: int, value: float):
+        super().__init__(f"rule gave component {i} the share {value} at working set "
+                         f"{sorted(config.working)}; a member needs a finite share > 0, "
+                         "a failed one none")
+        self.mask = config.mask
 
 
 class SingularAbsorptionError(RuntimeError):
@@ -180,6 +193,13 @@ class MonotoneCheck(NamedTuple):
     counterexample: tuple[frozenset[int], frozenset[int], int] | None
 
 
+def _check_bytes(what: str, nbytes: int, advice: str) -> None:
+    """The one size bound on dense per-bundle arrays, checked before allocating."""
+    if nbytes > _TABLE_MAX_BYTES:
+        raise ValueError(f"{what} takes {nbytes} bytes, more than the "
+                         f"{_TABLE_MAX_BYTES}-byte bound; {advice}")
+
+
 def build_grid_graph(rows: int, cols: int) -> ComponentGraph:
     """Grid graph with horizontal and diagonal (never vertical) adjacency.
 
@@ -207,6 +227,7 @@ def build_grid_graph(rows: int, cols: int) -> ComponentGraph:
 def transition_matrix(g: ComponentGraph) -> TransitionMatrix:
     """Equal one-step probability to each neighbor: p[i, j] = 1/degree(i)."""
     n = g.n
+    _check_bytes(f"a transition matrix for n = {n}", n * n * 8, "use a smaller grid")
     p = np.zeros((n, n))
     for i, nbrs in enumerate(g.adjacency):
         for j in nbrs:
@@ -221,6 +242,7 @@ def complete_graph_transition(n: int) -> TransitionMatrix:
     """
     if n < 2:
         raise ValueError("complete graph needs at least 2 nodes")
+    _check_bytes(f"a transition matrix for n = {n}", n * n * 8, "use a smaller grid")
     p = np.full((n, n), 1.0 / (n - 1))
     np.fill_diagonal(p, 0.0)
     return TransitionMatrix(p)
@@ -239,8 +261,6 @@ def absorption_probabilities(p: TransitionMatrix, a: Configuration) -> Absorptio
         raise ValueError("working set must be nonempty")
     working = tuple(sorted(a.working))
     failed = tuple(i for i in range(a.n) if i not in a.working)
-    if not failed:
-        return AbsorptionResult(failed, working, np.zeros((0, len(working))))
     q = p.p[np.ix_(failed, failed)]
     r = p.p[np.ix_(failed, working)]
     m = np.eye(len(failed)) - q
@@ -265,8 +285,7 @@ def absorbing_load_share(p: TransitionMatrix, a: Configuration) -> LoadShareVect
     """Absorbing-state rule: each survivor carries 1 plus the load absorbed
     from every failed component."""
     res = absorption_probabilities(p, a)
-    extra = res.u.sum(axis=0) if res.u.size else np.zeros(len(res.working))
-    return LoadShareVector({j: 1.0 + float(e) for j, e in zip(res.working, extra)})
+    return LoadShareVector({j: 1.0 + float(e) for j, e in zip(res.working, res.u.sum(axis=0))})
 
 
 def equal_load_share(n: int, a: Configuration) -> LoadShareVector:
@@ -328,61 +347,43 @@ def _table_fits(n: int) -> bool:
     return (1 << n) * n * 8 <= _TABLE_MAX_BYTES
 
 
+def _checked_shares(rule: Rule, config: Configuration) -> dict[int, float]:
+    """The package's one rule call: ``rule(config).values`` once every key is in
+    range(n) (else ``ValueError``), every member's share finite and > 0 and a
+    failed component's 0.0 or absent (else :class:`InvalidShareError`)."""
+    shares = rule(config).values
+    working = config.working
+    if shares.keys() == working and all(0.0 < v < math.inf for v in shares.values()):
+        return shares
+    for i in shares.keys() - range(config.n):
+        raise ValueError(f"rule gave a share to component {i!r} at working set "
+                         f"{sorted(working)}; components are 0..{config.n - 1}")
+    for i in sorted(working | shares.keys()):
+        v = shares.get(i, 0.0)
+        if not (0.0 < v < math.inf if i in working else v == 0.0):
+            raise InvalidShareError(config, i, v)
+    return shares
+
+
+def share_rows(rule: Rule, n: int, masks) -> np.ndarray:
+    """(len(masks), n) float64 load shares, one row per working-set mask and
+    0.0 outside the working set: one checked ``rule`` call per nonempty mask
+    (see :func:`_checked_shares`), none for mask 0."""
+    rows = np.zeros((len(masks), n))
+    for r, mask in enumerate(map(int, masks)):
+        if not 0 <= mask < 1 << n:
+            raise ValueError(f"working-set mask {mask} is outside 0..{(1 << n) - 1} for n = {n}")
+        if mask:
+            for i, v in _checked_shares(rule, Configuration.from_mask(n, mask)).items():
+                rows[r, i] = v
+    return rows
+
+
 def _fill_table(rule: Rule, n: int) -> np.ndarray:
-    """(2^n, n) share table, 0.0 outside each working set; the values are
-    unchecked, but a key outside range(n) raises ``ValueError``.
-
-    The byte bound is the only size limit on n; it is checked before any
-    rule call or allocation.
-    """
-    if not _table_fits(n):
-        raise ValueError(
-            f"a share table for n = {n} takes {(1 << n) * n * 8} bytes, more than the "
-            f"{_TABLE_MAX_BYTES}-byte bound; use sampling for larger bundles"
-        )
-    table, components = np.zeros((1 << n, n)), frozenset(range(n))
-    for mask in range(1, 1 << n):
-        config = Configuration.from_mask(n, mask)
-        shares = rule(config).values
-        if not shares.keys() <= components:
-            raise _outside_bundle(config, next(iter(shares.keys() - components)))
-        for i, v in shares.items():
-            table[mask, i] = v
-    return table
-
-
-def _first_invalid(table: np.ndarray) -> tuple[int, int] | None:
-    """First (mask, i) where member i's share is not finite and > 0, or failed
-    component i's is not 0.0; None if every share keeps that contract."""
-    masks, first = np.arange(table.shape[0]), []
-    for i, col in enumerate(table.T):  # column by column: no 2^n x n temporaries
-        ok = np.where((masks >> i) & 1 == 1, (col > 0.0) & (col < np.inf), col == 0.0)
-        if not ok.all():
-            first.append((int(np.argmin(ok)), i))
-    return min(first, default=None)
-
-
-def _invalid_share(working: frozenset[int], i: int, value: float) -> ValueError:
-    return ValueError(f"rule gave component {i} the share {value} at working set "
-                      f"{sorted(working)}; a member needs a finite share > 0, a failed one none")
-
-
-def _outside_bundle(config: Configuration, i) -> ValueError:
-    return ValueError(f"rule gave a share to component {i!r} at working set "
-                      f"{sorted(config.working)}; components are 0..{config.n - 1}")
-
-
-def _check_shares(config: Configuration, lam: LoadShareVector) -> LoadShareVector:
-    """``lam`` if its keys are components of the bundle and it keeps
-    :func:`_first_invalid`'s contract on ``config``, a missing member read as
-    0.0; else ``ValueError``."""
-    for i in sorted(config.working | lam.values.keys()):
-        if i not in range(config.n):
-            raise _outside_bundle(config, i)
-        v = lam.values.get(i, 0.0)
-        if not (0.0 < v < math.inf if i in config.working else v == 0.0):
-            raise _invalid_share(config.working, i, v)
-    return lam
+    """(2^n, n) checked share table; the byte bound, checked first, limits n."""
+    _check_bytes(f"a share table for n = {n}", (1 << n) * n * 8,
+                 "use sampling for larger bundles")
+    return share_rows(rule, n, range(1 << n))
 
 
 def _first_drop(table: np.ndarray) -> tuple[int, int, int] | None:
@@ -409,9 +410,8 @@ def share_table(rule: Rule, n: int) -> np.ndarray:
     """Read-only (2^n, n) float64 table of load shares indexed by working-set
     mask, 0.0 outside the working set (a failed component carries no load).
 
-    Built from one ``rule`` call per nonempty mask and checked once: each
-    member's share finite and > 0, no share for a failed component (else
-    ``ValueError``), and no share dropping after a failure.  The latest table
+    Built by :func:`share_rows` over every mask, then checked for a share
+    dropping after a failure (:class:`NonMonotoneRuleError`).  The latest table
     is kept with its rule, matched by identity, so the sampler and the Gibbs
     builder share one build.
     """
@@ -419,10 +419,6 @@ def share_table(rule: Rule, n: int) -> np.ndarray:
     if last_rule is rule and last.shape[1] == n:
         return last
     table = _fill_table(rule, n)
-    invalid = _first_invalid(table)
-    if invalid is not None:
-        mask, i = invalid
-        raise _invalid_share(Configuration.from_mask(n, mask).working, i, table[mask, i])
     drop = _first_drop(table)
     if drop is not None:
         mask, i, j = drop
@@ -449,10 +445,10 @@ def verify_monotone(rule: Rule, n: int) -> MonotoneCheck:
     def members(mask: int) -> frozenset[int]:
         return Configuration.from_mask(n, mask).working
 
-    table = _fill_table(rule, n)
-    invalid = _first_invalid(table)
-    if invalid is not None:
-        b = members(invalid[0])
+    try:
+        table = _fill_table(rule, n)
+    except InvalidShareError as exc:
+        b = members(exc.mask)
         return MonotoneCheck(False, (b, b, -1))
     drop = _first_drop(table)
     if drop is None:

@@ -44,6 +44,7 @@ _log = logging.getLogger("fiberbundle.threshold")
 _PANEL_TOL = 1e-10
 _MAX_DEPTH = 40
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+_IRWIN_HALL_MAX_CELLS = 1 << 22  # m x points per scratch array: 32 MiB of float64
 
 
 def irwin_hall_pdf(m: int, t) -> float | np.ndarray:
@@ -54,13 +55,19 @@ def irwin_hall_pdf(m: int, t) -> float | np.ndarray:
     values b_k(t - j), j < m.  Inside the support both terms are non-negative,
     so nothing cancels and the relative error stays near machine precision
     even at m = 30.  m = 0 is a point mass at 0 and has no density; it is
-    handled symbolically by :class:`MixingDensity`.
+    handled symbolically by :class:`MixingDensity`.  The scratch arrays hold
+    m values per point in the support, at most 2^22 (32 MiB) each; a larger
+    request raises ``ValueError`` before allocating.
     """
     if m < 1:
         raise ValueError("m must be >= 1; b_0 is a point mass handled symbolically")
     t_arr = np.asarray(t, dtype=float)
     out = np.zeros_like(t_arr, dtype=float)
     inside = (t_arr >= 0.0) & (t_arr <= m)
+    points = int(np.count_nonzero(inside))
+    if m * points > _IRWIN_HALL_MAX_CELLS:
+        raise ValueError(f"m = {m} at {points} points in the support needs m x points = "
+                         f"{m * points} values per scratch array; at most {_IRWIN_HALL_MAX_CELLS}")
     x = t_arr[inside] - np.arange(m, dtype=float)[:, None]
     b = ((x >= 0.0) & (x < 1.0)).astype(float)
     for k in range(2, m + 1):

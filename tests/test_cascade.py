@@ -453,6 +453,55 @@ class TestSampling:
         assert got.tolist() == [0.5, 0.5, 0.0, 2.0]
         assert x[0].tolist() == [0.0, 1.0]
 
+    @pytest.mark.parametrize("structure", [StructureFunction.column_paths(3, 3),
+                                           StructureFunction.parallel(9)],
+                             ids=["column-paths", "parallel"])
+    def test_scalar_cascade_equals_kernel_on_zero_strengths(self, structure):
+        # underflowed draws: 5% of the strengths are exactly 0.0
+        rule = grid_rule(3, 3)
+        rng = np.random.default_rng(11)
+        x = StrengthModel("weibull", 2.0, 1.0).sample(rng, 9, 2000)
+        x[rng.random(x.shape) < 0.05] = 0.0
+        assert 0 < np.count_nonzero(x == 0.0) and (x == 0.0).all(axis=1).sum() == 0
+        fast = cascade._cascade_strengths_block(x, share_table(rule, 9), structure)
+        results = [simulate_cascade(row, rule, structure) for row in x]
+        assert np.array_equal(fast, [r.strength for r in results])
+        assert any(r.phase1_stresses[0] == 0.0 for r in results)
+        for row, res in zip(x, results):
+            assert replay_pattern(res.pattern, row, rule, structure)
+
+    def test_zero_strengths_over_twenty_components_match_daniels(self):
+        # at shape 0.01 a draw below about 1e-3.08 underflows to 0.0 (a few
+        # percent of the rows); the equal rule's strength is Daniels' max over k
+        # of x_(k) (n - k + 1) / n, on the scalar path
+        n, model = 21, StrengthModel("weibull", 0.01, 1.0)
+        got = sample_bundle_strengths(model, EqualRule(n), StructureFunction.parallel(n), 1000, seed=2)
+        x = np.sort(model.sample(cascade._chunk_rng(2, 0), n, 1000), axis=1)
+        assert (x[:, 0] == 0.0).sum() >= 5
+        want = (x * (n - np.arange(n)) / n).max(axis=1)
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_negative_and_nan_strengths_still_rejected(self):
+        for bad in (-1e-300, math.nan):
+            with pytest.raises(ValueError, match="strictly positive or zero"):
+                simulate_cascade([bad, 1.0], EqualRule(2), StructureFunction.parallel(2))
+        with pytest.raises(ValueError, match="strictly positive"):
+            ComponentStrengths((0.0, 1.0))
+
+    def test_sampler_output_is_the_only_large_array(self):
+        # 2^21 replicas: 16 MiB of strengths, written chunk by chunk in place
+        replicas = 1 << 21
+        rule, structure = EqualRule(2), StructureFunction.parallel(2)
+        share_table(rule, 2)
+        tracemalloc.start()
+        try:
+            out = sample_bundle_strengths(unit_exponential(), rule, structure, replicas, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.size == replicas
+        assert peak < 1.25 * out.nbytes
+
     def test_sampler_rejects_non_monotone_rule(self):
         with pytest.raises(NonMonotoneRuleError, match="dropped"):
             sample_bundle_strengths(unit_exponential(), size_rule, StructureFunction.parallel(3), 10)

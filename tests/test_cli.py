@@ -121,6 +121,25 @@ class TestSimulate:
         assert "replica count" not in err
         assert not out.exists()
 
+    def test_zero_draws_over_twenty_components(self, tmp_path):
+        # shape 0.01 underflows some of the 21 x 2000 draws to 0.0; the scalar
+        # path fails them at load 0, as the kernel does
+        out = tmp_path / "sim"
+        assert main(["simulate", "--rows", "3", "--cols", "7", "--rule", "equal",
+                     "--structure", "parallel", "--shape", "0.01", "--replicas", "2000",
+                     "--tail-lo", "0", "--tail-hi", "0.9", "--workers", "1",
+                     "--out", str(out)]) == 0
+        _, rows = read_csv(out / "samples.csv")
+        assert len(rows) == 2000
+
+    @pytest.mark.parametrize("command", [[], ["--rule", "absorbing"]], ids=["default", "absorbing"])
+    def test_grid_over_the_matrix_bound_is_usage_error(self, tmp_path, capsys, command):
+        out = tmp_path / "sim"
+        assert main(["simulate", "--rows", "400", "--cols", "400", *command,
+                     "--out", str(out)]) == 2
+        assert "transition matrix for n = 160000 takes 204800000000 bytes" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_byte_identical_across_worker_counts(self, tmp_path):
         texts = []
         for w in (1, 2):
@@ -341,6 +360,14 @@ class TestDensityCommand:
         _, rows = read_csv(out / "density.csv")
         vals = [float(r[1]) for r in rows]
         assert vals == pytest.approx([0.0, 0.5, 1.0, 0.5, 0.0])
+
+    def test_irwin_hall_scratch_bounded_before_allocating(self, tmp_path, capsys):
+        # the default grid has 1,000,001 points: 10^11 values per scratch array
+        out = tmp_path / "d"
+        assert main(["density", "--kind", "irwin-hall", "--m", "100000", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --m: m = 100000 at 1000001 points")
+        assert not out.exists()
 
     def test_mixing_normalizer_reported(self, tmp_path):
         out = tmp_path / "d"

@@ -6,10 +6,14 @@ import numpy as np
 import pytest
 
 from fiberbundle import cascade
+from fiberbundle import gibbs
+from fiberbundle import threshold
+from fiberbundle.distributions import unit_exponential
 from fiberbundle.loadshare import (
     AbsorbingRule,
     Configuration,
     EqualRule,
+    InvalidShareError,
     LoadShareVector,
     MonotoneCheck,
     NonMonotoneRuleError,
@@ -19,6 +23,7 @@ from fiberbundle.loadshare import (
     build_grid_graph,
     complete_graph_transition,
     equal_load_share,
+    share_rows,
     share_table,
     transition_matrix,
     verify_monotone,
@@ -346,6 +351,107 @@ class TestShareTable:
             share_table(EqualRule(21), 21)
         with pytest.raises(ValueError, match="bytes"):
             share_table(rule, 30)
+
+
+class TestShareRows:
+    @pytest.mark.parametrize("rule, n", [
+        (grid_rule(3, 4), 12),
+        (EqualRule(7), 7),
+        (UnitRule(5), 5),
+        (cascade.PowerScaledRule(grid_rule(2, 3), [1.0, 1.5, 0.8, 1.2, 1.0, 0.9], 2.5), 6),
+    ], ids=["absorbing-3x4", "equal-7", "unit-5", "power-scaled"])
+    def test_rows_equal_the_table(self, rule, n):
+        table = share_table(rule, n)
+        rng = np.random.default_rng(n)
+        masks = np.concatenate([[0], rng.integers(0, 1 << n, 40), [(1 << n) - 1, 0]])
+        got = share_rows(rule, n, masks)
+        assert got.shape == (masks.size, n) and got.dtype == np.float64
+        assert np.array_equal(got, table[masks])
+        assert np.array_equal(share_rows(rule, n, masks.tolist()), table[masks])
+
+    def test_one_call_per_nonempty_mask(self):
+        calls = []
+
+        def rule(cfg):
+            calls.append(cfg.mask)
+            return EqualRule(4)(cfg)
+
+        rows = share_rows(rule, 4, [0, 5, 0, 5, 15])
+        assert calls == [5, 5, 15]
+        assert not rows[0].any() and not rows[2].any()
+        assert share_rows(rule, 4, []).shape == (0, 4)
+
+    @pytest.mark.parametrize("mask", [-1, 16])
+    def test_mask_outside_the_bundle_rejected(self, mask):
+        with pytest.raises(ValueError, match=rf"mask {mask} is outside 0..15"):
+            share_rows(EqualRule(4), 4, [3, mask])
+
+    def test_first_defect_stops_the_rows(self):
+        # mask 5 is {0, 2}: nothing after it is asked for
+        calls = []
+        rule = defective_rule(lambda v: v.update({0: 0.0}))
+
+        def counting(cfg):
+            calls.append(cfg.mask)
+            return rule(cfg)
+
+        with pytest.raises(InvalidShareError) as exc:
+            share_rows(counting, 3, [7, 5, 3])
+        assert exc.value.mask == 5 and calls == [7, 5]
+
+
+# every path that reads a rule, asked for the shares at {0, 2} of 3 components;
+# the pattern "2 1 3" fails component 1 first, so its walk reaches {0, 2}
+CONTRACT_PATHS = {
+    "share_table": lambda rule: share_table(rule, 3),
+    "verify_monotone": lambda rule: verify_monotone(rule, 3),
+    "simulate_cascade": lambda rule: cascade.simulate_cascade(
+        [2.0, 1.0, 3.0], rule, cascade.StructureFunction.parallel(3)),
+    "replay_pattern": lambda rule: cascade.replay_pattern(
+        cascade.parse_pattern("2 1 3"), [2.0, 1.0, 3.0], rule, cascade.StructureFunction.parallel(3)),
+    "pattern_density_input": lambda rule: threshold.pattern_density_input(
+        cascade.parse_pattern("2 1 3"), rule, 3, unit_exponential(), [1.0, 2.0, 3.0]),
+    "tail_constant": lambda rule: threshold.parallel_exponential_tail_constant(rule, 3),
+    "log_odds": lambda rule: gibbs.log_odds(
+        Configuration(3, frozenset({0, 2})), 0, 1.0, rule, unit_exponential()),
+}
+
+
+class TestOneContract:
+    @pytest.mark.parametrize("defect, message", [
+        (lambda v: v.update({0: 0.0}), r"component 0 the share 0.0 at working set \[0, 2\]"),
+        (lambda v: v.update({2: math.nan}), r"component 2 the share nan at working set \[0, 2\]"),
+        (lambda v: v.pop(0), r"component 0 the share 0.0 at working set \[0, 2\]"),
+        (lambda v: v.update({1: 1.5}), r"component 1 the share 1.5 at working set \[0, 2\]"),
+        (lambda v: v.update({0: -1.0}), r"component 0 the share -1.0 at working set \[0, 2\]"),
+        (lambda v: v.update({3: 0.0}), r"share to component 3 at working set \[0, 2\]"),
+        (lambda v: v.update({-1: 0.0}), r"share to component -1 at working set \[0, 2\]"),
+    ], ids=["zero", "nan", "missing-member", "failed-component", "negative", "key-3", "key-minus-1"])
+    @pytest.mark.parametrize("path", list(CONTRACT_PATHS))
+    def test_every_path_raises_the_same_error(self, path, defect, message):
+        rule = defective_rule(defect)
+        value_defect = "the share" in message
+        if path == "verify_monotone" and value_defect:
+            b = frozenset({0, 2})
+            assert verify_monotone(rule, 3) == MonotoneCheck(False, (b, b, -1))
+            return
+        with pytest.raises(ValueError, match=message) as exc:
+            CONTRACT_PATHS[path](rule)
+        assert type(exc.value) is (InvalidShareError if value_defect else ValueError)
+        if value_defect:
+            assert exc.value.mask == 0b101
+
+
+class TestTransitionBound:
+    def test_grid_over_the_bound_rejected_before_allocating(self):
+        # 160,000 nodes: a dense matrix would take 205 GB
+        with pytest.raises(ValueError, match="transition matrix for n = 160000 takes "
+                                             "204800000000 bytes"):
+            transition_matrix(build_grid_graph(400, 400))
+
+    def test_complete_graph_over_the_bound_rejected(self):
+        with pytest.raises(ValueError, match="transition matrix for n = 100000 takes"):
+            complete_graph_transition(100_000)
 
 
 class TestConfiguration:

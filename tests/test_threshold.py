@@ -169,6 +169,13 @@ class TestIrwinHall:
         assert th.irwin_hall_pdf(2, -0.3) == 0.0
         assert th.irwin_hall_pdf(2, 2.0001) == 0.0
 
+    def test_scratch_bounded_before_allocating(self):
+        # only points inside the support [0, m] take scratch space
+        t = np.arange(-4.0, 3001.0)
+        with pytest.raises(ValueError, match=r"m = 3000 at 3001 points .* 9003000 values"):
+            th.irwin_hall_pdf(3000, t)
+        assert th.irwin_hall_pdf(2, np.linspace(-1e6, 1e6, 3_000_001)).sum() > 0.0
+
     def test_m_zero_symbolic(self):
         with pytest.raises(ValueError, match="point mass"):
             th.irwin_hall_pdf(0, 0.0)
