@@ -55,9 +55,12 @@ def _write_csv(path: Path, header: list[str], *columns) -> None:
 
 
 def _write_json(path: Path, obj) -> None:
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """Write ``obj`` as strict JSON; a NaN or infinite float writes no file."""
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise ArithmeticError(f"{path.name}: {exc}") from None
+    path.write_text(text + "\n")
 
 
 def _ensure_outdir(out: str) -> Path:

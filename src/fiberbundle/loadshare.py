@@ -135,7 +135,14 @@ class Configuration:
 
     @classmethod
     def from_mask(cls, n: int, mask: int) -> "Configuration":
-        return cls(n, frozenset(i for i in range(n) if mask >> i & 1))
+        """The set bits of ``mask`` below bit n; in range by construction, so
+        only n is checked."""
+        if n < 1:
+            raise ValueError("component count must be positive")
+        config = object.__new__(cls)
+        object.__setattr__(config, "n", n)
+        object.__setattr__(config, "working", frozenset(i for i in range(n) if mask >> i & 1))
+        return config
 
     @property
     def mask(self) -> int:
@@ -261,22 +268,23 @@ def absorption_probabilities(p: TransitionMatrix, a: Configuration) -> Absorptio
         raise ValueError("working set must be nonempty")
     working = tuple(sorted(a.working))
     failed = tuple(i for i in range(a.n) if i not in a.working)
-    q = p.p[np.ix_(failed, failed)]
-    r = p.p[np.ix_(failed, working)]
-    m = np.eye(len(failed)) - q
+    from_failed = p.p.take(failed, axis=0)
+    # I - Q as 0.0 - Q plus 1 on the diagonal: unlike -Q, 0.0 - Q keeps zeros
+    # unsigned, so the matrix is bit for bit np.eye(k) - Q
+    m = np.subtract(0.0, from_failed.take(failed, axis=1))
+    m.flat[::len(failed) + 1] += 1.0
     try:
-        u = np.linalg.solve(m, r)
+        u = np.linalg.solve(m, from_failed.take(working, axis=1))
     except np.linalg.LinAlgError as exc:
         raise SingularAbsorptionError(
             f"absorption system singular for working set {working}: "
             "some failed component cannot reach the working set"
         ) from exc
-    row_sums = u.sum(axis=1)
-    if np.any(np.abs(row_sums - 1.0) > _ROW_SUM_TOL):
-        cond = np.linalg.cond(m)
+    dev = np.abs(u.sum(axis=1) - 1.0).max(initial=0.0)
+    if not dev <= _ROW_SUM_TOL:  # NaN fails too
         raise SingularAbsorptionError(
-            f"absorption rows do not sum to 1 (max dev {np.max(np.abs(row_sums - 1.0)):.3e}, "
-            f"cond {cond:.3e} vs limit {_CONDITION_LIMIT:.0e})"
+            f"absorption rows do not sum to 1 (max dev {dev:.3e}, "
+            f"cond {np.linalg.cond(m):.3e} vs limit {_CONDITION_LIMIT:.0e})"
         )
     return AbsorptionResult(failed, working, u)
 
@@ -285,7 +293,7 @@ def absorbing_load_share(p: TransitionMatrix, a: Configuration) -> LoadShareVect
     """Absorbing-state rule: each survivor carries 1 plus the load absorbed
     from every failed component."""
     res = absorption_probabilities(p, a)
-    return LoadShareVector({j: 1.0 + float(e) for j, e in zip(res.working, res.u.sum(axis=0))})
+    return LoadShareVector(dict(zip(res.working, (1.0 + res.u.sum(axis=0)).tolist())))
 
 
 def equal_load_share(n: int, a: Configuration) -> LoadShareVector:
@@ -374,8 +382,9 @@ def share_rows(rule: Rule, n: int, masks) -> np.ndarray:
         if not 0 <= mask < 1 << n:
             raise ValueError(f"working-set mask {mask} is outside 0..{(1 << n) - 1} for n = {n}")
         if mask:
+            row = rows[r]
             for i, v in _checked_shares(rule, Configuration.from_mask(n, mask)).items():
-                rows[r, i] = v
+                row[i] = v
     return rows
 
 

@@ -220,11 +220,18 @@ def lower_tail_slope(samples, window: tuple[float, float] = (1e-5, 1e-3)) -> Tai
     """OLS slope of the Weibull plot restricted to an empirical-quantile window.
 
     The slope is the effective Weibull shape of the lower tail; dividing by the
-    component shape gives the inflation factor.
+    component shape gives the inflation factor.  A window holding a strength
+    that is not finite and > 0 has no Weibull-plot point there and raises
+    ``ArithmeticError`` naming how many.
     """
     xs = np.sort(np.asarray(samples, dtype=float))
     pos = tail_window(xs.size, window)
-    lx = np.log(xs[pos.start:pos.stop])
+    tail = xs[pos.start:pos.stop]
+    bad = np.count_nonzero(~((tail > 0) & (tail < math.inf)))  # NaN counts too
+    if bad:
+        raise ArithmeticError(f"{bad} of the {tail.size} strengths in quantile window {window} "
+                              "are zero or not finite; the tail fit needs positive ones")
+    lx = np.log(tail)
     ly = np.log(-np.log(1.0 - np.arange(pos.start + 1, pos.stop + 1) / xs.size))
     lo, hi = window
     n = lx.size

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -131,6 +132,21 @@ class TestSimulate:
                      "--out", str(out)]) == 0
         _, rows = read_csv(out / "samples.csv")
         assert len(rows) == 2000
+
+    def test_zero_strengths_in_the_tail_window_are_numerical(self, tmp_path, capsys):
+        # shape 0.001 underflows about half of the draws to 0.0, and the window
+        # (0, 0.5) holds only those: no Weibull-plot point, so no tail fit
+        out = tmp_path / "sim"
+        assert main(["simulate", "--rows", "3", "--cols", "2", "--rule", "equal",
+                     "--shape", "0.001", "--replicas", "20000", "--tail-lo", "0",
+                     "--tail-hi", "0.5", "--workers", "1", "--out", str(out)]) == 3
+        assert "10000 of the 10000 strengths in quantile window" in capsys.readouterr().err
+        assert not (out / "tail_fit.json").exists()
+
+    def test_json_outputs_are_strict(self, tmp_path):
+        with pytest.raises(ArithmeticError, match="fit.json: Out of range float"):
+            cli._write_json(tmp_path / "fit.json", {"slope": math.nan})
+        assert not (tmp_path / "fit.json").exists()
 
     @pytest.mark.parametrize("command", [[], ["--rule", "absorbing"]], ids=["default", "absorbing"])
     def test_grid_over_the_matrix_bound_is_usage_error(self, tmp_path, capsys, command):

@@ -7,6 +7,7 @@ import pytest
 
 from fiberbundle import cascade
 from fiberbundle import gibbs
+from fiberbundle import loadshare
 from fiberbundle import threshold
 from fiberbundle.distributions import unit_exponential
 from fiberbundle.loadshare import (
@@ -17,6 +18,8 @@ from fiberbundle.loadshare import (
     LoadShareVector,
     MonotoneCheck,
     NonMonotoneRuleError,
+    SingularAbsorptionError,
+    TransitionMatrix,
     UnitRule,
     absorbing_load_share,
     absorption_probabilities,
@@ -151,6 +154,23 @@ class TestAbsorption:
         tm = transition_matrix(build_grid_graph(1, 3))
         with pytest.raises(ValueError):
             absorption_probabilities(tm, Configuration(3, frozenset()))
+        with pytest.raises(ValueError, match="nonempty"):
+            absorption_probabilities(tm, Configuration.from_mask(3, 0))
+
+    def test_full_working_set_has_no_failed_rows(self):
+        tm = transition_matrix(build_grid_graph(2, 3))
+        res = absorption_probabilities(tm, Configuration.full(6))
+        assert res.failed == () and res.working == tuple(range(6))
+        assert res.u.shape == (0, 6)
+
+    def test_disconnected_chain_is_singular(self):
+        # two 2-node components: failed nodes 2 and 3 only reach each other
+        tm = TransitionMatrix(np.array([[0, 1, 0, 0], [1, 0, 0, 0],
+                                        [0, 0, 0, 1], [0, 0, 1, 0]], dtype=float))
+        with pytest.raises(SingularAbsorptionError, match=r"working set \(0,\)"):
+            absorption_probabilities(tm, Configuration(4, frozenset({0})))
+        with pytest.raises(SingularAbsorptionError):
+            share_table(AbsorbingRule(tm), 4)
 
 
 class TestAbsorbingLoadShare:
@@ -353,6 +373,35 @@ class TestShareTable:
             share_table(rule, 30)
 
 
+class TestTableOracle:
+    @pytest.mark.parametrize("rows, cols", [(3, 3), (2, 5)])
+    def test_every_mask_matches_the_dense_inverse(self, rows, cols):
+        # shares 1 + colsum(inv(I - Q) @ R), built here from the matrix alone
+        n = rows * cols
+        tm = transition_matrix(build_grid_graph(rows, cols))
+        table = share_table(AbsorbingRule(tm), n)
+        for mask in range(1, 1 << n):
+            member = (mask >> np.arange(n)) & 1 == 1
+            failed, working = np.flatnonzero(~member), np.flatnonzero(member)
+            q = tm.p[failed][:, failed]
+            r = tm.p[failed][:, working]
+            want = np.zeros(n)
+            want[working] = 1.0 + (np.linalg.inv(np.eye(failed.size) - q) @ r).sum(axis=0)
+            np.testing.assert_allclose(table[mask], want, rtol=1e-13, atol=0)
+
+    def test_the_3x4_table_solves_once_per_mask(self, monkeypatch):
+        calls = []
+        solve = loadshare.absorption_probabilities
+
+        def counting(p, a):
+            calls.append(a.mask)
+            return solve(p, a)
+
+        monkeypatch.setattr(loadshare, "absorption_probabilities", counting)
+        share_table(grid_rule(3, 4), 12)
+        assert len(calls) == 4095 and sorted(calls) == list(range(1, 4096))
+
+
 class TestShareRows:
     @pytest.mark.parametrize("rule, n", [
         (grid_rule(3, 4), 12),
@@ -463,6 +512,12 @@ class TestConfiguration:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             Configuration(3, frozenset({3}))
+
+    def test_from_mask_reads_the_low_bits_only(self):
+        cfg = Configuration.from_mask(3, 0b11010)
+        assert cfg == Configuration(3, frozenset({1})) and hash(cfg) == hash(Configuration(3, {1}))
+        with pytest.raises(ValueError, match="positive"):
+            Configuration.from_mask(0, 1)
 
     def test_unit_rule_is_one_everywhere(self):
         lam = UnitRule(4)(Configuration(4, frozenset({1, 3})))

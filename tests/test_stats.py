@@ -226,6 +226,17 @@ class TestLowerTailSlope:
         with pytest.raises(ValueError, match="replica"):
             st.lower_tail_slope(np.linspace(1, 2, 1000))
 
+    @pytest.mark.parametrize("bad, window, count", [
+        (0.0, (0.0, 0.5), "30 of the 500"),
+        (math.inf, (0.5, 1.0), "29 of the 500"),
+        (math.nan, (0.5, 1.0), "29 of the 500"),
+    ], ids=["zero", "inf", "nan"])
+    def test_strengths_without_a_logarithm_in_the_window(self, bad, window, count):
+        # 30 bad strengths among 1,000; the window's last position is the 999th
+        xs = np.concatenate([np.full(30, bad), np.linspace(1.0, 2.0, 970)])
+        with pytest.raises(ArithmeticError, match=f"{count} strengths in quantile window"):
+            st.lower_tail_slope(xs, window=window)
+
     @pytest.mark.parametrize("nobs, window", [
         (100_000, (1e-5, 1e-3)), (1000, (0.0, 1.0)), (1000, (-1.0, 2.0)), (999, (0.1, 0.3)),
         (3000, (1 / 3, 2 / 3)), (1000, (0.5, 0.1)), (1000, (math.nan, 0.5)),
