@@ -489,6 +489,12 @@ def _run_worker_chunk(spec: tuple[int, int], out: np.ndarray | None = None) -> n
     out = np.empty(size) if out is None else out
     for lo in range(0, size, _BLOCK):
         x = w["model"].sample(rng, w["n"], min(_BLOCK, size - lo))
+        # an infinite strength never breaks, and inf * 0 shares give NaN loads
+        overflowed = np.count_nonzero(np.isinf(x))
+        if overflowed:
+            raise ArithmeticError(
+                f"{overflowed} of {x.size} component strength draws overflowed to inf "
+                f"under {w['model']}")
         if table is not None:
             out[lo:lo + _BLOCK] = _cascade_strengths_block(x, table, structure)
         else:  # no dense table for this n: one scalar cascade per replica

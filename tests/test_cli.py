@@ -134,13 +134,26 @@ class TestSimulate:
         assert len(rows) == 2000
 
     def test_zero_strengths_in_the_tail_window_are_numerical(self, tmp_path, capsys):
-        # shape 0.001 underflows about half of the draws to 0.0, and the window
-        # (0, 0.5) holds only those: no Weibull-plot point, so no tail fit
+        # shape 0.005 at scale 1e-300 underflows about half of the draws to 0.0
+        # and overflows none, and the window (0, 0.5) holds only zero
+        # strengths: no Weibull-plot point, so no tail fit
         out = tmp_path / "sim"
         assert main(["simulate", "--rows", "3", "--cols", "2", "--rule", "equal",
-                     "--shape", "0.001", "--replicas", "20000", "--tail-lo", "0",
-                     "--tail-hi", "0.5", "--workers", "1", "--out", str(out)]) == 3
+                     "--shape", "0.005", "--scale", "1e-300", "--replicas", "20000",
+                     "--tail-lo", "0", "--tail-hi", "0.5", "--workers", "1",
+                     "--out", str(out)]) == 3
         assert "10000 of the 10000 strengths in quantile window" in capsys.readouterr().err
+        assert not (out / "tail_fit.json").exists()
+
+    def test_overflowing_draws_are_numerical(self, tmp_path, capsys):
+        # shape 0.001 overflows some draws to inf: a bundle that never breaks,
+        # and inf * 0 shares in the kernel; the window (0.6, 0.9) misses them
+        out = tmp_path / "sim"
+        assert main(["simulate", "--rows", "3", "--cols", "2", "--rule", "equal",
+                     "--shape", "0.001", "--replicas", "20000", "--tail-lo", "0.6",
+                     "--tail-hi", "0.9", "--workers", "1", "--out", str(out)]) == 3
+        assert "component strength draws overflowed to inf" in capsys.readouterr().err
+        assert not (out / "samples.csv").exists()
         assert not (out / "tail_fit.json").exists()
 
     def test_json_outputs_are_strict(self, tmp_path):
@@ -590,6 +603,24 @@ def _float_column(size, seed):
     return col
 
 
+def _edge_columns():
+    """Every power of two with its neighbours, the switch points of plain and
+    exponent notation, the largest subnormal and finite doubles, values of
+    1 to 17 shortest digits, NaN and inf of both signs; beside them the int64
+    extremes, 0 and -1."""
+    powers = np.ldexp(1.0, np.arange(-1074, 1024))
+    digits = [float("1." + "2345678912345678"[:k]) for k in range(16)] + [0.1 + 0.2]
+    assert sorted(len(repr(v).replace(".", "").strip("0")) for v in digits) == list(range(1, 18))
+    floats = np.concatenate([
+        powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+        [1e-05, 9.999999999999999e-05, 0.0001, 9999999999999998.0, 1e16],
+        [np.nextafter(np.finfo(float).smallest_normal, 0.0), np.finfo(float).max], digits,
+        [np.nan, np.copysign(np.nan, -1.0), np.inf, -np.inf],
+    ])
+    ints = np.resize(np.array([-2**63, 2**63 - 1, 0, -1], dtype=np.int64), floats.size)
+    return [floats, ints]
+
+
 class TestWriter:
     @pytest.mark.parametrize("columns", [
         lambda: [_float_column(70_000, 0)],  # more than one 2^16-row block
@@ -598,13 +629,25 @@ class TestWriter:
                  _float_column(300, 2), _float_column(300, 3)],
         lambda: [np.array([np.nan, np.inf, -np.inf]), np.array([1.5, 2.5, 3.5])],
         lambda: [np.empty(0), np.empty(0)],
-    ], ids=["float", "int64", "mixed", "non-finite", "empty"])
+        _edge_columns,
+    ], ids=["float", "int64", "mixed", "non-finite", "empty", "edges"])
     def test_bytes_equal_row_writer(self, tmp_path, columns):
         cols = columns()
         header = [f"c{i}" for i in range(len(cols))]
         cli._write_csv(tmp_path / "cols.csv", header, *cols)
         write_rows(tmp_path / "rows.csv", header, zip(*cols))
         assert (tmp_path / "cols.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+    def test_random_bit_patterns_read_as_repr(self, tmp_path):
+        # 10^6 uint64 draws viewed as float64: both signs, every exponent,
+        # subnormals; the few NaN and infinite patterns are dropped
+        bits = np.random.default_rng(7).integers(0, 2**64, 10**6, dtype=np.uint64, endpoint=False)
+        values = bits.view(np.float64)
+        values = values[np.isfinite(values)]
+        assert (values < 0).sum() > 4 * 10**5 and (values > 0).sum() > 4 * 10**5
+        cli._write_csv(tmp_path / "bits.csv", ["x"], values)
+        lines = (tmp_path / "bits.csv").read_text().splitlines()
+        assert lines == ["x", *map(repr, values.tolist())]
 
 
 def _density_rows(kind):
