@@ -7,13 +7,18 @@ process repeats until the survivor set no longer contains a path set of the
 structure.  The bundle strength is the Phase-I stress of the terminal cycle.
 
 Two execution paths are provided: a scalar :func:`simulate_cascade` that
-records the full breaking pattern, and a vectorized sampler that evaluates
-many replicas at once against a precomputed load-share table.  A bundle too
-large for the table runs the scalar cascade in the sampler's same chunks.
+records the full breaking pattern, and a vectorized sampler that moves a
+block of replicas through the cascade one step per pass (a Phase-I failure
+or a burst step each), reading a precomputed load-share table and a table of
+which working sets keep the structure alive.  A replica leaves the block as
+soon as its structure fails, with the strength the scalar cascade gives it.
+A bundle too large for the tables runs the scalar cascade in the sampler's
+same chunks.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -419,48 +424,72 @@ class PowerScaledRule:
 # vectorized sampling
 
 
+@functools.lru_cache(maxsize=1)
+def _works_table(structure: StructureFunction) -> np.ndarray:
+    """Read-only ``works[mask]``: whether the working set ``mask`` keeps
+    ``structure`` alive, for all 2^n masks; the latest structure's table is kept."""
+    works = structure._works_masks(np.arange(1 << structure.n, dtype=np.int64))
+    works.flags.writeable = False
+    return works
+
+
+def _phase_one(ratio: np.ndarray, weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Phase-I stress (row minimum of the load ratios) and the bit of the
+    component that fails at it, the first in column order on a tie.
+
+    ``np.fmin`` skips NaN, the 0 / 0 ratio of a failed zero-strength component.
+    """
+    s = ratio[:, 0]
+    for j in range(1, ratio.shape[1]):
+        s = np.fmin(s, ratio[:, j])
+    at_min = ((ratio == s[:, None]) @ weight).astype(np.int64)
+    return s, at_min & -at_min
+
+
 def _cascade_strengths_block(x: np.ndarray, table: np.ndarray,
                              structure: StructureFunction) -> np.ndarray:
     """Strengths for a block of replicas, bit-mask state per replica.
 
+    One flat loop moves every live replica one step per pass: a replica whose
+    working set fails the structure retires with its current Phase-I stress;
+    the others take one burst step, ``x <= share * s`` on their share row, and
+    a replica whose step removes nothing starts its next cycle (Phase I) from
+    that same row.  The structure is coherent, so a replica retired within a
+    burst has the strength the finished burst would give it.
+
     Failed components have share 0.0 in the table, so their ratio x / share
-    is +inf and ``x <= share * s`` is false: no membership mask is needed.
-    A zero strength is the exception: its ratio is 0, so it fails at s = 0 in
-    the first cycle, and after that 0 / 0 would be NaN.  Such entries become
-    +inf once the first cycle is over, and a burst step only removes bits
-    still in the working set.  The state of the replicas still alive is
-    compacted every cycle and every burst step.
+    is +inf (NaN for a zero strength, which fails at s = 0 in the first cycle)
+    and ``x <= share * s`` is false: no membership mask is needed.  Row bits
+    are packed by a float matrix-vector product with weights 2^i, exact for
+    n <= 20.  The state of the live replicas is compacted when some retire;
+    the caller's ``x`` is not modified.
     """
     m, n = x.shape
-    bit = np.int64(1) << np.arange(n, dtype=np.int64)
+    works = _works_table(structure)
+    weight = np.ldexp(1.0, np.arange(n))
     strength = np.empty(m)
     rows = np.arange(m)
-    masks = np.full(m, np.int64((1 << n) - 1))
-    zeros = not x.all()
-    with np.errstate(divide="ignore"):
-        while rows.size:
-            ratio = x / np.take(table, masks, axis=0)
-            i0 = ratio.argmin(axis=1)
-            s = np.take_along_axis(ratio, i0[:, None], axis=1)
-            masks &= ~bit[i0]
-            pos, bm, bx, bs = np.arange(rows.size), masks, x, s
-            while True:
-                over = bx <= np.take(table, bm, axis=0) * bs
-                rem = (over.astype(np.int64) @ bit) & bm
-                hit = np.flatnonzero(rem)
-                if not hit.size:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s, first = _phase_one(x / table[-1], weight)
+        masks = np.int64((1 << n) - 1) ^ first
+        while True:
+            live = works[masks]
+            if not live.all():
+                done = np.flatnonzero(~live)
+                strength[rows.take(done)] = s.take(done)
+                keep = np.flatnonzero(live)
+                if not keep.size:
                     break
-                pos, bx, bs = pos.take(hit), bx.take(hit, axis=0), bs.take(hit, axis=0)
-                bm = bm.take(hit) & ~rem.take(hit)
-                masks[pos] = bm
-            works = structure._works_masks(masks)
-            done = np.flatnonzero(~works)
-            strength[rows.take(done)] = s.take(done)
-            live = np.flatnonzero(works)
-            rows, masks, x = rows.take(live), masks.take(live), x.take(live, axis=0)
-            if zeros:
-                x[x == 0] = np.inf  # x is a compacted copy, not the caller's array
-                zeros = False
+                rows, masks, s = rows.take(keep), masks.take(keep), s.take(keep)
+                x = x.take(keep, axis=0)
+            g = np.take(table, masks, axis=0)
+            rem = ((x <= g * s[:, None]) @ weight).astype(np.int64) & masks
+            masks ^= rem
+            idle = np.flatnonzero(rem == 0)
+            if idle.size:
+                s_idle, first = _phase_one(x.take(idle, axis=0) / g.take(idle, axis=0), weight)
+                s[idle] = s_idle
+                masks[idle] ^= first
     return strength
 
 
@@ -513,8 +542,10 @@ def sample_bundle_strengths(model: StrengthModel, rule: Rule, structure: Structu
     and run in blocks of 8,192 replicas, straight into the one returned array
     (as each worker's chunk arrives, with workers), so the sampler's working
     memory does not grow with ``replicas``.  Blocks run the
-    vectorized kernel on the rule's share table when it fits its byte bound,
-    else the scalar cascade per replica; workers receive the rule only then.
+    vectorized kernel (one flat step loop, strengths equal to
+    :func:`simulate_cascade`'s) on the rule's share table when it fits its
+    byte bound, else the scalar cascade per replica; workers receive the rule
+    only then.
     """
     if replicas < 1:
         raise ValueError("replicas must be >= 1")

@@ -705,7 +705,7 @@ def cmd_gibbs(cfg: dict) -> None:
             model, rule, _structure(cfg), cfg["replicas"], seed=cfg["seed"],
             workers=_workers(cfg),
         )
-    levels = {p: gibbs.strength_percentile(samples, p) for p in ps}
+    levels = dict(zip(ps, gibbs.strength_percentile(samples, ps)))
     models = {p: gibbs.build_gibbs(n, levels[p], rule, model) for p in ps}
     ref = models[ps[0]]
     _write_csv(

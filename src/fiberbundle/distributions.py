@@ -82,9 +82,13 @@ class StrengthModel:
         return out
 
     def sample(self, rng: np.random.Generator, n: int, size: int) -> np.ndarray:
-        """Draw a (size, n) matrix of component strengths by inverse transform."""
+        """Draw a (size, n) matrix of component strengths by inverse transform.
+
+        A draw that overflows is +inf, silently: the sampler counts and reports them.
+        """
         e = rng.standard_exponential((size, n))
-        return self._scale_array(n) * e ** (1.0 / self.rho)
+        with np.errstate(over="ignore"):
+            return self._scale_array(n) * e ** (1.0 / self.rho)
 
 
 def component_laws(dist, n: int) -> list:

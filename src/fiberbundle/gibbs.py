@@ -10,6 +10,7 @@ reduction).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -273,11 +274,16 @@ def lmf_fit(model_ref: GibbsModel, model_target: GibbsModel,
     )
 
 
-def strength_percentile(samples, p: float) -> float:
-    """p-th percentile (0 < p < 100) with linear order-statistic interpolation."""
+def strength_percentile(samples, p: float | Sequence[float]) -> float | list[float]:
+    """p-th percentile (0 < p < 100) with linear order-statistic interpolation.
+
+    A sequence of p gives the list of their percentiles from one
+    ``np.quantile`` call, each equal to the call for that p alone.
+    """
     arr = np.asarray(samples, dtype=float)
     if arr.size == 0:
         raise ValueError("sample vector is empty")
-    if not 0.0 < p < 100.0:
+    ps = np.asarray(p, dtype=float)
+    if not np.all((0.0 < ps) & (ps < 100.0)):
         raise ValueError("percentile must lie in (0, 100)")
-    return float(np.quantile(arr, p / 100.0, method="linear"))
+    return np.quantile(arr, ps / 100.0, method="linear").tolist()

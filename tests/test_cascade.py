@@ -34,6 +34,7 @@ from fiberbundle.loadshare import (
     Configuration,
     EqualRule,
     LoadShareVector,
+    UnitRule,
     build_grid_graph,
     share_table,
     transition_matrix,
@@ -152,6 +153,16 @@ class TestStructureFunction:
         vec = st._works_masks(masks)
         for m in range(1 << 6):
             assert vec[m] == st.works(frozenset(i for i in range(6) if m >> i & 1))
+
+    def test_works_table_equals_works_on_every_mask(self):
+        shapes = [(r, c) for r in range(1, 13) for c in range(1, 13) if r * c <= 12]
+        structures = ([StructureFunction.parallel(n) for n in range(1, 13)]
+                      + [StructureFunction.column_paths(r, c) for r, c in shapes])
+        for st in structures:
+            table = cascade._works_table(st)
+            assert table.dtype == bool and table.shape == (1 << st.n,)
+            want = [st.works(Configuration.from_mask(st.n, m).working) for m in range(1 << st.n)]
+            assert table.tolist() == want, st
 
 
 class TestPatternNotation:
@@ -400,7 +411,12 @@ class TestSampling:
         (EqualRule(5), StructureFunction.parallel(5), unit_exponential()),
         (PowerScaledRule(grid_rule(2, 3), [1.0, 1.5, 0.8, 1.2, 1.0, 0.9], 2.5),
          StructureFunction.column_paths(2, 3), unit_exponential()),
-    ], ids=["absorbing-3x3", "equal-parallel", "power-scaled"])
+        # no sharing: every share is 1, so no burst ever removes a component
+        (UnitRule(9), StructureFunction.column_paths(3, 3), unit_exponential()),
+        (UnitRule(9), StructureFunction.parallel(9), unit_exponential()),
+        (EqualRule(1), StructureFunction.parallel(1), unit_exponential()),
+    ], ids=["absorbing-3x3", "equal-parallel", "power-scaled", "unit-column-paths",
+            "unit-parallel", "one-component"])
     def test_kernel_equals_scalar_cascade_exactly(self, rule, structure, model):
         n = structure.n
         x = model.sample(np.random.default_rng(3), n, 2000)
@@ -469,6 +485,50 @@ class TestSampling:
         assert any(r.phase1_stresses[0] == 0.0 for r in results)
         for row, res in zip(x, results):
             assert replay_pattern(res.pattern, row, rule, structure)
+
+    @pytest.mark.parametrize("rows, cols", [(4, 4), (2, 5)], ids=["4x4", "2x5"])
+    def test_kernel_equals_scalar_cascade_on_wide_grids(self, rows, cols):
+        # one absorbing table (65,536 rows on 4x4), both structures
+        n, rule = rows * cols, grid_rule(rows, cols)
+        table = share_table(rule, n)
+        x = StrengthModel("weibull", 5.0, 2.0).sample(np.random.default_rng(13), n, 300)
+        for structure in (StructureFunction.column_paths(rows, cols), StructureFunction.parallel(n)):
+            fast = cascade._cascade_strengths_block(x, table, structure)
+            slow = [simulate_cascade(row, rule, structure).strength for row in x]
+            assert np.array_equal(fast, slow)
+
+    @pytest.mark.parametrize("rule", [grid_rule(3, 3), EqualRule(9)], ids=["absorbing", "equal"])
+    @pytest.mark.parametrize("structure", [StructureFunction.column_paths(3, 3),
+                                           StructureFunction.parallel(9)],
+                             ids=["column-paths", "parallel"])
+    def test_kernel_equals_scalar_cascade_on_ties(self, rule, structure):
+        # all-equal rows, then rows whose minimum is shared by two or three
+        # components: the first in component order fails in Phase I
+        rng = np.random.default_rng(23)
+        x = StrengthModel("weibull", 5.0, 2.0).sample(rng, 9, 600)
+        x[:100] = rng.choice([0.5, 1.0, 2.0], size=(100, 1))
+        low = x.min(axis=1)
+        for k, cols in enumerate(([0, 8], [4, 5], [2, 6, 7], [1, 3])):
+            x[100 * (k + 1):100 * (k + 2), cols] = low[100 * (k + 1):100 * (k + 2), None]
+        x[500:] = np.round(x[500:], 1)  # ties anywhere in the row
+        fast = cascade._cascade_strengths_block(x, share_table(rule, 9), structure)
+        results = [simulate_cascade(row, rule, structure) for row in x]
+        assert np.array_equal(fast, [r.strength for r in results])
+        assert any(len(r.pattern.cycles[0].groups) for r in results[:100])
+
+    @pytest.mark.parametrize("rule", [grid_rule(3, 3), EqualRule(9)], ids=["absorbing", "equal"])
+    @pytest.mark.parametrize("structure", [StructureFunction.column_paths(3, 3),
+                                           StructureFunction.parallel(9)],
+                             ids=["column-paths", "parallel"])
+    def test_kernel_equals_scalar_cascade_with_one_nonzero_strength(self, rule, structure):
+        # every strength but one is 0.0: the zeros fail at load 0 in the first
+        # cycle, so the 0 / 0 ratios of later cycles must not be taken as minima
+        x = np.zeros((9 * 20, 9))
+        x[np.arange(x.shape[0]), np.arange(x.shape[0]) % 9] = np.linspace(0.1, 5.0, x.shape[0])
+        x_in = x.copy()
+        fast = cascade._cascade_strengths_block(x, share_table(rule, 9), structure)
+        assert np.array_equal(fast, [simulate_cascade(row, rule, structure).strength for row in x])
+        assert np.array_equal(x, x_in)
 
     def test_zero_strengths_over_twenty_components_match_daniels(self):
         # at shape 0.01 a draw below about 1e-3.08 underflows to 0.0 (a few

@@ -7,6 +7,7 @@ import os
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -149,10 +150,16 @@ class TestSimulate:
         # shape 0.001 overflows some draws to inf: a bundle that never breaks,
         # and inf * 0 shares in the kernel; the window (0.6, 0.9) misses them
         out = tmp_path / "sim"
-        assert main(["simulate", "--rows", "3", "--cols", "2", "--rule", "equal",
-                     "--shape", "0.001", "--replicas", "20000", "--tail-lo", "0.6",
-                     "--tail-hi", "0.9", "--workers", "1", "--out", str(out)]) == 3
-        assert "component strength draws overflowed to inf" in capsys.readouterr().err
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")  # what Python would print to stderr
+            assert main(["simulate", "--rows", "3", "--cols", "2", "--rule", "equal",
+                         "--shape", "0.001", "--replicas", "20000", "--tail-lo", "0.6",
+                         "--tail-hi", "0.9", "--workers", "1", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "component strength draws overflowed to inf" in err
+        # the CLI's message is the only report: no NumPy overflow warning
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert "RuntimeWarning" not in err
         assert not (out / "samples.csv").exists()
         assert not (out / "tail_fit.json").exists()
 

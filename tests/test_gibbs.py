@@ -285,9 +285,18 @@ class TestStrengthPercentile:
         data = [5.0, 1.0, 9.0, 3.0]
         assert gb.strength_percentile(data, 0.001) == pytest.approx(1.0, abs=1e-3)
 
+    def test_sequence_equals_one_call_per_p(self):
+        data = np.random.default_rng(5).weibull(5.0, 10_001)
+        ps = [0.001, 1.0, 10.0, 50.0, 99.9]
+        got = gb.strength_percentile(data, ps)
+        assert got == [gb.strength_percentile(data, p) for p in ps]
+        assert all(type(v) is float for v in got)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             gb.strength_percentile([], 50)
+        with pytest.raises(ValueError):
+            gb.strength_percentile([1.0], [50.0, 100.0])
         with pytest.raises(ValueError):
             gb.strength_percentile([1.0], 0.0)
         with pytest.raises(ValueError):
