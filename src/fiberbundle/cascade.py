@@ -462,7 +462,10 @@ def _cascade_strengths_block(x: np.ndarray, table: np.ndarray,
     and ``x <= share * s`` is false: no membership mask is needed.  Row bits
     are packed by a float matrix-vector product with weights 2^i, exact for
     n <= 20.  The state of the live replicas is compacted when some retire;
-    the caller's ``x`` is not modified.
+    the caller's ``x`` is not modified.  Every pass fails a working
+    component of each live replica, so all have retired by the n-th pass;
+    a NaN stress fails none, and replicas still live then raise
+    ``ArithmeticError``.
     """
     m, n = x.shape
     works = _works_table(structure)
@@ -472,7 +475,7 @@ def _cascade_strengths_block(x: np.ndarray, table: np.ndarray,
     with np.errstate(divide="ignore", invalid="ignore"):
         s, first = _phase_one(x / table[-1], weight)
         masks = np.int64((1 << n) - 1) ^ first
-        while True:
+        for _ in range(n):
             live = works[masks]
             if not live.all():
                 done = np.flatnonzero(~live)
@@ -490,6 +493,11 @@ def _cascade_strengths_block(x: np.ndarray, table: np.ndarray,
                 s_idle, first = _phase_one(x.take(idle, axis=0) / g.take(idle, axis=0), weight)
                 s[idle] = s_idle
                 masks[idle] ^= first
+        else:
+            if rows.size:
+                raise ArithmeticError(
+                    f"cascade kernel: {rows.size} replicas still live after {n} passes, so a "
+                    "pass failed no working component (a NaN stress; is the share table finite?)")
     return strength
 
 

@@ -339,19 +339,25 @@ def _int_text(x, tb):
 
 
 def _csv_rows(columns) -> bytes:
-    """The CSV text of one block of rows."""
+    """The CSV text of one block of rows; all its float columns are formatted
+    in one call."""
     tb = _text_tables()
-    fields = []
-    for c in columns:
-        if c.dtype.kind == "f":
-            fields.append(_float_text(c.astype(np.float64, copy=False), tb))
-        elif c.dtype.kind in "iu":
-            fields.append(_int_text(c, tb))
-        else:
+    size = len(columns[0])
+    fields = [None] * len(columns)
+    floats = [i for i, c in enumerate(columns) if c.dtype.kind == "f"]
+    if floats:
+        text = _float_text(np.concatenate(
+            [columns[i].astype(np.float64, copy=False) for i in floats]), tb)
+        for k, i in enumerate(floats):
+            fields[i] = [part[k * size:(k + 1) * size] for part in text]
+    for i, c in enumerate(columns):
+        if c.dtype.kind in "iu":
+            fields[i] = _int_text(c, tb)
+        elif c.dtype.kind != "f":
             raise TypeError(f"no CSV text for dtype {c.dtype}")
     widths = [_FIELD - int(first.min()) for _, first, _ in fields]
     # each column: its sign byte, its text, then ',' (the last '\n')
-    rows = np.empty((len(columns[0]), sum(widths) + 2 * len(widths)), np.uint8)
+    rows = np.empty((size, sum(widths) + 2 * len(widths)), np.uint8)
     at = 0
     for (words, _, neg), width in zip(fields, widths):
         rows[:, at] = neg.view(np.uint8) * np.uint8(ord("-"))
@@ -368,13 +374,15 @@ def _write_csv(path: Path, header: list[str], *columns) -> None:
     A float is written as its shortest round-trip decimal, the text of
     ``float.__repr__``; an integer as its plain digits; inf, -inf and NaN as
     ``inf``, ``-inf`` and ``nan``.  Rows are formatted and written a block
-    at a time, so memory stays flat however many replicas there are.
+    at a time, of at most _CSV_BLOCK floats, so memory stays flat however
+    many replicas there are.
     """
     cols = [np.asarray(c) for c in columns]
+    step = _CSV_BLOCK // max(1, sum(c.dtype.kind == "f" for c in cols))
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
-        for lo in range(0, len(cols[0]), _CSV_BLOCK):
-            fh.write(_csv_rows([c[lo:lo + _CSV_BLOCK] for c in cols]))
+        for lo in range(0, len(cols[0]), step):
+            fh.write(_csv_rows([c[lo:lo + step] for c in cols]))
 
 
 def _write_json(path: Path, obj) -> None:
@@ -610,7 +618,9 @@ def _resolve(args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _parser() -> argparse.ArgumentParser:
+def _parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser.  Every command has its subparser, but with
+    ``command`` only that one gets its arguments."""
     parser = argparse.ArgumentParser(
         prog="fiberbundle",
         description="Fiber-bundle strength simulation and censored-strength analysis",
@@ -618,6 +628,8 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (cmd, keys) in _COMMANDS.items():
         p = sub.add_parser(name, help=cmd.__doc__, description=cmd.__doc__)
+        if command not in (None, name):
+            continue
         p.add_argument("--config", help="key=value file of this command's options; flags win")
         for key in keys:
             opt = _OPTIONS[key]
@@ -847,7 +859,7 @@ def cmd_density(cfg: dict) -> None:
         x = np.repeat(xg, yg.size)
         y = x + np.tile(yg, xg.size)
         direct = np.array([joint.direct(xv, yv) for xv, yv in zip(x, y)])
-        mixture = np.array([joint.mixture(xv, yv) for xv, yv in zip(x, y)])
+        mixture = joint.mixture(x, y)
         rel = np.divide(np.abs(direct - mixture), direct, out=np.zeros_like(direct),
                         where=direct != 0)
         columns = (x, y, direct, mixture, rel)
@@ -898,8 +910,9 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _parser().parse_args(argv)
+        args = _parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

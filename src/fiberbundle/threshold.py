@@ -43,7 +43,22 @@ _log = logging.getLogger("fiberbundle.threshold")
 
 _PANEL_TOL = 1e-10
 _MAX_DEPTH = 40
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+# np.polynomial.legendre.leggauss(16), bit for bit, without importing numpy.polynomial
+_GL_NODES = np.array([
+    -0.9894009349916499, -0.9445750230732326, -0.8656312023878318, -0.755404408355003,
+    -0.6178762444026438, -0.45801677765722737, -0.2816035507792589, -0.09501250983763744,
+    0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+    0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499])
+_GL_WEIGHTS = np.array([
+    0.027152459411754176, 0.062253523938647456, 0.0951585116824926, 0.12462897125553407,
+    0.1495959888165767, 0.16915651939500265, 0.18260341504492364, 0.18945061045506864,
+    0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+    0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176])
+# Integrand values per call of f, unless one integrand's level alone has more.
+# A mixing law of order m makes 48 m values at level 0, so one that evaluates
+# alone has 48 m^2 <= 2^22 (m <= 295), and 295 x 8,192 cells are within
+# irwin_hall_pdf's bound: a batch trips it only where a lone integrand would.
+_CALL_NODES = 1 << 13
 _IRWIN_HALL_MAX_CELLS = 1 << 22  # m x points per scratch array: 32 MiB of float64
 
 
@@ -78,62 +93,84 @@ def irwin_hall_pdf(m: int, t) -> float | np.ndarray:
     return out if t_arr.ndim else float(out)
 
 
-def _integrate_panels(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
-                      knots: Sequence[float] = ()) -> float:
+def _integrate_panels(f: Callable[..., np.ndarray], lo: float, hi: float,
+                      knots: Sequence[float] = (), size: int | None = None) -> float | np.ndarray:
     """Adaptive 16-point Gauss-Legendre integration, pre-split at known kinks.
 
-    ``f`` must be elementwise on a 1-d float array: its value at a node may
-    not depend on the other nodes of the call.  Bisection runs level by
-    level.  Level 0 makes one call of ``f`` for every panel's whole interval
-    and both of its halves; each later level makes one call for both halves
-    of every panel still open.  A panel closes when its halves agree with the
-    whole within its budget (``_PANEL_TOL``, halved at each split), or with a
-    warning past depth ``_MAX_DEPTH``.  The closed values are added in the
+    ``f(t)`` is one integrand, and the result is its integral.  With ``size``,
+    ``f(t, j)`` is a batch of ``size`` integrands, node ``t[i]`` belonging to
+    integrand ``j[i]``, and the result is the array of their integrals; one
+    integrand is a batch of one.  ``f`` must be elementwise: its value at a
+    node may not depend on the other nodes of the call.
+
+    Bisection runs level by level.  Level 0 evaluates every panel's whole
+    interval and both of its halves; each later level evaluates both halves
+    of every panel still open.  A call of ``f`` takes at most
+    ``_CALL_NODES`` nodes, or one integrand's nodes of the level where they
+    are more, so a lone integrand makes one call per level.  Each integrand
+    keeps its own panel tree: a panel closes when its halves agree with the
+    whole within its budget (``_PANEL_TOL``, halved at each split), or with
+    a warning past depth ``_MAX_DEPTH``.  The closed values are added in the
     order of a depth-first recursion (left + right at a leaf, the two
     children's sums above it, the pre-split panels in turn), so the result
-    does not depend on how nodes are batched.
+    does not depend on how nodes or integrands are batched.  Integrands run
+    in groups whose level 0 fits one call, so memory stays flat however
+    many there are.
     """
+    batch = f if size is not None else lambda t, j: f(t)
+    count = 1 if size is None else size
     points = sorted({lo, hi, *(k for k in knots if lo < k < hi)})
-    if len(points) < 2:
-        return 0.0
+    out = np.zeros(count)
+    width = len(points) - 1  # panels per integrand before any split
 
-    def gl(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def gl(a: np.ndarray, b: np.ndarray, owner: np.ndarray) -> np.ndarray:
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        vals = f((mid[:, None] + half[:, None] * _GL_NODES).ravel())
+        t = (mid[:, None] + half[:, None] * _GL_NODES).ravel()
+        j = np.repeat(owner, _GL_NODES.size)
+        step = max(_CALL_NODES, _GL_NODES.size * int(np.unique(owner, return_counts=True)[1].max()))
+        vals = np.concatenate([batch(t[s:s + step], j[s:s + step]) for s in range(0, t.size, step)])
         return half * (_GL_WEIGHTS * vals.reshape(-1, _GL_NODES.size)).sum(axis=1)
 
-    a, b = np.array(points[:-1]), np.array(points[1:])
-    mid = 0.5 * (a + b)
-    whole, left, right = np.split(gl(np.concatenate([a, a, mid]), np.concatenate([b, mid, b])), 3)
-    levels, budget = [], _PANEL_TOL
-    for depth in range(_MAX_DEPTH + 2):
-        sums = left + right
-        split = ~(np.abs(sums - whole) < budget)  # a NaN residual stays open
-        if depth > _MAX_DEPTH:
-            for i in np.flatnonzero(split):
-                _log.warning("panel [%r, %r] hit the depth cap %d with residual %.3g > %.3g",
-                             float(a[i]), float(b[i]), _MAX_DEPTH,
-                             float(abs(sums[i] - whole[i])), budget)
-            split[:] = False
-        levels.append((sums, split))
-        if not split.any():
-            break
-        # children of each split panel, left then right
-        a = np.stack([a[split], mid[split]], axis=1).ravel()
-        b = np.stack([mid[split], b[split]], axis=1).ravel()
-        whole = np.stack([left[split], right[split]], axis=1).ravel()
+    group = max(1, _CALL_NODES // (3 * _GL_NODES.size * max(width, 1)))
+    for first in range(0, count, group) if width else ():  # lo == hi: no panel, no call
+        stop = min(first + group, count)
+        owner = np.repeat(np.arange(first, stop), width)
+        a = np.tile(points[:-1], stop - first)
+        b = np.tile(points[1:], stop - first)
         mid = 0.5 * (a + b)
-        left, right = np.split(gl(np.concatenate([a, mid]), np.concatenate([mid, b])), 2)
-        budget /= 2
+        whole, left, right = np.split(gl(np.concatenate([a, a, mid]), np.concatenate([b, mid, b]),
+                                         np.tile(owner, 3)), 3)
+        levels, budget = [], _PANEL_TOL
+        for depth in range(_MAX_DEPTH + 2):
+            sums = left + right
+            split = ~(np.abs(sums - whole) < budget)  # a NaN residual stays open
+            if depth > _MAX_DEPTH:
+                for i in np.flatnonzero(split):
+                    _log.warning("panel [%r, %r] hit the depth cap %d with residual %.3g > %.3g",
+                                 float(a[i]), float(b[i]), _MAX_DEPTH,
+                                 float(abs(sums[i] - whole[i])), budget)
+                split[:] = False
+            levels.append((sums, split))
+            if not split.any():
+                break
+            # children of each split panel, left then right
+            a = np.stack([a[split], mid[split]], axis=1).ravel()
+            b = np.stack([mid[split], b[split]], axis=1).ravel()
+            whole = np.stack([left[split], right[split]], axis=1).ravel()
+            owner = np.repeat(owner[split], 2)
+            mid = 0.5 * (a + b)
+            left, right = np.split(gl(np.concatenate([a, mid]), np.concatenate([mid, b]),
+                                      np.tile(owner, 2)), 2)
+            budget /= 2
 
-    vals = levels[-1][0]
-    for sums, split in reversed(levels[:-1]):
-        sums[split] = vals[0::2] + vals[1::2]
-        vals = sums
-    total = 0.0
-    for v in vals.tolist():  # plain addition: sum() compensates from Python 3.12
-        total += v
-    return total
+        vals = levels[-1][0]
+        for sums, split in reversed(levels[:-1]):
+            sums[split] = vals[0::2] + vals[1::2]
+            vals = sums
+        total = out[first:stop]  # a view; plain addition, as sum() compensates from Python 3.12
+        for v in vals.reshape(stop - first, width).T:
+            total += v
+    return out if size is not None else float(out[0])
 
 
 @dataclass(frozen=True)
@@ -159,10 +196,11 @@ class MixingDensity:
     def support(self) -> tuple[float, float]:
         return (self.shift, self.shift + self.m)
 
-    def _integrate(self, f: Callable[[np.ndarray], np.ndarray]) -> float:
-        """Integral of f over the support, split at the knots shift + j."""
+    def _integrate(self, f: Callable[..., np.ndarray], size: int | None = None) -> float | np.ndarray:
+        """Integral of f over the support, split at the knots shift + j (see
+        :func:`_integrate_panels` for ``size``)."""
         lo, hi = self.support
-        return _integrate_panels(f, lo, hi, [self.shift + j for j in range(1, self.m)])
+        return _integrate_panels(f, lo, hi, [self.shift + j for j in range(1, self.m)], size)
 
     @cached_property
     def normalizer(self) -> float:
@@ -191,13 +229,28 @@ class MixingDensity:
             return self.shift**r
         return self._integrate(lambda t: self._raw(t) * t**r) / self.normalizer
 
-    def gamma_mixture_pdf(self, shape: int, z: float) -> float:
-        """Integral of gamma(shape, rate=theta) density at z over this mixing law."""
-        if z <= 0:
-            return 0.0
+    def gamma_mixture_pdf(self, shape: int, z) -> float | np.ndarray:
+        """Integral of gamma(shape, rate=theta) density at z over this mixing law.
+
+        Elementwise in z, and 0 where z <= 0.  Each distinct z is one
+        integrand of a single batched quadrature.
+        """
+        z_arr = np.asarray(z, dtype=float)
+        out = np.zeros(z_arr.shape)
+        pos = ~(z_arr <= 0)
+        zs, inverse = np.unique(z_arr[pos], return_inverse=True)
         if self.is_atom:
-            return _gamma_pdf(z, shape, self.shift)
-        return self._integrate(lambda t: _gamma_pdf(z, shape, t) * self._raw(t)) / self.normalizer
+            vals = _gamma_pdf(zs, shape, self.shift)
+        else:
+            def integrand(t, j):
+                # integrands share the nodes of the panels their trees have in
+                # common: the mixing density is evaluated once per distinct node
+                nodes, at = np.unique(t, return_inverse=True)
+                return _gamma_pdf(zs[j], shape, t) * self._raw(nodes)[at]
+
+            vals = self._integrate(integrand, zs.size) / self.normalizer
+        out[pos] = vals[inverse]
+        return out if z_arr.ndim else float(out)
 
 
 def _gamma_pdf(z, shape: int, rate):
@@ -273,12 +326,16 @@ class OrderStatJointDensity:
             * np.exp(-(n - l + 1) * y)
         )
 
-    def mixture(self, x: float, y: float) -> float:
-        if not 0 < x < y:
-            return 0.0
-        f1 = self._mix1.gamma_mixture_pdf(self.k, x)
-        f2 = self._mix2.gamma_mixture_pdf(self.l - self.k, y - x)
-        return f1 * f2
+    def mixture(self, x, y) -> float | np.ndarray:
+        """Elementwise over broadcast x and y, and 0 unless 0 < x < y."""
+        x_arr, y_arr = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        out = np.zeros(x_arr.shape)
+        inside = (0 < x_arr) & (x_arr < y_arr)
+        xs = x_arr[inside]
+        f1 = self._mix1.gamma_mixture_pdf(self.k, xs)
+        f2 = self._mix2.gamma_mixture_pdf(self.l - self.k, y_arr[inside] - xs)
+        out[inside] = f1 * f2
+        return out if out.ndim else float(out)
 
     def marginal_k(self, x: float) -> float:
         """Closed-form marginal of the k-th order statistic (for checks)."""

@@ -469,6 +469,21 @@ class TestSampling:
         assert got.tolist() == [0.5, 0.5, 0.0, 2.0]
         assert x[0].tolist() == [0.0, 1.0]
 
+    @pytest.mark.parametrize("mask", [0b111, 0b011], ids=["first-cycle", "second-cycle"])
+    def test_kernel_stops_on_a_nan_stress(self, mask):
+        # a NaN share row gives a NaN Phase-I stress, at which no component
+        # fails: the replica never retires, and the loop would never end
+        table = share_table(EqualRule(3), 3).copy()
+        table[mask] = np.nan
+        x = np.array([[1.0, 2.0, 0.5], [0.7, 0.9, 0.3]])
+        with pytest.raises(ArithmeticError, match="NaN stress"):
+            cascade._cascade_strengths_block(x, table, StructureFunction.parallel(3))
+
+    def test_kernel_returns_an_empty_block(self):
+        got = cascade._cascade_strengths_block(
+            np.empty((0, 3)), share_table(EqualRule(3), 3), StructureFunction.parallel(3))
+        assert got.shape == (0,)
+
     @pytest.mark.parametrize("structure", [StructureFunction.column_paths(3, 3),
                                            StructureFunction.parallel(9)],
                              ids=["column-paths", "parallel"])

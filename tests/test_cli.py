@@ -526,6 +526,26 @@ class TestOptionRows:
             assert flags - {"-h", "--help", "--config"} == {
                 "--" + k.replace("_", "-") for k in keys}
 
+    @pytest.mark.parametrize("command", list(_ROWS))
+    def test_command_help_equals_full_parser(self, command, capsys):
+        # main builds only the running command's arguments
+        with pytest.raises(SystemExit):
+            cli._parser().parse_args([command, "--help"])
+        full = capsys.readouterr().out
+        assert main([command, "--help"]) == 0
+        assert capsys.readouterr().out == full and full.startswith(f"usage: fiberbundle {command}")
+
+    def test_top_level_help_unchanged_by_chosen_command(self, capsys):
+        full = cli._parser().format_help()
+        assert main(["--help"]) == 0
+        assert capsys.readouterr().out == full
+        for command in _ROWS:
+            parser = cli._parser(command)
+            assert parser.format_help() == full
+            sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+            bare = [name for name, p in sub.choices.items() if len(p._actions) == 1]
+            assert sorted(bare) == sorted(set(_ROWS) - {command})
+
     @pytest.mark.parametrize("argv", [
         ["analyze", "--input", "obs.csv", "--replicas", "5"],
         ["density", "--kind", "irwin-hall", "--chain", "2"],
@@ -644,6 +664,30 @@ class TestWriter:
         cli._write_csv(tmp_path / "cols.csv", header, *cols)
         write_rows(tmp_path / "rows.csv", header, zip(*cols))
         assert (tmp_path / "cols.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+    @pytest.mark.parametrize("floats", [1, 2, 5])
+    def test_float_columns_across_block_boundaries(self, tmp_path, floats):
+        # blocks of _CSV_BLOCK // floats rows; int columns first, inside and last
+        size = 2 * (cli._CSV_BLOCK // floats) + 3
+        ints = [np.arange(size) - 77, np.arange(size, dtype=np.uint16), np.full(size, -2**63)]
+        cols = [ints[0], *[_float_column(size, s) for s in range(floats)], ints[1]]
+        cols.insert(2, ints[2])
+        header = [f"c{i}" for i in range(len(cols))]
+        cli._write_csv(tmp_path / "cols.csv", header, *cols)
+        write_rows(tmp_path / "rows.csv", header, zip(*cols))
+        assert (tmp_path / "cols.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+    def test_one_float_call_per_block(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(x, tb, real=cli._float_text):
+            calls.append(x.size)
+            return real(x, tb)
+
+        monkeypatch.setattr(cli, "_float_text", counted)
+        cols = [_float_column(100, s) for s in range(5)]
+        cli._write_csv(tmp_path / "t.csv", list("abcde"), *cols)
+        assert calls == [500]
 
     def test_random_bit_patterns_read_as_repr(self, tmp_path):
         # 10^6 uint64 draws viewed as float64: both signs, every exponent,
@@ -782,6 +826,20 @@ def test_each_command_loads_only_its_modules(tmp_path):
     assert simulate["after"] == ["fiberbundle.cascade", "fiberbundle.cli",
                                  "fiberbundle.distributions", "fiberbundle.loadshare",
                                  "fiberbundle.stats"]
+
+
+def test_density_loads_no_numpy_polynomial(tmp_path):
+    script = ("import sys\nimport fiberbundle.cli as cli\nrc = cli.main(sys.argv[1:])\n"
+              "print(rc, sorted(k for k in sys.modules if k.startswith('numpy.polynomial')))")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    argv = ["density", "--kind", "order-stat-joint", "--k", "4", "--l", "9", "--n", "12",
+            "--out", str(tmp_path / "d")]
+    proc = subprocess.run([sys.executable, "-c", script, *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "[]"]
 
 
 def test_cli_import_loads_no_scipy(tmp_path):

@@ -56,6 +56,15 @@ def _integrate_panels_recursive(f, lo, hi, knots=()):
     return total
 
 
+def _integrate_each_recursive(f, lo, hi, knots=(), size=None):
+    """``_integrate_panels``' interface on the recursion: a batch of ``size``
+    integrands runs as one recursion per integrand."""
+    if size is None:
+        return _integrate_panels_recursive(f, lo, hi, knots)
+    return np.array([_integrate_panels_recursive(lambda t, j=j: f(t, np.full(t.shape, j)),
+                                                 lo, hi, knots) for j in range(size)])
+
+
 class TestIntegratePanels:
     """The level-batched integrator against the depth-first recursion, with ==."""
 
@@ -63,7 +72,7 @@ class TestIntegratePanels:
     def _both(monkeypatch, value):
         """``value()`` through the batched integrator, then through the recursion."""
         fast = value()
-        monkeypatch.setattr(th, "_integrate_panels", _integrate_panels_recursive)
+        monkeypatch.setattr(th, "_integrate_panels", _integrate_each_recursive)
         slow = value()
         monkeypatch.undo()
         return fast, slow
@@ -97,7 +106,9 @@ class TestIntegratePanels:
     def test_order_stat_joint_mixture(self, monkeypatch):
         def values():
             osj = th.OrderStatJointDensity(4, 9, 12)
-            return [osj.mixture(x, y) for x in (0.13, 0.73) for y in (0.97, 1.77)]
+            x = np.repeat([0.13, 0.73, 1.3], 4)
+            return ([osj.mixture(x, y) for x in (0.13, 0.73) for y in (0.97, 1.77)]
+                    + osj.mixture(x, x + np.tile([0.2, 0.6, 0.84, 1.64], 3)).tolist())
 
         fast, slow = self._both(monkeypatch, values)
         assert fast == slow
@@ -131,6 +142,71 @@ class TestIntegratePanels:
 
         th._integrate_panels(f, 0.0, 6.0, [1, 2, 3, 4, 5])
         assert calls == [6 * 3 * 16]
+
+    def test_gauss_legendre_literals_are_leggauss(self):
+        nodes, weights = np.polynomial.legendre.leggauss(16)
+        assert th._GL_NODES.tobytes() == nodes.tobytes()
+        assert th._GL_WEIGHTS.tobytes() == weights.tobytes()
+
+    def test_batch_equals_one_integrand_at_a_time(self):
+        # one panel tree per integrand: a batch returns each lone integral
+        shapes = np.array([0.5, 2.0, 7.0, 30.0])
+
+        def f(t, j):
+            return np.exp(-shapes[j] * t) * th.irwin_hall_pdf(3, t)
+
+        batch = th._integrate_panels(f, 0.0, 3.0, [1, 2], shapes.size)
+        each = [th._integrate_panels(lambda t, c=c: np.exp(-c * t) * th.irwin_hall_pdf(3, t),
+                                     0.0, 3.0, [1, 2]) for c in shapes.tolist()]
+        assert batch.tolist() == each
+        assert batch.tolist() == _integrate_each_recursive(f, 0.0, 3.0, [1, 2], shapes.size).tolist()
+
+    def test_batch_depth_cap_gives_each_integrands_warnings(self, caplog):
+        cuts = np.array([0.3, 0.55, 0.8])
+        with caplog.at_level(logging.WARNING, logger="fiberbundle.threshold"):
+            batch = th._integrate_panels(lambda t, j: (t > cuts[j]).astype(float), 0.0, 1.0,
+                                         (), cuts.size)
+            n_batch = len(caplog.records)
+            each = [th._integrate_panels(lambda t, c=c: (t > c).astype(float), 0.0, 1.0)
+                    for c in cuts.tolist()]
+        assert batch.tolist() == each
+        assert n_batch >= 3 and len(caplog.records) == 2 * n_batch
+        assert [r.getMessage() for r in caplog.records[:n_batch]] == \
+            [r.getMessage() for r in caplog.records[n_batch:]]
+
+    def test_batch_calls_stay_bounded(self):
+        # 3 panels: 144 level-0 nodes per integrand, so 56 integrands a group;
+        # each panel of this smooth integrand closes at level 0
+        sizes = []
+
+        def f(t, j):
+            sizes.append(t.size)
+            return np.exp(-(j + 1.0) * t / 500)
+
+        vals = th._integrate_panels(f, 0.0, 3.0, [1, 2], 400)
+        assert sizes == [56 * 144] * 7 + [8 * 144]
+        assert vals[7] == th._integrate_panels(lambda t: np.exp(-8.0 * t / 500), 0.0, 3.0, [1, 2])
+        # an integrand whose level alone is wider than a call keeps it whole
+        sizes.clear()
+        th._integrate_panels(f, 0.0, 200.0, range(1, 200), 3)
+        assert sizes == [200 * 48] * 3
+
+    def test_runaway_batch_stops_where_a_lone_integrand_does(self):
+        # a NaN integrand never converges, so its open panels double at each
+        # level until its call exceeds the Irwin-Hall bound, in a batch too
+        mix = th.order_stat_mixing(3, 7)
+        with pytest.raises(ValueError, match="needs m x points") as lone:
+            mix.gamma_mixture_pdf(2, np.nan)
+        with pytest.raises(ValueError, match="needs m x points") as batch:
+            mix.gamma_mixture_pdf(2, np.array([0.5, np.nan, 2.0, 4.0]))
+        assert str(batch.value) == str(lone.value)
+
+    def test_empty_batch_calls_nothing(self):
+        def f(t, j):
+            raise AssertionError("integrand called for an empty batch")
+
+        assert th._integrate_panels(f, 0.0, 1.0, (), 0).shape == (0,)
+        assert th._integrate_panels(f, 0.7, 0.7, (), 2).tolist() == [0.0, 0.0]
 
 
 class TestIrwinHall:
@@ -289,6 +365,36 @@ class TestOrderStatJoint:
             lambda y, x: joint.direct(x, y), 0, 30, lambda x: x, 30, epsabs=1e-10,
         )
         assert val == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("k,l,n", [(4, 9, 12), (1, 3, 5), (3, 4, 6), (1, 2, 2)],
+                             ids=["k4l9n12", "atom1", "atom2", "both-atoms"])
+    def test_batched_mixture_equals_scalar_calls(self, k, l, n):
+        # x <= 0, y <= x and repeated values beside the inside points
+        joint = th.OrderStatJointDensity(k, l, n)
+        xv = [-0.5, -0.0, 0.0, 1e-3, 0.13, 0.4, 0.4, 0.9, 1.7]
+        yv = [-0.2, 0.0, 0.13, 0.4, 0.5, 1.1, 1.7, 2.3]
+        x, y = np.meshgrid(xv, yv, indexing="ij")
+        batch = joint.mixture(x, y)
+        assert batch.shape == x.shape
+        assert batch.tolist() == [[joint.mixture(a, b) for b in yv] for a in xv]
+        assert (batch > 0).sum() == 23 and (batch[x >= y] == 0).all()
+        assert type(joint.mixture(0.4, 1.1)) is float and type(joint.mixture(1.0, 0.5)) is float
+
+    def test_batched_gamma_mixture_equals_scalar_calls(self):
+        for mix in (th.order_stat_mixing(3, 7), th.order_stat_mixing(1, 4)):
+            z = np.array([[0.9, -1.0, 0.0], [0.2, 0.9, 3.5]])
+            got = mix.gamma_mixture_pdf(3, z)
+            assert got.tolist() == [[mix.gamma_mixture_pdf(3, v) for v in row] for row in z.tolist()]
+            assert type(mix.gamma_mixture_pdf(3, 0.9)) is float
+
+    def test_batch_over_several_groups_at_large_k(self):
+        # k = 40: 39 panels, 1,872 level-0 nodes per integrand, so 16 groups of 4
+        joint = th.OrderStatJointDensity(40, 42, 45)
+        x = np.linspace(0.5, 3.0, 64)
+        y = x + 0.4
+        batch = joint.mixture(x, y)
+        assert batch.tolist() == [joint.mixture(a, b) for a, b in zip(x.tolist(), y.tolist())]
+        assert np.allclose(batch, [joint.direct(a, b) for a, b in zip(x, y)], rtol=1e-8, atol=0)
 
     def test_ordering_enforced(self):
         joint = th.OrderStatJointDensity(2, 4, 6)
