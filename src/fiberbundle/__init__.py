@@ -52,7 +52,8 @@ _EXPORTS = {
         "simulate_cascade",
     ), "cascade"),
 }
-_SUBMODULES = ("cascade", "cli", "distributions", "gibbs", "loadshare", "stats", "threshold")
+_SUBMODULES = ("cascade", "cli", "csvtext", "distributions", "gibbs", "loadshare", "stats",
+               "threshold")
 
 __all__ = list(_EXPORTS)
 

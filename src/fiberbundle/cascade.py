@@ -570,9 +570,10 @@ def sample_bundle_strengths(model: StrengthModel, rule: Rule, structure: Structu
         # imported here only: it loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+        # one chunk per task, and no process without a chunk to run
+        with ProcessPoolExecutor(max_workers=min(workers, len(specs)), initializer=_init_worker,
                                  initargs=initargs) as pool:
-            for ci, part in enumerate(pool.map(_run_worker_chunk, specs, chunksize=4)):
+            for ci, part in enumerate(pool.map(_run_worker_chunk, specs)):
                 out[ci * _CHUNK:ci * _CHUNK + part.size] = part
     return out
 

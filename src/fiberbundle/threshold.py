@@ -115,7 +115,8 @@ def _integrate_panels(f: Callable[..., np.ndarray], lo: float, hi: float,
     children's sums above it, the pre-split panels in turn), so the result
     does not depend on how nodes or integrands are batched.  Integrands run
     in groups whose level 0 fits one call, so memory stays flat however
-    many there are.
+    many there are.  A NaN or infinite integrand value raises
+    ArithmeticError at the level that gave it, naming its panel.
     """
     batch = f if size is not None else lambda t, j: f(t)
     count = 1 if size is None else size
@@ -129,6 +130,11 @@ def _integrate_panels(f: Callable[..., np.ndarray], lo: float, hi: float,
         j = np.repeat(owner, _GL_NODES.size)
         step = max(_CALL_NODES, _GL_NODES.size * int(np.unique(owner, return_counts=True)[1].max()))
         vals = np.concatenate([batch(t[s:s + step], j[s:s + step]) for s in range(0, t.size, step)])
+        bad = np.flatnonzero(~np.isfinite(vals))
+        if bad.size:  # no panel holding it would ever converge
+            k, i = bad[0], bad[0] // _GL_NODES.size
+            raise ArithmeticError(f"integrand is {vals[k]} at t = {float(t[k])!r}, in the panel "
+                                  f"[{float(a[i])!r}, {float(b[i])!r}] of [{lo!r}, {hi!r}]")
         return half * (_GL_WEIGHTS * vals.reshape(-1, _GL_NODES.size)).sum(axis=1)
 
     group = max(1, _CALL_NODES // (3 * _GL_NODES.size * max(width, 1)))
@@ -233,9 +239,13 @@ class MixingDensity:
         """Integral of gamma(shape, rate=theta) density at z over this mixing law.
 
         Elementwise in z, and 0 where z <= 0.  Each distinct z is one
-        integrand of a single batched quadrature.
+        integrand of a single batched quadrature.  A NaN or infinite z is a
+        ValueError.
         """
         z_arr = np.asarray(z, dtype=float)
+        bad = z_arr[~np.isfinite(z_arr)]
+        if bad.size:
+            raise ValueError(f"gamma mixture density: z = {bad[0]} is not finite")
         out = np.zeros(z_arr.shape)
         pos = ~(z_arr <= 0)
         zs, inverse = np.unique(z_arr[pos], return_inverse=True)

@@ -619,6 +619,39 @@ class TestSampling:
         x = np.concatenate([model.sample(cascade._chunk_rng(6, ci), 21, 50) for ci in range(4)])
         assert np.array_equal(serial, [simulate_cascade(row, rule, st).strength for row in x])
 
+    @pytest.mark.parametrize("workers, chunks, processes", [(64, 3, 3), (2, 3, 2), (6, 2, 2)])
+    def test_pool_starts_a_process_per_chunk_at_most(self, monkeypatch, workers, chunks,
+                                                     processes):
+        pools, tasks = [], []
+
+        class InlinePool:
+            """Records its size and runs ``map`` in this process, one task per item."""
+
+            def __init__(self, max_workers, initializer, initargs):
+                pools.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                items = list(items)
+                tasks.append((len(items), chunksize))
+                return map(fn, items)
+
+        monkeypatch.setattr(cascade, "_CHUNK", 50)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        model, rule, st = unit_exponential(), EqualRule(3), StructureFunction.parallel(3)
+        replicas = 50 * chunks - 7
+        pooled = sample_bundle_strengths(model, rule, st, replicas, seed=2, workers=workers)
+        assert pools == [processes]
+        assert tasks == [(chunks, 1)]
+        serial = sample_bundle_strengths(model, rule, st, replicas, seed=2, workers=1)
+        assert np.array_equal(pooled, serial)
+
 
 class TestChain:
     def test_length_one_keeps_distribution(self):

@@ -26,7 +26,8 @@ _EXPORTED = {
         "sample_bundle_strengths", "simulate_cascade",
     ],
 }
-_SUBMODULES = ["cascade", "cli", "distributions", "gibbs", "loadshare", "stats", "threshold"]
+_SUBMODULES = ["cascade", "cli", "csvtext", "distributions", "gibbs", "loadshare", "stats",
+               "threshold"]
 
 
 @pytest.mark.parametrize("module, name", [(m, n) for m, ns in _EXPORTED.items() for n in ns])

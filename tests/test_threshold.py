@@ -192,14 +192,38 @@ class TestIntegratePanels:
         assert sizes == [200 * 48] * 3
 
     def test_runaway_batch_stops_where_a_lone_integrand_does(self):
-        # a NaN integrand never converges, so its open panels double at each
-        # level until its call exceeds the Irwin-Hall bound, in a batch too
+        # a NaN z would give a NaN integrand, which never converges: it is
+        # rejected before any quadrature, alone or in a batch
         mix = th.order_stat_mixing(3, 7)
-        with pytest.raises(ValueError, match="needs m x points") as lone:
+        with pytest.raises(ValueError, match="z = nan is not finite") as lone:
             mix.gamma_mixture_pdf(2, np.nan)
-        with pytest.raises(ValueError, match="needs m x points") as batch:
+        with pytest.raises(ValueError, match="z = nan is not finite") as batch:
             mix.gamma_mixture_pdf(2, np.array([0.5, np.nan, 2.0, 4.0]))
         assert str(batch.value) == str(lone.value)
+        with pytest.raises(ValueError, match="z = inf is not finite"):
+            mix.gamma_mixture_pdf(2, [1.0, np.inf])
+        # the quadrature itself stops at the first NaN, alone or in a batch
+        with pytest.raises(ArithmeticError, match=r"in the panel \[0.0, 1.0\]") as lone:
+            th._integrate_panels(lambda t: t * np.nan, 0.0, 1.0)
+        with pytest.raises(ArithmeticError, match=r"in the panel \[0.0, 1.0\]") as batch:
+            th._integrate_panels(lambda t, j: np.where(j == 2, np.nan, t), 0.0, 1.0, (), 4)
+        assert str(batch.value) == str(lone.value)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_integrand_stops_at_its_first_level(self, bad):
+        # a panel holding a NaN never closes, so unchecked its open panels
+        # would double at every level; the first level's values end it
+        calls = []
+
+        def f(t):
+            calls.append(t.size)
+            if len(calls) > 3:
+                raise AssertionError(f"integrand still called after {calls}")
+            return np.where(t > 0.7, bad, t)
+
+        with pytest.raises(ArithmeticError, match=rf"integrand is {bad} at t = 0\.7"):
+            th._integrate_panels(f, 0.0, 1.0, [0.5])
+        assert calls == [2 * 3 * 16]
 
     def test_empty_batch_calls_nothing(self):
         def f(t, j):
