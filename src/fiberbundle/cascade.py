@@ -553,7 +553,8 @@ def sample_bundle_strengths(model: StrengthModel, rule: Rule, structure: Structu
     vectorized kernel (one flat step loop, strengths equal to
     :func:`simulate_cascade`'s) on the rule's share table when it fits its
     byte bound, else the scalar cascade per replica; workers receive the rule
-    only then.
+    only then.  A replica count whose output array cannot be allocated raises
+    ``ValueError`` naming it.
     """
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
@@ -561,7 +562,10 @@ def sample_bundle_strengths(model: StrengthModel, rule: Rule, structure: Structu
     table = share_table(rule, n) if _table_fits(n) else None
     initargs = (model, table, rule if table is None else None, structure, seed, n)
     specs = [(ci, min(_CHUNK, replicas - ci * _CHUNK)) for ci in range((replicas + _CHUNK - 1) // _CHUNK)]
-    out = np.empty(replicas)
+    try:
+        out = np.empty(replicas)
+    except MemoryError as exc:
+        raise ValueError(f"{replicas} replicas: {exc}") from None
     if workers is None or workers <= 1 or len(specs) == 1:
         _init_worker(*initargs)
         for ci, size in specs:
@@ -622,22 +626,31 @@ def _check_degradation(a: float):
 def cycles_to_failure_samples(model: StrengthModel, rule: Rule, structure: StructureFunction,
                               s_star: float, a: float, replicas: int, seed: int = 0,
                               workers: int | None = None) -> np.ndarray:
-    """Replicated cycles-to-failure counts (see :func:`cycles_to_failure`)."""
+    """Replicated cycles-to-failure counts (see :func:`cycles_to_failure`).
+
+    The int64 counts overwrite the sampled strengths in place, ``_BLOCK`` at
+    a time, so the sampler's one array is all the memory that grows with
+    ``replicas``.
+    """
     if s_star <= 0:
         raise ValueError("s_star must be positive")
     _check_degradation(a)
     strengths = sample_bundle_strengths(model, rule, structure, replicas, seed, workers)
-    k = np.ones(strengths.size, dtype=np.int64)
-    above = strengths > s_star
-    ratio = np.log(s_star / strengths[above]) / np.log(a)
-    kk = 1 + np.ceil(ratio).astype(np.int64)
-    # guard the ceil against round-off in either direction
-    down = (kk > 1) & (a ** (kk - 2) * strengths[above] <= s_star)
-    kk[down] -= 1
-    up = a ** (kk - 1) * strengths[above] > s_star
-    kk[up] += 1
-    k[above] = kk
-    return k
+    counts = strengths.view(np.int64)
+    for lo in range(0, strengths.size, _BLOCK):
+        s = strengths[lo:lo + _BLOCK]
+        k = np.ones(s.size, dtype=np.int64)
+        above = s > s_star
+        ratio = np.log(s_star / s[above]) / np.log(a)
+        kk = 1 + np.ceil(ratio).astype(np.int64)
+        # guard the ceil against round-off in either direction
+        down = (kk > 1) & (a ** (kk - 2) * s[above] <= s_star)
+        kk[down] -= 1
+        up = a ** (kk - 1) * s[above] > s_star
+        kk[up] += 1
+        k[above] = kk
+        counts[lo:lo + _BLOCK] = k  # the block's strengths are read by now
+    return counts
 
 
 def enumerate_patterns(n: int) -> list[BreakingPattern]:

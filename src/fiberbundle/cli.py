@@ -12,12 +12,13 @@ Exit codes: 0 success, 2 usage/configuration, 3 numerical failure, 4 I/O.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -35,23 +36,26 @@ class InputFormatError(OSError):
     """Malformed input file content."""
 
 
-def _write_csv(path: Path, header: list[str], *columns) -> None:
-    """Write equal-length 1-d columns under a header line.
+def _write_csv(path: Path, header: list[str], *columns, blocks: Iterable = ()) -> None:
+    """Write equal-length 1-d columns under a header line, then the rows of
+    each tuple of equal-length column blocks that ``blocks`` yields.
 
     A float is written as its shortest round-trip decimal, the text of
     ``float.__repr__``; an integer as its plain digits; inf, -inf and NaN as
     ``inf``, ``-inf`` and ``nan``, by :mod:`fiberbundle.csvtext`.  Rows are
     formatted and written a block at a time, of at most 8,192 floats, so
-    memory stays flat however many replicas there are.
+    memory stays flat however many replicas there are; with ``blocks``, the
+    columns need never exist whole.
     """
     from . import csvtext
 
-    cols = [np.asarray(c) for c in columns]
-    step = csvtext._CSV_BLOCK // max(1, sum(c.dtype.kind == "f" for c in cols))
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
-        for lo in range(0, len(cols[0]), step):
-            fh.write(csvtext._csv_rows([c[lo:lo + step] for c in cols]))
+        for block in itertools.chain([columns] if columns else [], blocks):
+            cols = [np.asarray(c) for c in block]
+            step = csvtext._CSV_BLOCK // max(1, sum(c.dtype.kind == "f" for c in cols))
+            for lo in range(0, len(cols[0]), step):
+                fh.write(csvtext._csv_rows([c[lo:lo + step] for c in cols]))
 
 
 def _write_json(path: Path, obj) -> None:
@@ -334,9 +338,14 @@ def cmd_simulate(cfg: dict) -> None:
         model, rule, structure, cfg["replicas"], seed=cfg["seed"], workers=_workers(cfg)
     )
     _write_csv(outdir / "samples.csv", ["strength"], samples)
-    lx, ly = stats.weibull_plot_from_samples(samples)
-    _write_csv(outdir / "weibull_plot.csv", ["ln_x", "ln_neg_ln_sf"], lx, ly)
-    fit = stats.lower_tail_slope(samples, window=window)
+    # sorted once, for the plot and the tail fit to read in place; chain_strength
+    # resamples the sample in its drawn order, so then the sort takes a copy
+    xs = samples.copy() if cfg["chain"] > 1 else samples
+    xs.sort()
+    _write_csv(outdir / "weibull_plot.csv", ["ln_x", "ln_neg_ln_sf"],
+               blocks=stats.weibull_plot_blocks(xs))
+    fit = stats.lower_tail_slope(xs, window=window)
+    del xs  # a sorted copy is freed before the chain resamples
     rho = model.rho
     _write_json(outdir / "tail_fit.json", {
         "slope": fit.slope,
@@ -484,13 +493,12 @@ def cmd_cycles(cfg: dict) -> None:
         seed=cfg["seed"], workers=_workers(cfg),
     )
     _write_csv(outdir / "cycles.csv", ["cycles"], counts)
+    summary = {"mean": float(counts.mean()), "max": int(counts.max())}
     levels = (5, 25, 50, 75, 95)
-    qs = {f"q{q}": v for q, v in zip(levels, np.quantile(counts, np.array(levels) / 100).tolist())}
-    _write_json(outdir / "cycles_summary.json", {
-        "mean": float(counts.mean()),
-        "max": int(counts.max()),
-        **qs,
-    })
+    # partitions the counts in place; the mean above was summed in sample order
+    qs = np.quantile(counts, np.array(levels) / 100, overwrite_input=True).tolist()
+    summary.update((f"q{q}", v) for q, v in zip(levels, qs))
+    _write_json(outdir / "cycles_summary.json", summary)
     _manifest(outdir, "cycles", cfg)
 
 

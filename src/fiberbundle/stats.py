@@ -10,6 +10,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from itertools import product
+from typing import Iterator
 
 import numpy as np
 
@@ -23,6 +24,7 @@ __all__ = [
     "kaplan_meier",
     "weibull_mle_censored",
     "weibull_plot_points",
+    "weibull_plot_blocks",
     "weibull_plot_from_samples",
     "tail_window",
     "lower_tail_slope",
@@ -164,23 +166,59 @@ def weibull_mle_censored(samples, tol: float = 1e-10) -> WeibullFit:
     return WeibullFit(rho=rho, sigma=sigma, loglik=loglik, converged=converged)
 
 
-def weibull_plot_points(x, survival) -> tuple[np.ndarray, np.ndarray]:
-    """Transform (x, S(x)) pairs to (ln x, ln(-ln S)); a Weibull is linear
-    with slope equal to its shape.  Points with S in {0, 1} are dropped."""
-    x = np.asarray(x, dtype=float)
-    sf = np.asarray(survival, dtype=float)
+def _plot_points(x: np.ndarray, sf: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """The Weibull-plot points of (x, S(x)) pairs and how many were dropped."""
     keep = (sf > 0.0) & (sf < 1.0) & (x > 0.0)
-    dropped = int(np.sum(~keep))
+    return np.log(x[keep]), np.log(-np.log(sf[keep])), keep.size - int(np.count_nonzero(keep))
+
+
+def _log_dropped(dropped: int) -> None:
     if dropped:
         logger.info("weibull_plot_points: dropped %d points with survival 0 or 1", dropped)
-    return np.log(x[keep]), np.log(-np.log(sf[keep]))
+
+
+def weibull_plot_points(x, survival) -> tuple[np.ndarray, np.ndarray]:
+    """Transform (x, S(x)) pairs to (ln x, ln(-ln S)); a Weibull is linear
+    with slope equal to its shape.  Points with S in {0, 1} or x <= 0 are
+    dropped."""
+    lx, ly, dropped = _plot_points(np.asarray(x, dtype=float), np.asarray(survival, dtype=float))
+    _log_dropped(dropped)
+    return lx, ly
+
+
+def _ascending(samples) -> np.ndarray:
+    """``samples`` as a float array in non-decreasing order: the array itself
+    when it already is, else a sorted copy."""
+    xs = np.asarray(samples, dtype=float)
+    return xs if bool(np.all(xs[:-1] <= xs[1:])) else np.sort(xs)
+
+
+_PLOT_BLOCK = 1 << 13  # sample points per plot block: its temporaries stay a few hundred KB
+
+
+def weibull_plot_blocks(samples) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The empirical Weibull plot of :func:`weibull_plot_from_samples`, as
+    (ln x, ln(-ln S)) blocks of at most 8,192 sample points each.
+
+    A sample already in non-decreasing order is read in place, so a caller
+    holding the sorted sample allocates nothing that grows with it.  The
+    dropped points are logged once, after the last block.
+    """
+    xs = _ascending(samples)
+    dropped = 0
+    for lo in range(0, max(xs.size, 1), _PLOT_BLOCK):  # an empty sample: one empty block
+        x = xs[lo:lo + _PLOT_BLOCK]
+        sf = 1.0 - np.arange(lo + 1, lo + x.size + 1) / xs.size
+        lx, ly, d = _plot_points(x, sf)
+        dropped += d
+        yield lx, ly
+    _log_dropped(dropped)
 
 
 def weibull_plot_from_samples(samples) -> tuple[np.ndarray, np.ndarray]:
     """Empirical Weibull plot: sorted sample against 1 - i/n survival."""
-    xs = np.sort(np.asarray(samples, dtype=float))
-    sf = 1.0 - np.arange(1, xs.size + 1) / xs.size
-    return weibull_plot_points(xs, sf)
+    lx, ly = zip(*weibull_plot_blocks(samples))
+    return np.concatenate(lx), np.concatenate(ly)
 
 
 @dataclass(frozen=True)
@@ -222,9 +260,10 @@ def lower_tail_slope(samples, window: tuple[float, float] = (1e-5, 1e-3)) -> Tai
     The slope is the effective Weibull shape of the lower tail; dividing by the
     component shape gives the inflation factor.  A window holding a strength
     that is not finite and > 0 has no Weibull-plot point there and raises
-    ``ArithmeticError`` naming how many.
+    ``ArithmeticError`` naming how many.  A sample already in non-decreasing
+    order is read in place, not sorted again.
     """
-    xs = np.sort(np.asarray(samples, dtype=float))
+    xs = _ascending(samples)
     pos = tail_window(xs.size, window)
     tail = xs[pos.start:pos.stop]
     bad = np.count_nonzero(~((tail > 0) & (tail < math.inf)))  # NaN counts too

@@ -233,7 +233,13 @@ class MixingDensity:
         """E[Theta**r] under the normalized density."""
         if self.is_atom:
             return self.shift**r
-        return self._integrate(lambda t: self._raw(t) * t**r) / self.normalizer
+
+        def integrand(t):
+            # a power past the float range is inf, which the quadrature rejects by name
+            with np.errstate(over="ignore", invalid="ignore"):
+                return self._raw(t) * t**r
+
+        return self._integrate(integrand) / self.normalizer
 
     def gamma_mixture_pdf(self, shape: int, z) -> float | np.ndarray:
         """Integral of gamma(shape, rate=theta) density at z over this mixing law.

@@ -763,6 +763,20 @@ class TestCycles:
         slow = np.array([cycles_to_failure(row, rule, st, 0.4, 0.7) for row in x])
         assert np.array_equal(ks, slow)
 
+    def test_counts_across_a_block_boundary(self):
+        # the counts overwrite the strengths block by block, in the same int64 array
+        rule, st = EqualRule(2), StructureFunction.parallel(2)
+        model = unit_exponential()
+        replicas = cascade._BLOCK + 300
+        ks = cycles_to_failure_samples(model, rule, st, s_star=0.3, a=0.8,
+                                       replicas=replicas, seed=21)
+        assert ks.dtype == np.int64 and ks.size == replicas
+        rng = cascade._chunk_rng(21, 0)
+        x = np.concatenate([model.sample(rng, 2, cascade._BLOCK), model.sample(rng, 2, 300)])
+        slow = np.array([cycles_to_failure(row, rule, st, 0.3, 0.8) for row in x])
+        assert np.array_equal(ks, slow)
+        assert np.ptp(ks[cascade._BLOCK - 50:]) > 0
+
     def test_median_cycles_monotone_in_a(self):
         medians = []
         for a in (0.5, 0.7, 0.9):

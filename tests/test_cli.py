@@ -4,9 +4,11 @@ import argparse
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -310,6 +312,38 @@ class TestCycles:
         assert rc == 0
         summary = json.loads((out / "cycles_summary.json").read_text())
         assert summary["q5"] <= summary["q50"] <= summary["q95"]
+
+    def test_unallocatable_replica_count_is_a_usage_error(self, tmp_path):
+        # the child caps its own address space, so the 80 GB array fails to allocate
+        script = ("import resource, sys\n"
+                  "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))\n"
+                  "import fiberbundle.cli as cli\n"
+                  "sys.exit(cli.main(sys.argv[1:]))\n")
+        argv = ["cycles", "--rows", "2", "--cols", "2", "--replicas", "10000000000",
+                "--out", str(tmp_path / "cy")]
+        proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                              text=True, env=_child_env(), timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert re.fullmatch(r"error: 10000000000 replicas: [^\n]*\n", proc.stderr), proc.stderr
+        assert not (tmp_path / "cy" / "cycles.csv").exists()
+
+
+@pytest.mark.parametrize("command, per_replica", [("cycles", 16), ("simulate", 24)])
+def test_memory_per_replica(tmp_path, command, per_replica):
+    # the sampler's one 8-byte strength array, plus what the command holds beside it
+    # while it writes; a first small run loads what any run loads
+    grid = [command, "--rows", "2", "--cols", "2", "--workers", "1"]
+    window = ["--tail-lo", "1e-3", "--tail-hi", "1e-1"] if command == "simulate" else []
+    assert main([*grid, "--replicas", "20000", *window, "--out", str(tmp_path / "warm")]) == 0
+    replicas = 400_000
+    tracemalloc.start()
+    try:
+        rc = main([*grid, "--replicas", str(replicas), "--out", str(tmp_path / "run")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert peak / replicas <= per_replica, peak / replicas
 
 
 class TestGibbsCommand:
@@ -718,6 +752,13 @@ print(json.dumps({"loaded": loaded, "after_gibbs": after_gibbs, "analyze": rc_an
 """
 
 
+def _child_env():
+    """This process's environment, with the package under test first on the path."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 _MODULES_LOADED = """
 import json, sys
 def loaded():
@@ -731,11 +772,8 @@ print(json.dumps({"on_import": on_import, "rc": rc, "after": loaded()}))
 
 
 def _modules_loaded(*argv):
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-c", _MODULES_LOADED, *argv],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=_child_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["rc"] == 0
@@ -757,23 +795,17 @@ def test_each_command_loads_only_its_modules(tmp_path):
 def test_density_loads_no_numpy_polynomial(tmp_path):
     script = ("import sys\nimport fiberbundle.cli as cli\nrc = cli.main(sys.argv[1:])\n"
               "print(rc, sorted(k for k in sys.modules if k.startswith('numpy.polynomial')))")
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     argv = ["density", "--kind", "order-stat-joint", "--k", "4", "--l", "9", "--n", "12",
             "--out", str(tmp_path / "d")]
     proc = subprocess.run([sys.executable, "-c", script, *argv],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=_child_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "[]"]
 
 
 def test_cli_import_loads_no_scipy(tmp_path):
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-c", _SCIPY_ON_DEMAND, str(tmp_path)],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=_child_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["loaded"] == []

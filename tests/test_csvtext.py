@@ -69,6 +69,16 @@ class TestWriter:
         write_rows(tmp_path / "rows.csv", header, zip(*cols))
         assert (tmp_path / "cols.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
+    def test_column_blocks_equal_whole_columns(self, tmp_path):
+        # uneven blocks, an empty one among them, re-split at the writer's own size
+        size = csvtext._CSV_BLOCK + 17
+        cols = [np.arange(size) - 5, _float_column(size, 4), _float_column(size, 5)]
+        cuts = [0, 3, 3, csvtext._CSV_BLOCK + 9, size]
+        blocks = ([c[lo:hi] for c in cols] for lo, hi in zip(cuts, cuts[1:]))
+        cli._write_csv(tmp_path / "whole.csv", list("abc"), *cols)
+        cli._write_csv(tmp_path / "blocks.csv", list("abc"), blocks=blocks)
+        assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
     def test_one_float_call_per_block(self, tmp_path, monkeypatch):
         calls = []
 

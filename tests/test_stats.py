@@ -1,6 +1,8 @@
 """Censored-data estimators and the partition-based Dirichlet posterior."""
 
+import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -196,8 +198,49 @@ class TestWeibullPlot:
         lx, ly = st.weibull_plot_from_samples(xs)
         assert lx.size == 999  # the maximum has empirical survival 0
 
+    def test_blocks_equal_the_whole_plot(self, caplog):
+        # three blocks; zero strengths (dropped) and a run of ties across the first bound
+        rng = np.random.default_rng(6)
+        block = st._PLOT_BLOCK
+        xs = np.sort(rng.weibull(2.0, size=2 * block + 500))
+        xs[:40] = 0.0
+        xs[block - 100:block + 100] = xs[block - 100]
+        rng.shuffle(xs)
+        ranks = np.arange(1, xs.size + 1) / xs.size
+        want = st.weibull_plot_points(np.sort(xs), 1.0 - ranks)
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="fiberbundle.stats"):
+            blocks = list(st.weibull_plot_blocks(xs))
+        assert len(blocks) == 3
+        got = [np.concatenate(b) for b in zip(*blocks)]
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert [r.getMessage() for r in caplog.records] == [
+            "weibull_plot_points: dropped 41 points with survival 0 or 1"]
+        whole = st.weibull_plot_from_samples(xs)
+        assert all(np.array_equal(g, w) for g, w in zip(whole, want))
+        assert [a.size for a in st.weibull_plot_from_samples([])] == [0, 0]
+
+    def test_a_sorted_sample_is_read_in_place(self):
+        # a sort would copy the sample; the order check takes one byte a point
+        xs = np.sort(np.random.default_rng(7).weibull(2.0, size=400_000))
+        tracemalloc.start()
+        try:
+            for _ in st.weibull_plot_blocks(xs):
+                pass
+            st.lower_tail_slope(xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < xs.nbytes / 2
+
 
 class TestLowerTailSlope:
+    def test_sorted_and_shuffled_input_give_the_same_fit(self):
+        rng = np.random.default_rng(8)
+        xs = np.sort(rng.weibull(3.0, size=50_000))
+        shuffled = rng.permutation(xs)
+        assert st.lower_tail_slope(shuffled, (1e-3, 1e-1)) == st.lower_tail_slope(xs, (1e-3, 1e-1))
+
     def test_exact_weibull_samples(self):
         model = StrengthModel("weibull", 5.0, 2.0)
         xs = model.sample(np.random.default_rng(3), 1, 2_000_000).ravel()

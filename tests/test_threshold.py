@@ -2,6 +2,7 @@
 
 import logging
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -574,6 +575,14 @@ class TestLowerTailConstant:
     def test_atom_moment_path(self):
         # minimum of n exponentials: point-mass mixing at n gives K = n
         assert th.lower_tail_constant(1, mixing=th.order_stat_mixing(1, 5)) == pytest.approx(5.0)
+
+    def test_overflowing_moment_raises_without_a_warning(self):
+        # t**1000 overflows on the support [5, 7]; the quadrature names where
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArithmeticError, match=r"^integrand is inf at t = 5\.0\d+, "
+                               r"in the panel \[5\.0, 6\.0\] of \[5\.0, 7\.0\]$"):
+                th.lower_tail_constant(1000, mixing=th.order_stat_mixing(3, 7))
 
     def test_requires_enough_points(self):
         with pytest.raises(ValueError, match="replica"):
