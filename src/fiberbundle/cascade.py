@@ -584,15 +584,23 @@ def sample_bundle_strengths(model: StrengthModel, rule: Rule, structure: Structu
 
 def chain_strength(samples, chain: ChainSpec, seed: int = 0,
                    draws: int | None = None) -> np.ndarray:
-    """Chain-of-bundles strengths: minima of m draws from the bundle pool."""
+    """Chain-of-bundles strengths: minima of m draws from the bundle pool.
+
+    The (draws, m) pool indices are drawn and reduced ``_BLOCK`` rows at a
+    time. The generator's stream runs on from one call to the next, so the
+    result equals one draw of all the rows at once.
+    """
     pool = np.asarray(samples, dtype=float)
     if pool.size == 0:
         raise ValueError("bundle sample pool is empty")
     if draws is None:
         draws = max(1, pool.size // chain.m)
     rng = np.random.default_rng([seed])
-    idx = rng.integers(0, pool.size, size=(draws, chain.m))
-    return pool[idx].min(axis=1)
+    out = np.empty(draws)
+    for lo in range(0, draws, _BLOCK):
+        idx = rng.integers(0, pool.size, size=(min(_BLOCK, draws - lo), chain.m))
+        np.min(pool[idx], axis=1, out=out[lo:lo + _BLOCK])
+    return out
 
 
 def cycles_to_failure(x, rule: Rule, structure: StructureFunction,

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .distributions import FAMILIES, StrengthModel
+from .distributions import FAMILIES, StrengthModel, _linear_quantiles
 
 if TYPE_CHECKING:
     from .cascade import StructureFunction
@@ -496,7 +496,7 @@ def cmd_cycles(cfg: dict) -> None:
     summary = {"mean": float(counts.mean()), "max": int(counts.max())}
     levels = (5, 25, 50, 75, 95)
     # partitions the counts in place; the mean above was summed in sample order
-    qs = np.quantile(counts, np.array(levels) / 100, overwrite_input=True).tolist()
+    qs = _linear_quantiles(counts, np.array(levels) / 100, overwrite=True).tolist()
     summary.update((f"q{q}", v) for q, v in zip(levels, qs))
     _write_json(outdir / "cycles_summary.json", summary)
     _manifest(outdir, "cycles", cfg)

@@ -88,7 +88,57 @@ class StrengthModel:
         """
         e = rng.standard_exponential((size, n))
         with np.errstate(over="ignore"):
-            return self._scale_array(n) * e ** (1.0 / self.rho)
+            e **= 1.0 / self.rho  # in place, through the same power loop as e ** (1 / rho)
+            return np.multiply(self._scale_array(n), e, out=e)
+
+
+def _linear_quantiles(a, q, overwrite: bool = False):
+    """Quantiles of the flattened sample ``a`` at the fractions ``q`` in [0, 1]
+    by linear interpolation between order statistics (Hyndman & Fan's 1996
+    method 7).
+
+    For a float64 or integer sample and float ``q`` the result has the bytes
+    of ``np.quantile(a, q, method="linear")``: the same virtual index
+    (n - 1) q, the same clamped neighbours, the same two-sided interpolation,
+    NaN when the sample holds one, and a scalar for a 0-d ``q``. The order
+    statistics come from one ``partition`` on a kth list sorted here;
+    ``np.quantile`` sorts it with ``np.unique``, which imports ``numpy.ma``.
+    ``a`` must be nonempty; ``overwrite=True`` partitions ``a`` itself, an
+    ndarray, in place.
+    """
+    a = np.asarray(a)
+    arr = a.ravel() if overwrite else a.flatten()
+    n = arr.size
+    q = np.asarray(q, dtype=float)
+    virtual = (n - 1) * q.ravel()
+    below = np.floor(virtual)
+    top, bottom = virtual >= n - 1, virtual < 0
+    prev = np.where(bottom, 0, np.where(top, -1, below)).astype(np.intp)
+    nxt = np.where(bottom, 0, np.where(top, -1, below + 1)).astype(np.intp)
+    arr.partition(sorted({0, n - 1, *(prev % n).tolist(), *(nxt % n).tolist()}))
+    lo, hi = arr[prev], arr[nxt]
+    gamma = virtual - prev
+    diff = hi - lo
+    result = lo + diff * gamma
+    # from above where gamma >= 0.5, as np.quantile's _lerp does
+    np.subtract(hi, diff * (1 - gamma), out=result, where=gamma >= 0.5)
+    if arr.dtype.kind == "f" and np.isnan(arr[-1]):
+        result[:] = arr[-1]
+    return result.reshape(q.shape)[()]
+
+
+def _median(a):
+    """``np.median`` of the nonempty flattened sample ``a``, with its bytes:
+    the mean of the one or two middle order statistics, or the sample's NaN.
+    One ``partition`` of a copy selects them, so ``numpy.ma``, which
+    ``np.median``'s NaN check imports, stays unloaded."""
+    arr = np.asarray(a).flatten()
+    half = arr.size // 2
+    lo = half - 1 + arr.size % 2
+    arr.partition(sorted({lo, half, arr.size - 1}))
+    if arr.dtype.kind == "f" and np.isnan(arr[-1]):
+        return arr[-1]
+    return arr[lo:half + 1].mean()
 
 
 def component_laws(dist, n: int) -> list:

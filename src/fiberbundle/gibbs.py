@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .distributions import component_laws
+from .distributions import _linear_quantiles, _median, component_laws
 from .loadshare import Configuration, Rule, share_rows, share_table
 
 __all__ = [
@@ -253,7 +253,7 @@ def lmf_fit(model_ref: GibbsModel, model_target: GibbsModel,
 
     sizes = model_ref.potentials.sizes
     medians = tuple(
-        float(np.median(model_ref.potentials.values[sizes == k])) for k in range(1, n + 1)
+        float(_median(model_ref.potentials.values[sizes == k])) for k in range(1, n + 1)
     )
 
     # reduced energy: zeta of the reference potentials is -U_ref
@@ -277,8 +277,9 @@ def lmf_fit(model_ref: GibbsModel, model_target: GibbsModel,
 def strength_percentile(samples, p: float | Sequence[float]) -> float | list[float]:
     """p-th percentile (0 < p < 100) with linear order-statistic interpolation.
 
-    A sequence of p gives the list of their percentiles from one
-    ``np.quantile`` call, each equal to the call for that p alone.
+    A sequence of p gives the list of their percentiles from one selection
+    on a copy of the sample, each equal to the call for that p alone and,
+    byte for byte, to ``np.quantile(samples, p / 100, method="linear")``.
     """
     arr = np.asarray(samples, dtype=float)
     if arr.size == 0:
@@ -286,4 +287,4 @@ def strength_percentile(samples, p: float | Sequence[float]) -> float | list[flo
     ps = np.asarray(p, dtype=float)
     if not np.all((0.0 < ps) & (ps < 100.0)):
         raise ValueError("percentile must lie in (0, 100)")
-    return np.quantile(arr, ps / 100.0, method="linear").tolist()
+    return _linear_quantiles(arr, ps / 100.0).tolist()

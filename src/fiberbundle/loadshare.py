@@ -38,7 +38,6 @@ __all__ = [
     "UnitRule",
 ]
 
-_CONDITION_LIMIT = 1e12
 _ROW_SUM_TOL = 1e-9
 _REL_TOL = 1e-9  # relative drop in a share that counts as non-monotone
 _TABLE_MAX_BYTES = 256 << 20  # 2^n * n float64 shares: n <= 20; n * n transitions: n <= 5,792
@@ -284,7 +283,7 @@ def absorption_probabilities(p: TransitionMatrix, a: Configuration) -> Absorptio
     if not dev <= _ROW_SUM_TOL:  # NaN fails too
         raise SingularAbsorptionError(
             f"absorption rows do not sum to 1 (max dev {dev:.3e}, "
-            f"cond {np.linalg.cond(m):.3e} vs limit {_CONDITION_LIMIT:.0e})"
+            f"cond {np.linalg.cond(m):.3e})"
         )
     return AbsorptionResult(failed, working, u)
 

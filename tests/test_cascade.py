@@ -664,6 +664,15 @@ class TestChain:
         out = chain_strength(pool, ChainSpec(2), seed=2)
         assert sps.kstest(out, lambda x: 1 - (1 - x) ** 2).statistic < 0.01
 
+    @pytest.mark.parametrize("m", [3, 5, 22])
+    def test_blocks_equal_one_draw_of_every_row(self, monkeypatch, m):
+        # 7-row blocks of m indices: odd counts of 32-bit draws per block, the last block short
+        monkeypatch.setattr(cascade, "_BLOCK", 7)
+        pool = np.random.default_rng(4).uniform(size=1001)
+        idx = np.random.default_rng([9]).integers(0, pool.size, size=(101, m))
+        assert np.array_equal(chain_strength(pool, ChainSpec(m), seed=9, draws=101),
+                              pool[idx].min(axis=1))
+
     def test_chain_validation(self):
         with pytest.raises(ValueError):
             ChainSpec(0)

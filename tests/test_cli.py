@@ -328,12 +328,15 @@ class TestCycles:
         assert not (tmp_path / "cy" / "cycles.csv").exists()
 
 
-@pytest.mark.parametrize("command, per_replica", [("cycles", 16), ("simulate", 24)])
+@pytest.mark.parametrize("command, per_replica", [
+    ("cycles", 16), ("simulate", 24),
+    pytest.param("simulate --chain 2", 24, id="simulate-chain-24"),
+])
 def test_memory_per_replica(tmp_path, command, per_replica):
     # the sampler's one 8-byte strength array, plus what the command holds beside it
     # while it writes; a first small run loads what any run loads
-    grid = [command, "--rows", "2", "--cols", "2", "--workers", "1"]
-    window = ["--tail-lo", "1e-3", "--tail-hi", "1e-1"] if command == "simulate" else []
+    grid = [*command.split(), "--rows", "2", "--cols", "2", "--workers", "1"]
+    window = ["--tail-lo", "1e-3", "--tail-hi", "1e-1"] if command.startswith("simulate") else []
     assert main([*grid, "--replicas", "20000", *window, "--out", str(tmp_path / "warm")]) == 0
     replicas = 400_000
     tracemalloc.start()
@@ -801,6 +804,20 @@ def test_density_loads_no_numpy_polynomial(tmp_path):
                           capture_output=True, text=True, env=_child_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "[]"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["gibbs", *_SMALL, "--replicas", "2000", "--percentiles", "10,50,90", "--workers", "1"],
+    ["cycles", *_SMALL, "--replicas", "2000", "--workers", "1"],
+], ids=["gibbs", "cycles"])
+def test_percentiles_load_no_numpy_ma(tmp_path, argv):
+    # np.quantile and np.median import numpy.ma; the commands select order statistics themselves
+    script = ("import sys\nimport fiberbundle.cli as cli\nrc = cli.main(sys.argv[1:])\n"
+              "print(rc, 'numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", script, *argv, "--out", str(tmp_path / "o")],
+                          capture_output=True, text=True, env=_child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]
 
 
 def test_cli_import_loads_no_scipy(tmp_path):

@@ -292,6 +292,14 @@ class TestStrengthPercentile:
         assert got == [gb.strength_percentile(data, p) for p in ps]
         assert all(type(v) is float for v in got)
 
+    def test_sample_is_left_in_its_order(self):
+        data = np.random.default_rng(6).weibull(5.0, 1001)
+        kept = data.copy()
+        level = gb.strength_percentile(data, 37.5)
+        assert type(level) is float
+        assert level == float(np.quantile(kept, 0.375))
+        assert np.array_equal(data, kept)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             gb.strength_percentile([], 50)

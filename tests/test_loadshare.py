@@ -1,6 +1,7 @@
 """Grid graphs, transition matrices, absorption solves, and rule properties."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -171,6 +172,16 @@ class TestAbsorption:
             absorption_probabilities(tm, Configuration(4, frozenset({0})))
         with pytest.raises(SingularAbsorptionError):
             share_table(AbsorbingRule(tm), 4)
+
+    def test_ill_conditioned_rows_report_the_condition_number_alone(self):
+        # failed node 1 leaks 1e-9 of its walk to the working node 0: cond(I - Q) is
+        # 4e9 and the rows miss 1 by 3e-8; no condition-number limit is enforced
+        tm = TransitionMatrix(np.array([[0, 1, 0], [1e-9, 0, 1 - 1e-9], [0, 1, 0]]))
+        with pytest.raises(SingularAbsorptionError) as err:
+            absorption_probabilities(tm, Configuration(3, frozenset({0})))
+        msg = str(err.value)
+        assert re.fullmatch(r"absorption rows do not sum to 1 \(max dev \S+, cond 4\.\d{3}e\+09\)",
+                            msg), msg
 
 
 class TestAbsorbingLoadShare:
