@@ -19,6 +19,7 @@ same chunks.
 from __future__ import annotations
 
 import functools
+import math
 import re
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -50,7 +51,7 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 16  # replicas per (seed, chunk) generator: fixes the sample stream
-_BLOCK = 1 << 13  # replicas drawn and run at a time: keeps the kernel's arrays in cache
+_BLOCK = 1 << 12  # replicas drawn and run at a time: bounds the kernel's (rows, n) temporaries
 
 
 @dataclass(frozen=True)
@@ -547,7 +548,7 @@ def sample_bundle_strengths(model: StrengthModel, rule: Rule, structure: Structu
     Deterministic in (seed, replica index): replicas are generated in fixed
     chunks with a per-chunk generator keyed by (seed, chunk), so the output
     is byte-identical regardless of the worker count.  Each chunk is drawn
-    and run in blocks of 8,192 replicas, straight into the one returned array
+    and run in blocks of 4,096 replicas, straight into the one returned array
     (as each worker's chunk arrives, with workers), so the sampler's working
     memory does not grow with ``replicas``.  Blocks run the
     vectorized kernel (one flat step loop, strengths equal to
@@ -586,9 +587,9 @@ def chain_strength(samples, chain: ChainSpec, seed: int = 0,
                    draws: int | None = None) -> np.ndarray:
     """Chain-of-bundles strengths: minima of m draws from the bundle pool.
 
-    The (draws, m) pool indices are drawn and reduced ``_BLOCK`` rows at a
-    time. The generator's stream runs on from one call to the next, so the
-    result equals one draw of all the rows at once.
+    The (draws, m) pool indices are drawn and reduced ``_BLOCK`` (4,096)
+    rows at a time. The generator's stream runs on from one call to the next,
+    so the result equals one draw of all the rows at once.
     """
     pool = np.asarray(samples, dtype=float)
     if pool.size == 0:
@@ -612,8 +613,7 @@ def cycles_to_failure(x, rule: Rule, structure: StructureFunction,
     cycles is one quasistatic ramp of the effective load s_star / a**(k-1),
     so the count is the first k with a**(k-1) * S* <= s_star.
     """
-    if s_star <= 0:
-        raise ValueError("s_star must be positive")
+    _check_s_star(s_star)
     _check_degradation(a)
     s = simulate_cascade(x, rule, structure).strength
     k = 1
@@ -621,6 +621,11 @@ def cycles_to_failure(x, rule: Rule, structure: StructureFunction,
         s *= a
         k += 1
     return k
+
+
+def _check_s_star(s_star: float):
+    if not 0 < s_star < math.inf:  # NaN fails too
+        raise ValueError(f"s_star must be positive and finite, got {s_star}")
 
 
 def _check_degradation(a: float):
@@ -640,8 +645,7 @@ def cycles_to_failure_samples(model: StrengthModel, rule: Rule, structure: Struc
     a time, so the sampler's one array is all the memory that grows with
     ``replicas``.
     """
-    if s_star <= 0:
-        raise ValueError("s_star must be positive")
+    _check_s_star(s_star)
     _check_degradation(a)
     strengths = sample_bundle_strengths(model, rule, structure, replicas, seed, workers)
     counts = strengths.view(np.int64)

@@ -158,8 +158,8 @@ def cycles_to_failure_samples(*args, **kwargs) -> np.ndarray:
 
 
 def _positive(value) -> None:
-    if value <= 0:
-        raise ValueError(f"must be positive, got {value}")
+    if not 0 < value < math.inf:  # NaN fails too
+        raise ValueError(f"must be positive and finite, got {value}")
 
 
 def _non_negative(value) -> None:
@@ -392,6 +392,11 @@ def cmd_gibbs(cfg: dict) -> None:
             workers=_workers(cfg),
         )
     levels = dict(zip(ps, gibbs.strength_percentile(samples, ps)))
+    for p, level in levels.items():
+        if not level > 0:  # build_gibbs would reject the load as a usage error
+            raise ArithmeticError(
+                f"the {p} percentile strength level is {level}: the strength underflowed, "
+                "and the state measure needs a positive load")
     models = {p: gibbs.build_gibbs(n, levels[p], rule, model) for p in ps}
     ref = models[ps[0]]
     _write_csv(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,14 +27,15 @@ class StrengthModel:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
+        # 0 < v < inf rejects NaN too
         if isinstance(self.scale, (list, tuple, np.ndarray)):
             object.__setattr__(self, "scale", tuple(float(s) for s in self.scale))
-            if any(s <= 0 for s in self.scale):
-                raise ValueError("all scale parameters must be positive")
-        elif self.scale <= 0:
-            raise ValueError("scale must be positive")
-        if self.shape <= 0:
-            raise ValueError("shape must be positive")
+            if not all(0 < s < math.inf for s in self.scale):
+                raise ValueError("all scale parameters must be positive and finite")
+        elif not 0 < self.scale < math.inf:
+            raise ValueError(f"scale must be positive and finite, got {self.scale}")
+        if not 0 < self.shape < math.inf:
+            raise ValueError(f"shape must be positive and finite, got {self.shape}")
         if self.family == "exponential" and self.shape != 1.0:
             raise ValueError("exponential family has fixed shape 1")
 

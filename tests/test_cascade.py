@@ -449,7 +449,7 @@ class TestSampling:
 
     def test_sampler_memory_does_not_grow_with_the_chunk(self):
         # a whole 65,536 x 12 chunk takes 6.3 MB per temporary (27 MiB peak);
-        # 8,192-row blocks keep the peak under 5 MiB
+        # 4,096-row blocks keep the peak near 2.2 MiB (4.0 MiB at 8,192 rows)
         rule, structure = grid_rule(3, 4), StructureFunction.column_paths(3, 4)
         share_table(rule, 12)
         tracemalloc.start()
@@ -459,7 +459,7 @@ class TestSampling:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 << 20
+        assert peak < 3 << 20
 
     def test_kernel_handles_zero_strengths(self):
         # a zero strength fails at load 0; the bundle then carries on with the rest
@@ -723,6 +723,16 @@ class TestCycles:
         with pytest.raises(ValueError, match="first cycle"):
             cycles_to_failure([1.0], EqualRule(1), StructureFunction.parallel(1),
                               s_star=0.5, a=a)
+
+    @pytest.mark.parametrize("s_star", [0.0, -1.0, math.nan, math.inf])
+    def test_non_positive_or_non_finite_peak_rejected(self, s_star):
+        with pytest.raises(ValueError, match="s_star must be positive and finite"):
+            cycles_to_failure([1.0], EqualRule(1), StructureFunction.parallel(1),
+                              s_star=s_star, a=0.8)
+        with pytest.raises(ValueError, match="s_star must be positive and finite"):
+            cycles_to_failure_samples(unit_exponential(), EqualRule(1),
+                                      StructureFunction.parallel(1), s_star=s_star, a=0.8,
+                                      replicas=10)
 
     def test_explicit_cycle_replay_oracle(self):
         # independent slow path: actually run the per-cycle cascades against

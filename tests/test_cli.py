@@ -328,6 +328,19 @@ class TestCycles:
         assert not (tmp_path / "cy" / "cycles.csv").exists()
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("simulate", "--shape", "nan"), ("simulate", "--scale", "nan"),
+    ("simulate", "--shape", "inf"), ("simulate", "--scale", "inf"),
+    ("cycles", "--s-star", "nan"), ("cycles", "--s-star", "inf"),
+])
+def test_non_finite_model_or_load_is_a_usage_error(tmp_path, capsys, command, flag, value):
+    out = tmp_path / "o"
+    assert main([command, "--rows", "2", "--cols", "2", "--replicas", "2000", "--workers", "1",
+                 flag, value, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {flag}: must be positive and finite, got {value}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, per_replica", [
     ("cycles", 16), ("simulate", 24),
     pytest.param("simulate --chain 2", 24, id="simulate-chain-24"),
@@ -405,6 +418,23 @@ class TestGibbsCommand:
 
             monkeypatch.setitem(cli._COMMANDS, "analyze", (fail, cli._COMMANDS["analyze"][1]))
             assert main(["analyze", "--out", str(tmp_path / "o")]) == code
+
+    def test_underflowed_strength_level_is_numerical(self, tmp_path, capsys, monkeypatch):
+        # under Weibull(0.01, 1e-300) the 10th percentile strength underflows to 0.0;
+        # that is no usage error, and the run stops before it builds any measure
+        from fiberbundle import gibbs
+
+        def never(*args):
+            raise AssertionError("build_gibbs ran")
+
+        monkeypatch.setattr(gibbs, "build_gibbs", never)
+        assert main([
+            "gibbs", "--rows", "2", "--cols", "2", "--replicas", "2000", "--shape", "0.01",
+            "--scale", "1e-300", "--percentiles", "10,50", "--workers", "1",
+            "--out", str(tmp_path / "o"),
+        ]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: the 10.0 percentile strength level is 0.0"), err
 
     def test_too_large_grid_rejected(self, tmp_path):
         assert main([
@@ -818,6 +848,19 @@ def test_percentiles_load_no_numpy_ma(tmp_path, argv):
                           capture_output=True, text=True, env=_child_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "False"]
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    run = [sys.executable, "-m", "fiberbundle"]
+    proc = subprocess.run([*run, "--help"], capture_output=True, text=True, env=_child_env(),
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: fiberbundle ")
+    # the exit code is main's
+    proc = subprocess.run([*run, "cycles", "--s-star", "nan", "--out", str(tmp_path / "o")],
+                          capture_output=True, text=True, env=_child_env(), timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: --s-star: must be positive and finite, got nan\n"
 
 
 def test_cli_import_loads_no_scipy(tmp_path):

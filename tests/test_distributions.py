@@ -1,5 +1,6 @@
 """Strength laws and the order-statistic helpers the commands take percentiles with."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -90,3 +91,14 @@ def test_sample_holds_one_array():
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * x.nbytes, peak / x.nbytes
+
+
+@pytest.mark.parametrize("shape, scale, named", [
+    (math.nan, 1.0, "shape"), (math.inf, 1.0, "shape"), (0.0, 1.0, "shape"),
+    (5.0, math.nan, "scale"), (5.0, math.inf, "scale"), (5.0, -1.0, "scale"),
+    (5.0, (1.0, math.nan), "scale parameters"), (5.0, (math.inf, 1.0), "scale parameters"),
+], ids=["shape-nan", "shape-inf", "shape-zero", "scale-nan", "scale-inf", "scale-negative",
+        "vector-nan", "vector-inf"])
+def test_parameters_must_be_positive_and_finite(shape, scale, named):
+    with pytest.raises(ValueError, match=f"{named} must be positive and finite"):
+        StrengthModel("weibull", shape, scale)
