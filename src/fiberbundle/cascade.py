@@ -273,7 +273,7 @@ def _share_walk(rule: Rule, n: int) -> Callable[[frozenset[int]], list[float]]:
     Asking again for the latest set returns its row without a call, and the
     empty set's row is all zeros.  A member whose share drops from the
     previous set's by more than the relative tolerance raises
-    :class:`NonMonotoneRuleError`.
+    :class:`NonMonotoneRuleError` (set, previous set, member).
     """
     empty = [0.0] * n
     latest: list = [None, empty]
@@ -289,8 +289,8 @@ def _share_walk(rule: Rule, n: int) -> Callable[[frozenset[int]], list[float]]:
         for j in working:
             if row[j] < prev[j] * (1.0 - _REL_TOL):
                 raise NonMonotoneRuleError(
-                    f"share of component {j} dropped from {prev[j]} to {row[j]} after removals"
-                )
+                    f"share of component {j} dropped from {prev[j]} to {row[j]} after removals",
+                    (working, latest[0], j))
         latest[:] = working, row
         return row
 
@@ -328,7 +328,8 @@ def simulate_cascade(x, rule: Rule, structure: StructureFunction) -> CascadeResu
     Each cycle finds the smallest load at which a survivor breaks, removes it,
     then repeatedly strips every component whose strength is no longer above
     its (recomputed) share of that load, one burst group per recomputation.
-    Stops once the survivor set contains no minimal path set.
+    Stops once the survivor set contains no minimal path set.  Phase-I
+    stresses never decrease (two may be equal), so none is checked here.
     """
     n = structure.n
     xs = _as_strengths(x, n)
@@ -343,10 +344,6 @@ def simulate_cascade(x, rule: Rule, structure: StructureFunction) -> CascadeResu
         ratios = [xs[i] / lam[i] for i in order]
         j = int(np.argmin(ratios))
         s_u, i0 = float(ratios[j]), order[j]
-        if stresses and s_u <= stresses[-1]:
-            raise NonMonotoneRuleError(
-                f"phase-I stress did not increase ({stresses[-1]} -> {s_u}); rule is not monotone"
-            )
         cur = working - {i0}
         groups: list[frozenset[int]] = []
         while cur:
@@ -374,7 +371,7 @@ def replay_pattern(pattern: BreakingPattern, x, rule: Rule, structure: Structure
     """Check a pattern against the strength vector by replaying its constraints.
 
     Verifies, cycle by cycle: the Phase-I equality defining each breaking
-    stress, strictly increasing stresses, Phase-I minimality, the lower/upper
+    stress, non-decreasing stresses, Phase-I minimality, the lower/upper
     share bounds bracketing every burst component, burst termination, and that
     the structure survives exactly until the final cycle.  Independent of the
     bookkeeping in :func:`simulate_cascade`, which it serves as an oracle for.
@@ -386,7 +383,7 @@ def replay_pattern(pattern: BreakingPattern, x, rule: Rule, structure: Structure
     for idx, (cyc, working, lam, bursts, cur, lam_t) in enumerate(
             _pattern_steps(pattern, rule, structure.n)):
         s_u = xs[cyc.phase1] / lam[cyc.phase1]
-        if idx and s_u <= prev_s:
+        if s_u < prev_s * lo:
             return False
         if any(xs[j] < lam[j] * s_u * lo for j in working if j != cyc.phase1):
             return False
@@ -611,16 +608,12 @@ def cycles_to_failure(x, rule: Rule, structure: StructureFunction,
     Strengths degrade comonotonically: after k completed cycles component i
     has strength a**k * x_i.  With a monotone rule the whole sequence of
     cycles is one quasistatic ramp of the effective load s_star / a**(k-1),
-    so the count is the first k with a**(k-1) * S* <= s_star.
+    so the count is the first k with a**(k-1) * S* <= s_star (``_cycle_counts``).
     """
     _check_s_star(s_star)
     _check_degradation(a)
     s = simulate_cascade(x, rule, structure).strength
-    k = 1
-    while s > s_star:
-        s *= a
-        k += 1
-    return k
+    return int(_cycle_counts(np.array([s]), s_star, a)[0])
 
 
 def _check_s_star(s_star: float):
@@ -650,19 +643,23 @@ def cycles_to_failure_samples(model: StrengthModel, rule: Rule, structure: Struc
     strengths = sample_bundle_strengths(model, rule, structure, replicas, seed, workers)
     counts = strengths.view(np.int64)
     for lo in range(0, strengths.size, _BLOCK):
-        s = strengths[lo:lo + _BLOCK]
-        k = np.ones(s.size, dtype=np.int64)
-        above = s > s_star
-        ratio = np.log(s_star / s[above]) / np.log(a)
-        kk = 1 + np.ceil(ratio).astype(np.int64)
-        # guard the ceil against round-off in either direction
-        down = (kk > 1) & (a ** (kk - 2) * s[above] <= s_star)
-        kk[down] -= 1
-        up = a ** (kk - 1) * s[above] > s_star
-        kk[up] += 1
-        k[above] = kk
-        counts[lo:lo + _BLOCK] = k  # the block's strengths are read by now
+        counts[lo:lo + _BLOCK] = _cycle_counts(strengths[lo:lo + _BLOCK], s_star, a)
     return counts
+
+
+def _cycle_counts(s: np.ndarray, s_star: float, a: float) -> np.ndarray:
+    """Per strength S in ``s``, the first k with a**(k-1) * S <= s_star (int64)."""
+    k = np.ones(s.size, dtype=np.int64)
+    above = s > s_star
+    ratio = np.log(s_star / s[above]) / np.log(a)
+    kk = 1 + np.ceil(ratio).astype(np.int64)
+    # guard the ceil against round-off in either direction
+    down = (kk > 1) & (a ** (kk - 2) * s[above] <= s_star)
+    kk[down] -= 1
+    up = a ** (kk - 1) * s[above] > s_star
+    kk[up] += 1
+    k[above] = kk
+    return k
 
 
 def enumerate_patterns(n: int) -> list[BreakingPattern]:

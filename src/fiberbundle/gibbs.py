@@ -121,9 +121,15 @@ def _odds_from_logsf(logsf: np.ndarray) -> np.ndarray:
     return logsf - np.log(-np.expm1(logsf))
 
 
+def _check_load(s: float):
+    if not 0 < s < np.inf:  # NaN fails too
+        raise ValueError(f"load must be positive and finite, got {s}")
+
+
 def log_odds(a: Configuration, i: int, s: float, rule: Rule, dist) -> float:
     """log of survival odds of component i at its shared load lambda_i(A) * s,
-    the share read through :func:`~fiberbundle.loadshare.share_rows`."""
+    the share read through :func:`~fiberbundle.loadshare.share_rows`; 0 < s < inf."""
+    _check_load(s)
     if i not in a.working:
         raise ValueError(f"component {i} is not in the working set")
     load = float(share_rows(rule, a.n, (a.mask,))[0, i]) * s
@@ -184,10 +190,9 @@ def build_gibbs(n: int, s: float, rule: Rule, dist) -> GibbsModel:
     Computes the per-component log odds at every configuration from the
     rule's share table, aggregates them, converts to potentials and energy by
     the subset-lattice transforms, and normalizes in log space.  The table's
-    byte bound limits n (n <= 20).
+    byte bound limits n (n <= 20); s must be positive and finite.
     """
-    if s <= 0:
-        raise ValueError("load must be positive")
+    _check_load(s)
     dists = component_laws(dist, n)
     table = share_table(rule, n)
     masks = np.arange(1 << n)

@@ -44,7 +44,12 @@ _TABLE_MAX_BYTES = 256 << 20  # 2^n * n float64 shares: n <= 20; n * n transitio
 
 
 class NonMonotoneRuleError(RuntimeError):
-    """A load share decreased after a removal; the rule is not monotone."""
+    """A load share decreased after a removal; the rule is not monotone.
+    ``counterexample`` is (A, B, j): j's share at A is below that at its superset B."""
+
+    def __init__(self, message: str, counterexample=None):  # unpickling passes the message only
+        super().__init__(message)
+        self.counterexample = counterexample
 
 
 class InvalidShareError(ValueError):
@@ -387,13 +392,6 @@ def share_rows(rule: Rule, n: int, masks) -> np.ndarray:
     return rows
 
 
-def _fill_table(rule: Rule, n: int) -> np.ndarray:
-    """(2^n, n) checked share table; the byte bound, checked first, limits n."""
-    _check_bytes(f"a share table for n = {n}", (1 << n) * n * 8,
-                 "use sampling for larger bundles")
-    return share_rows(rule, n, range(1 << n))
-
-
 def _first_drop(table: np.ndarray) -> tuple[int, int, int] | None:
     """First (mask, i, j) where removing component i from working-set ``mask``
     lowers survivor j's share by more than the relative tolerance, or None.
@@ -420,20 +418,23 @@ def share_table(rule: Rule, n: int) -> np.ndarray:
 
     Built by :func:`share_rows` over every mask, then checked for a share
     dropping after a failure (:class:`NonMonotoneRuleError`).  The latest table
-    is kept with its rule, matched by identity, so the sampler and the Gibbs
-    builder share one build.
+    is kept with its rule, matched by identity, so the sampler, the Gibbs
+    builder and :func:`verify_monotone` share one build.
     """
     last_rule, last = _last_table
     if last_rule is rule and last.shape[1] == n:
         return last
-    table = _fill_table(rule, n)
+    _check_bytes(f"a share table for n = {n}", (1 << n) * n * 8,
+                 "use sampling for larger bundles")
+    table = share_rows(rule, n, range(1 << n))
     drop = _first_drop(table)
     if drop is not None:
         mask, i, j = drop
+        a, b = (Configuration.from_mask(n, m).working for m in (mask & ~(1 << i), mask))
         raise NonMonotoneRuleError(
             f"share of component {j} dropped from {table[mask, j]} to "
-            f"{table[mask & ~(1 << i), j]} when component {i} failed from working-set mask {mask}"
-        )
+            f"{table[mask & ~(1 << i), j]} when component {i} failed from working-set mask {mask}",
+            (a, b, j))
     table.flags.writeable = False
     _last_table[:] = rule, table
     return table
@@ -443,23 +444,16 @@ def verify_monotone(rule: Rule, n: int) -> MonotoneCheck:
     """Check that failures never relieve a survivor: lambda_j(B) <= lambda_j(A)
     for every A subset of B containing j, plus valid shares.
 
-    Reads the whole share table, so n is bounded as for :func:`share_table`:
-    the first working set whose shares break the contract of :func:`share_table`
-    comes back as (B, B, -1), else the first single removal that lowers a
-    survivor's share as (A, B, j) with A = B minus the removed component.
-    Drops are measured relative to the larger share.
+    The verdict of :func:`share_table`, whose table it keeps: the first
+    working set B whose shares break the table's contract comes back as
+    (B, B, -1), else the counterexample of its :class:`NonMonotoneRuleError`,
+    the first single removal that lowers a survivor's share (relative 1e-9).
     """
-
-    def members(mask: int) -> frozenset[int]:
-        return Configuration.from_mask(n, mask).working
-
     try:
-        table = _fill_table(rule, n)
+        share_table(rule, n)
     except InvalidShareError as exc:
-        b = members(exc.mask)
+        b = Configuration.from_mask(n, exc.mask).working
         return MonotoneCheck(False, (b, b, -1))
-    drop = _first_drop(table)
-    if drop is None:
-        return MonotoneCheck(True, None)
-    bmask, i, j = drop
-    return MonotoneCheck(False, (members(bmask & ~(1 << i)), members(bmask), j))
+    except NonMonotoneRuleError as exc:
+        return MonotoneCheck(False, exc.counterexample)
+    return MonotoneCheck(True, None)

@@ -168,6 +168,7 @@ def test_criterion_06_threshold_dual_path():
         info["runtime"] = f"{elapsed:.1f}s"
 
 
+@pytest.mark.slow
 def test_criterion_07_pattern_density_oracle():
     with criterion(7, "pattern density vs Monte Carlo") as info:
         er = EqualRule(2)
@@ -218,6 +219,7 @@ def test_criterion_08_minimum_scaling():
         info["ks_r1000"] = f"{ks1000:.4f}"
 
 
+@pytest.mark.slow
 def test_criterion_09_inflation_factor(grid44_samples):
     with criterion(9, "inflation factor from grid tails") as info:
         samples, _, sim_elapsed = grid44_samples
@@ -246,6 +248,7 @@ def test_criterion_09_inflation_factor(grid44_samples):
         info["runtime"] = f"{elapsed:.0f}s (target 600s on 8 cores)"
 
 
+@pytest.mark.slow
 def test_criterion_10_lmf_linearity(grid44_samples):
     with criterion(10, "LMF linearity for the 4x4 grid") as info:
         samples, rule, _ = grid44_samples

@@ -78,6 +78,17 @@ class TestHandTraces:
             assert all(b > a for a, b in zip(res.phase1_stresses, res.phase1_stresses[1:]))
             assert all(s2 < s1 for s1, s2 in zip(res.survivor_sets, res.survivor_sets[1:]))
 
+    def test_equal_consecutive_stresses_accepted(self):
+        # 0.8850948042728252 survives the burst at share 1.5, but its own
+        # stress 0.8850948042728252 / 1.5 rounds to the first cycle's
+        x = [0.5900632028485501, 0.8850948042728252, 0.8850948042728252]
+        rule, st = EqualRule(3), StructureFunction.parallel(3)
+        res = simulate_cascade(x, rule, st)
+        fast = cascade._cascade_strengths_block(np.array([x]), share_table(rule, 3), st)
+        assert res.strength == fast[0] == 0.5900632028485501
+        assert res.phase1_stresses == (0.5900632028485501, 0.5900632028485501)
+        assert replay_pattern(res.pattern, x, rule, st)
+
     def test_column_structure_matches_parallel_for_one_row(self):
         x = [0.8, 0.5]
         a = simulate_cascade(x, EqualRule(2), StructureFunction.column_paths(1, 2))
@@ -501,7 +512,8 @@ class TestSampling:
         for row, res in zip(x, results):
             assert replay_pattern(res.pattern, row, rule, structure)
 
-    @pytest.mark.parametrize("rows, cols", [(4, 4), (2, 5)], ids=["4x4", "2x5"])
+    @pytest.mark.parametrize("rows, cols", [pytest.param(4, 4, marks=pytest.mark.slow, id="4x4"),
+                                            pytest.param(2, 5, id="2x5")])
     def test_kernel_equals_scalar_cascade_on_wide_grids(self, rows, cols):
         # one absorbing table (65,536 rows on 4x4), both structures
         n, rule = rows * cols, grid_rule(rows, cols)
@@ -795,6 +807,16 @@ class TestCycles:
         slow = np.array([cycles_to_failure(row, rule, st, 0.3, 0.8) for row in x])
         assert np.array_equal(ks, slow)
         assert np.ptp(ks[cascade._BLOCK - 50:]) > 0
+
+    def test_count_is_the_samplers_at_a_rounding_boundary(self, monkeypatch):
+        # a**10 * S is s_star exactly, but ten multiplications of S by a stay above it
+        S, s_star, a = 15.222729838750425, 1.2697400543594541, 0.7800496170575828
+        assert a ** 10 * S <= s_star < a ** 9 * S
+        rule, st = EqualRule(1), StructureFunction.parallel(1)
+        assert cycles_to_failure([S], rule, st, s_star, a) == 11
+        monkeypatch.setattr(cascade, "sample_bundle_strengths", lambda *args: np.array([S]))
+        ks = cycles_to_failure_samples(unit_exponential(), rule, st, s_star, a, replicas=1)
+        assert ks.tolist() == [11]
 
     def test_median_cycles_monotone_in_a(self):
         medians = []

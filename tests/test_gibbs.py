@@ -57,6 +57,12 @@ class TestLogOdds:
         with pytest.raises(gb.PositivityError, match="positivity"):
             gb.log_odds(Configuration(1, frozenset({0})), 0, 2.0, UnitRule(1), Bounded())
 
+    @pytest.mark.parametrize("s", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_load_rejected(self, s):
+        with pytest.raises(ValueError, match=f"load must be positive and finite, got {s}") as exc:
+            gb.log_odds(Configuration(3, frozenset(range(3))), 0, s, EqualRule(3), WEIBULL)
+        assert not isinstance(exc.value, gb.PositivityError)
+
     def test_deep_load_stays_finite(self):
         # survival underflows in plain arithmetic; log-space value must stay finite
         val = gb.log_odds(Configuration(1, frozenset({0})), 0, 12.8, UnitRule(1), WEIBULL)
@@ -161,6 +167,12 @@ class TestBuildGibbs:
                     assert logp[mask] - logp[mask ^ (1 << i)] == pytest.approx(
                         sigma_i, abs=1e-9
                     )
+
+    @pytest.mark.parametrize("s", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_load_rejected(self, s):
+        with pytest.raises(ValueError, match=f"load must be positive and finite, got {s}") as exc:
+            gb.build_gibbs(3, s, EqualRule(3), WEIBULL)
+        assert not isinstance(exc.value, gb.PositivityError)
 
     def test_enumeration_bound(self):
         with pytest.raises(ValueError, match="sampling"):

@@ -1,6 +1,7 @@
 """Grid graphs, transition matrices, absorption solves, and rule properties."""
 
 import math
+import pickle
 import re
 
 import numpy as np
@@ -358,6 +359,42 @@ class TestShareTable:
         with pytest.raises(NonMonotoneRuleError, match="dropped"):
             share_table(rule, 3)
         assert cascade.NonMonotoneRuleError is NonMonotoneRuleError
+
+    def test_counterexample_is_verify_monotones(self):
+        def size_rule(cfg):
+            return LoadShareVector({i: float(len(cfg.working)) for i in cfg.working})
+
+        full = frozenset(range(14))
+
+        def one_drop(cfg):
+            lam = EqualRule(14)(cfg).values
+            return LoadShareVector({**lam, 0: 0.5} if cfg.working == full - {13} else lam)
+
+        for rule, n, want in [(size_rule, 4, (frozenset({1}), frozenset({0, 1}), 1)),
+                              (one_drop, 14, (full - {13}, full, 0))]:
+            with pytest.raises(NonMonotoneRuleError) as exc:
+                share_table(rule, n)
+            assert exc.value.counterexample == verify_monotone(rule, n).counterexample == want
+        # the share walk's: its working set, the previous one, and the member
+        with pytest.raises(NonMonotoneRuleError) as exc:
+            cascade.simulate_cascade([0.5, 0.9, 1.4], size_rule, cascade.StructureFunction.parallel(3))
+        assert exc.value.counterexample == (frozenset({1, 2}), frozenset(range(3)), 1)
+        back = pickle.loads(pickle.dumps(exc.value))
+        assert str(back) == str(exc.value) and back.counterexample == exc.value.counterexample
+
+    def test_verify_monotone_shares_the_memo(self):
+        rule = EqualRule(4)
+        assert verify_monotone(rule, 4).ok
+        table = share_table(rule, 4)
+        calls = []
+
+        def counting(cfg):
+            calls.append(cfg.mask)
+            return rule(cfg)
+
+        assert verify_monotone(rule, 4).ok and share_table(rule, 4) is table
+        assert verify_monotone(counting, 4).ok and len(calls) == 15
+        assert verify_monotone(counting, 4).ok and len(calls) == 15
 
     @pytest.mark.parametrize("defect,i", DEFECTS)
     def test_invalid_shares_rejected(self, defect, i):

@@ -545,6 +545,7 @@ class TestPatternDensity:
         assert th.pattern_probability(parse_pattern("1 2"), er, 2, ue) == pytest.approx(1 / 3, abs=1e-8)
         assert th.pattern_probability(parse_pattern("1(2)"), er, 2, ue) == pytest.approx(1 / 6, abs=1e-8)
 
+    @pytest.mark.slow
     def test_total_probability_n3(self):
         er = EqualRule(3)
         ue = unit_exponential()
