@@ -338,14 +338,13 @@ def cmd_simulate(cfg: dict) -> None:
         model, rule, structure, cfg["replicas"], seed=cfg["seed"], workers=_workers(cfg)
     )
     _write_csv(outdir / "samples.csv", ["strength"], samples)
-    # sorted once, for the plot and the tail fit to read in place; chain_strength
-    # resamples the sample in its drawn order, so then the sort takes a copy
-    xs = samples.copy() if cfg["chain"] > 1 else samples
-    xs.sort()
+    chain = None
+    if cfg["chain"] > 1:  # resamples the drawn order, so before the sort
+        chain = chain_strength(samples, ChainSpec(cfg["chain"]), seed=cfg["seed"])
+    samples.sort()  # once, in place, for the plot and the tail fit to read
     _write_csv(outdir / "weibull_plot.csv", ["ln_x", "ln_neg_ln_sf"],
-               blocks=stats.weibull_plot_blocks(xs))
-    fit = stats.lower_tail_slope(xs, window=window)
-    del xs  # a sorted copy is freed before the chain resamples
+               blocks=stats.weibull_plot_blocks(samples))
+    fit = stats.lower_tail_slope(samples, window=window)
     rho = model.rho
     _write_json(outdir / "tail_fit.json", {
         "slope": fit.slope,
@@ -357,8 +356,7 @@ def cmd_simulate(cfg: dict) -> None:
         "inflation_factor": stats.inflation_factor(fit.slope, rho),
     })
     derived = {"n_samples": int(samples.size)}
-    if cfg["chain"] > 1:
-        chain = chain_strength(samples, ChainSpec(cfg["chain"]), seed=cfg["seed"])
+    if chain is not None:
         _write_csv(outdir / "chain.csv", ["strength"], chain)
         derived["n_chain"] = int(chain.size)
     _manifest(outdir, "simulate", cfg, derived)
@@ -563,16 +561,16 @@ def cmd_density(cfg: dict) -> None:
         pattern = parse_pattern(cfg["pattern"])
         n, rule, model = _bundle(cfg)
         f = len(pattern.cycles)
-        stresses, density = [], []
+        stresses = []
         for spec in cfg["s"]:
             s = [float(v) for v in str(spec).split(",")]
             if len(s) != f:
                 raise ValueError(f"stress vector {spec!r} must have {f} entries")
             if not all(map(math.isfinite, s)):
                 raise ValueError(f"--s: stress vector {spec!r} has a non-finite entry")
-            inp = threshold.pattern_density_input(pattern, rule, n, model, s)
             stresses.append(s)
-            density.append(threshold.phase1_pattern_density(inp))
+        inp = threshold.pattern_density_input(pattern, rule, n, model)
+        density = [threshold.phase1_pattern_density(inp, s) for s in stresses]
         columns = (*np.array(stresses).T, density)
         header = [f"s{u + 1}" for u in range(f)] + ["density"]
     outdir = _ensure_outdir(cfg["out"])

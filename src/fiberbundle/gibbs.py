@@ -116,9 +116,17 @@ def _log_survival(dist, load):
         return np.log(np.asarray(dist.sf(load), dtype=float))
 
 
-def _odds_from_logsf(logsf: np.ndarray) -> np.ndarray:
-    # sigma = log sf - log(1 - sf); exact at both ends of the support
-    return logsf - np.log(-np.expm1(logsf))
+def _site_odds(law, loads: np.ndarray, i: int, masks) -> np.ndarray:
+    """Survival log odds log sf - log(1 - sf) of component i under ``law`` at
+    its ``loads``, one per working-set mask in ``masks``."""
+    ls = _log_survival(law, loads)
+    bad = ~(np.isfinite(ls) & (ls < 0.0))
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise PositivityError(f"positivity condition fails at component {i}, configuration mask "
+                              f"{int(masks[k])}, load {float(loads[k])}: survival probability "
+                              f"is {np.exp(ls[k])}")
+    return ls - np.log(-np.expm1(ls))  # exact at both ends of the support
 
 
 def _check_load(s: float):
@@ -128,18 +136,13 @@ def _check_load(s: float):
 
 def log_odds(a: Configuration, i: int, s: float, rule: Rule, dist) -> float:
     """log of survival odds of component i at its shared load lambda_i(A) * s,
-    the share read through :func:`~fiberbundle.loadshare.share_rows`; 0 < s < inf."""
+    the share read through :func:`~fiberbundle.loadshare.share_rows`; 0 < s < inf.
+    The term of ``build_gibbs``, with the component's law from ``component_laws``."""
     _check_load(s)
     if i not in a.working:
         raise ValueError(f"component {i} is not in the working set")
-    load = float(share_rows(rule, a.n, (a.mask,))[0, i]) * s
-    ls = float(_log_survival(dist, load))
-    if not (np.isfinite(ls) and ls < 0.0):
-        raise PositivityError(
-            f"positivity condition fails at component {i}, load {load}: "
-            f"survival probability is {np.exp(ls)}"
-        )
-    return float(_odds_from_logsf(np.asarray(ls)))
+    load = share_rows(rule, a.n, (a.mask,))[0, i:i + 1] * s
+    return float(_site_odds(component_laws(dist, a.n)[i], load, i, (a.mask,))[0])
 
 
 @dataclass(frozen=True)
@@ -198,17 +201,8 @@ def build_gibbs(n: int, s: float, rule: Rule, dist) -> GibbsModel:
     masks = np.arange(1 << n)
     sigma_sum = np.zeros(masks.size)
     for i in range(n):
-        sel = (masks >> i) & 1 == 1
-        load = table[sel, i] * s
-        ls = _log_survival(dists[i], load)
-        bad = ~(np.isfinite(ls) & (ls < 0.0))
-        if np.any(bad):
-            mask = int(np.flatnonzero(sel)[np.argmax(bad)])
-            raise PositivityError(
-                f"positivity condition fails at component {i}, configuration mask "
-                f"{mask}, load {float(load[np.argmax(bad)])}"
-            )
-        sigma_sum[sel] += _odds_from_logsf(ls)
+        held = np.flatnonzero(masks >> i & 1)  # the masks of the working sets holding i
+        sigma_sum[held] += _site_odds(dists[i], table[held, i] * s, i, held)
     sigma = SubsetTable(n, sigma_sum)
     potentials = mobius_potentials(sigma)
     energy = mobius_energy(potentials)

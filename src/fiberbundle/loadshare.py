@@ -61,6 +61,10 @@ class InvalidShareError(ValueError):
                          f"{sorted(config.working)}; a member needs a finite share > 0, "
                          "a failed one none")
         self.mask = config.mask
+        self._given = (config, i, value)
+
+    def __reduce__(self):  # unpickling calls __init__ with these, not with the message
+        return type(self), self._given
 
 
 class SingularAbsorptionError(RuntimeError):

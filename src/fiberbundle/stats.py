@@ -254,6 +254,18 @@ def tail_window(nobs: int, window: tuple[float, float]) -> range:
     return range(first, stop)
 
 
+def _tail_points(xs: np.ndarray, window: tuple[float, float]) -> tuple[range, np.ndarray]:
+    """The :func:`tail_window` positions of the sorted sample ``xs`` and its
+    strengths there, each finite and > 0, else ``ArithmeticError``."""
+    pos = tail_window(xs.size, window)
+    tail = xs[pos.start:pos.stop]
+    bad = np.count_nonzero(~((tail > 0) & (tail < math.inf)))  # NaN counts too
+    if bad:
+        raise ArithmeticError(f"{bad} of the {tail.size} strengths in quantile window {window} "
+                              "are zero or not finite; the tail fit needs positive ones")
+    return pos, tail
+
+
 def lower_tail_slope(samples, window: tuple[float, float] = (1e-5, 1e-3)) -> TailFit:
     """OLS slope of the Weibull plot restricted to an empirical-quantile window.
 
@@ -264,12 +276,7 @@ def lower_tail_slope(samples, window: tuple[float, float] = (1e-5, 1e-3)) -> Tai
     order is read in place, not sorted again.
     """
     xs = _ascending(samples)
-    pos = tail_window(xs.size, window)
-    tail = xs[pos.start:pos.stop]
-    bad = np.count_nonzero(~((tail > 0) & (tail < math.inf)))  # NaN counts too
-    if bad:
-        raise ArithmeticError(f"{bad} of the {tail.size} strengths in quantile window {window} "
-                              "are zero or not finite; the tail fit needs positive ones")
+    pos, tail = _tail_points(xs, window)
     lx = np.log(tail)
     ly = np.log(-np.log(1.0 - np.arange(pos.start + 1, pos.stop + 1) / xs.size))
     lo, hi = window

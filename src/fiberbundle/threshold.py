@@ -415,7 +415,7 @@ class TiltedConditional:
 
 @dataclass(frozen=True)
 class PatternDensityInput:
-    """Everything needed to evaluate the joint stress/pattern density.
+    """Everything needed to evaluate the joint stress/pattern density at any s.
 
     ``phase1_shares`` holds the share a_u of each cycle's Phase-I component at
     its working set; ``bounds`` holds, per cycle, the (component, L, U) share
@@ -427,28 +427,28 @@ class PatternDensityInput:
     pdfs: tuple[Callable[[float], float], ...]
     phase1_shares: tuple[float, ...]
     bounds: tuple[tuple[tuple[int, float, float], ...], ...]
-    s: tuple[float, ...]
 
 
-def pattern_density_input(pattern: BreakingPattern, rule: Rule, n: int, dist,
-                          s: Sequence[float]) -> PatternDensityInput:
-    """Compute the share bounds of a pattern from the rule and package them."""
+def _pattern_terms(pattern: BreakingPattern, rule: Rule, n: int) -> tuple[tuple, tuple]:
+    """One pattern walk: each cycle's Phase-I share and (component, L, U) burst bounds."""
     from .cascade import _pattern_steps
-    from .distributions import component_laws
 
-    dists = component_laws(dist, n)
     shares, bounds = [], []
     for cyc, _, lam, bursts, _, _ in _pattern_steps(pattern, rule, n):
         shares.append(lam[cyc.phase1])
         bounds.append(tuple((j, lo[j], hi[j]) for grp, lo, hi in bursts for j in sorted(grp)))
-    return PatternDensityInput(
-        pattern=pattern,
-        cdfs=tuple(d.cdf for d in dists),
-        pdfs=tuple(d.pdf for d in dists),
-        phase1_shares=tuple(shares),
-        bounds=tuple(bounds),
-        s=tuple(float(v) for v in s),
-    )
+    return tuple(shares), tuple(bounds)
+
+
+def pattern_density_input(pattern: BreakingPattern, rule: Rule, n: int,
+                          dist) -> PatternDensityInput:
+    """Compute the share bounds of a pattern from the rule and package them
+    with the component laws; evaluate with :func:`phase1_pattern_density`."""
+    from .distributions import component_laws
+
+    dists = component_laws(dist, n)
+    return PatternDensityInput(pattern, tuple(d.cdf for d in dists), tuple(d.pdf for d in dists),
+                               *_pattern_terms(pattern, rule, n))
 
 
 def _cycle_factor(inp: PatternDensityInput, u: int, s_u: float, out: float = 1.0) -> float:
@@ -461,15 +461,15 @@ def _cycle_factor(inp: PatternDensityInput, u: int, s_u: float, out: float = 1.0
     return out
 
 
-def phase1_pattern_density(inp: PatternDensityInput) -> float:
-    """Joint density of the Phase-I stresses and the breaking pattern.
+def phase1_pattern_density(inp: PatternDensityInput, s: Sequence[float]) -> float:
+    """Joint density of the Phase-I stresses ``s`` and the breaking pattern.
 
     Product over cycles of the Phase-I factor a_u f(a_u s_u) and, for each
     Phase-II component, the probability F(U s_u) - F(L s_u) of its strength
     landing in the bracketed band.  Empty-burst cycles contribute only their
     Phase-I factor.
     """
-    s = inp.s
+    s = [float(v) for v in s]
     if len(s) != len(inp.pattern.cycles):
         raise ValueError("stress vector length must match the number of cycles")
     if any(b <= a for a, b in zip(s[:-1], s[1:])):
@@ -493,7 +493,7 @@ def pattern_probability(pattern: BreakingPattern, rule: Rule, n: int, dist,
     from scipy import integrate
 
     f = len(pattern.cycles)
-    inp = pattern_density_input(pattern, rule, n, dist, [float(u + 1) for u in range(f)])
+    inp = pattern_density_input(pattern, rule, n, dist)
 
     def nested(u: int, lower: float) -> float:
         if u == f:
@@ -515,21 +515,20 @@ def lower_tail_constant(m: int, samples=None, mixing: MixingDensity | None = Non
                         window: tuple[float, float] = (1e-5, 1e-3)) -> float:
     """Constant K of the power-law lower tail F(x) ~ K x**m.
 
-    From ``samples``: intercept of log(ECDF) - m log(x) over the points that
-    :func:`~fiberbundle.stats.tail_window` selects, as the tail slope does
-    (the slope m is known from the structure).  From a ``mixing`` density:
-    K = E[Theta**m] / m!.
+    From ``samples``: intercept of log(ECDF) - m log(x) over the tail-window
+    points, taken and checked as the tail slope takes them (the slope m is
+    known from the structure).  From a ``mixing`` density: K = E[Theta**m] / m!.
     """
     if (samples is None) == (mixing is None):
         raise ValueError("provide exactly one of samples or mixing")
     if mixing is not None:
         return mixing.moment(m) / math.factorial(m)
-    from .stats import tail_window
+    from .stats import _tail_points
 
     xs = np.sort(np.asarray(samples, dtype=float))
-    pos = tail_window(xs.size, window)
+    pos, tail = _tail_points(xs, window)
     ranks = np.arange(pos.start + 1, pos.stop + 1) / xs.size
-    logk = np.log(ranks) - m * np.log(xs[pos.start:pos.stop])
+    logk = np.log(ranks) - m * np.log(tail)
     return float(np.exp(logk.mean()))
 
 
@@ -540,21 +539,18 @@ def parallel_exponential_tail_constant(rule: Rule, n: int) -> float:
     stress density: the Phase-I share product times the Phase-II band widths,
     divided by the ordered-simplex moment of the per-cycle stress powers.
     """
-    from .cascade import _pattern_steps, enumerate_patterns
+    from .cascade import enumerate_patterns
 
     if n > 5:
         raise ValueError("pattern enumeration is exponential; n <= 5 only")
     total = 0.0
     for pattern in enumerate_patterns(n):
-        coeff = 1.0
-        denom = 1.0
-        cum = 0
-        for u, (cyc, _, lam, bursts, _, _) in enumerate(_pattern_steps(pattern, rule, n)):
-            coeff *= lam[cyc.phase1]
-            for grp, lo, hi in bursts:
-                for j in sorted(grp):
-                    coeff *= hi[j] - lo[j]
-                cum += len(grp)
+        coeff, denom, cum = 1.0, 1.0, 0
+        for u, (a_u, cycle_bounds) in enumerate(zip(*_pattern_terms(pattern, rule, n))):
+            coeff *= a_u
+            for _, lo, hi in cycle_bounds:
+                coeff *= hi - lo
+            cum += len(cycle_bounds)
             denom *= (u + 1) + cum
         total += coeff / denom
     return total

@@ -272,7 +272,7 @@ class TestPatternWalk:
             want = pattern_working_sets(res.pattern, 9)
             replay, density = CountingRule(base), CountingRule(base)
             assert replay_pattern(res.pattern, x, replay, st)
-            th.pattern_density_input(res.pattern, density, 9, model, res.phase1_stresses)
+            th.pattern_density_input(res.pattern, density, 9, model)
             for rule in (sim, replay, density):
                 assert len(rule.calls) == len(set(rule.calls))
                 assert set(rule.calls) == want
@@ -284,7 +284,7 @@ class TestPatternWalk:
         lambda: replay_pattern(parse_pattern("1(2) 3"), [0.5, 0.9, 1.4], size_rule,
                                StructureFunction.parallel(3)),
         lambda: th.pattern_density_input(parse_pattern("1 2 3"), size_rule, 3,
-                                         unit_exponential(), [0.1, 0.2, 0.3]),
+                                         unit_exponential()),
         lambda: th.parallel_exponential_tail_constant(size_rule, 3),
     ], ids=["cascade", "replay", "replay-burst", "density-input", "tail-constant"])
     def test_one_monotonicity_check(self, run):
@@ -296,7 +296,7 @@ class TestPatternWalk:
         with pytest.raises(ValueError, match="component 3, but the bundle has n = 2"):
             replay_pattern(pattern, [0.5, 0.9], EqualRule(2), st)
         with pytest.raises(ValueError, match="component 3, but the bundle has n = 2"):
-            th.pattern_density_input(pattern, EqualRule(2), 2, unit_exponential(), [0.3])
+            th.pattern_density_input(pattern, EqualRule(2), 2, unit_exponential())
 
 
 class TestInvariants:

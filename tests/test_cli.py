@@ -344,6 +344,8 @@ def test_non_finite_model_or_load_is_a_usage_error(tmp_path, capsys, command, fl
 @pytest.mark.parametrize("command, per_replica", [
     ("cycles", 16), ("simulate", 24),
     pytest.param("simulate --chain 2", 24, id="simulate-chain-24"),
+    # the chain (replicas / 2 strengths) is drawn before the sample is sorted in place
+    pytest.param("simulate --chain 2", 20, id="simulate-chain-20"),
 ])
 def test_memory_per_replica(tmp_path, command, per_replica):
     # the sampler's one 8-byte strength array, plus what the command holds beside it
@@ -524,6 +526,27 @@ class TestDensityCommand:
         _, rows = read_csv(out / "density.csv")
         expected = (np.exp(-0.3) - np.exp(-0.6)) * np.exp(-0.3)
         assert float(rows[0][1]) == pytest.approx(expected)
+
+    def test_pattern_input_built_once(self, tmp_path, monkeypatch):
+        # five working sets on the pattern's walk, solved once for all ten --s
+        from fiberbundle import loadshare
+
+        calls = []
+        solve = loadshare.absorption_probabilities
+
+        def counting(p, a):
+            calls.append(a.mask)
+            return solve(p, a)
+
+        monkeypatch.setattr(loadshare, "absorption_probabilities", counting)
+        stresses = [f"{0.1 * k},{0.1 * k + 0.2},{0.1 * k + 0.5}" for k in range(1, 11)]
+        rc = main(["density", "--kind", "pattern", "--pattern", "1(2,3) 4(5) 6", "--rows", "2",
+                   "--cols", "3", "--rule", "absorbing", *(f"--s={s}" for s in stresses),
+                   "--out", str(tmp_path / "d")])
+        assert rc == 0
+        _, rows = read_csv(tmp_path / "d" / "density.csv")
+        assert len(rows) == 10
+        assert len(calls) == 5 and len(set(calls)) == 5
 
     def test_pattern_label_outside_bundle(self, tmp_path, capsys):
         out = tmp_path / "d"
@@ -724,8 +747,8 @@ def _density_rows(kind):
     rule = AbsorbingRule(transition_matrix(build_grid_graph(1, 3)))
     model = StrengthModel("weibull", 5.0, 2.0)
     pattern = parse_pattern("1(2) 3")
-    return [(*s, th.phase1_pattern_density(th.pattern_density_input(pattern, rule, 3, model, s)))
-            for s in ([0.3, 0.5], [0.2, 0.9])]
+    inp = th.pattern_density_input(pattern, rule, 3, model)
+    return [(*s, th.phase1_pattern_density(inp, s)) for s in ([0.3, 0.5], [0.2, 0.9])]
 
 
 @pytest.mark.parametrize("kind, args, header", [

@@ -63,6 +63,31 @@ class TestLogOdds:
             gb.log_odds(Configuration(3, frozenset(range(3))), 0, s, EqualRule(3), WEIBULL)
         assert not isinstance(exc.value, gb.PositivityError)
 
+    def test_per_component_laws(self):
+        # component 2 of the scale vector is the scalar-scale law
+        a, want = Configuration(3, frozenset(range(3))), 6.018648775592192
+        assert gb.log_odds(a, 2, 0.6, EqualRule(3), WEIBULL) == want
+        scales = (1.0, 1.5, 2.0)
+        assert gb.log_odds(a, 2, 0.6, EqualRule(3), StrengthModel("weibull", 5.0, scales)) == want
+        laws = [StrengthModel("weibull", 5.0, sc) for sc in scales]
+        assert gb.log_odds(a, 2, 0.6, EqualRule(3), laws) == want
+        assert gb.log_odds(a, 0, 0.6, EqualRule(3), laws) == gb.log_odds(
+            a, 0, 0.6, EqualRule(3), laws[0])
+
+    def test_log_odds_are_build_gibbs_site_terms(self):
+        rule = AbsorbingRule(transition_matrix(build_grid_graph(2, 2)))
+        model = StrengthModel("weibull", 3.0, (1.0, 1.5, 2.0, 0.8))
+        sigma = gb.build_gibbs(4, 0.7, rule, model).sigma.values
+        for mask in range(1, 16):
+            # summed in component order from 0.0, as build_gibbs aggregates them
+            a = Configuration.from_mask(4, mask)
+            assert sum(gb.log_odds(a, i, 0.7, rule, model) for i in sorted(a.working)) == sigma[mask]
+
+    def test_positivity_message_names_the_mask(self):
+        with pytest.raises(gb.PositivityError, match=r"component 2, configuration mask 5, "
+                           r"load 1\.4999999999999998e-80: survival probability is 1\.0$"):
+            gb.log_odds(Configuration(3, frozenset({0, 2})), 2, 1e-80, EqualRule(3), WEIBULL)
+
     def test_deep_load_stays_finite(self):
         # survival underflows in plain arithmetic; log-space value must stay finite
         val = gb.log_odds(Configuration(1, frozenset({0})), 0, 12.8, UnitRule(1), WEIBULL)

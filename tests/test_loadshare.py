@@ -496,6 +496,13 @@ class TestShareRows:
             share_rows(counting, 3, [7, 5, 3])
         assert exc.value.mask == 5 and calls == [7, 5]
 
+    def test_share_error_pickles(self):
+        # a worker process hands its error back pickled
+        err = InvalidShareError(Configuration(3, frozenset({0, 2})), 0, 0.0)
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is InvalidShareError
+        assert str(back) == str(err) and back.mask == err.mask == 5
+
 
 # every path that reads a rule, asked for the shares at {0, 2} of 3 components;
 # the pattern "2 1 3" fails component 1 first, so its walk reaches {0, 2}
@@ -507,7 +514,7 @@ CONTRACT_PATHS = {
     "replay_pattern": lambda rule: cascade.replay_pattern(
         cascade.parse_pattern("2 1 3"), [2.0, 1.0, 3.0], rule, cascade.StructureFunction.parallel(3)),
     "pattern_density_input": lambda rule: threshold.pattern_density_input(
-        cascade.parse_pattern("2 1 3"), rule, 3, unit_exponential(), [1.0, 2.0, 3.0]),
+        cascade.parse_pattern("2 1 3"), rule, 3, unit_exponential()),
     "tail_constant": lambda rule: threshold.parallel_exponential_tail_constant(rule, 3),
     "log_odds": lambda rule: gibbs.log_odds(
         Configuration(3, frozenset({0, 2})), 0, 1.0, rule, unit_exponential()),

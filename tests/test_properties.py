@@ -3,17 +3,22 @@
 The vectorized cascade kernel against the scalar cascade (whose pattern
 ``replay_pattern`` must accept), and the scalar cycle count against the
 sampler's, on strengths that sit on the rounding boundaries where a second,
-separately written decision would disagree.  Hypothesis runs derandomized and
-keeps no example database, so the suite stays reproducible.
+separately written decision would disagree.  Then the invariants every rule
+and writer keeps: share rows that conserve the load, CSV text that is
+``repr`` byte for byte, and a share error that names the mask it came from.
+Hypothesis runs derandomized and keeps no example database, so the suite
+stays reproducible.
 """
 
 import functools
+import math
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from fiberbundle import cascade
+from fiberbundle import cascade, csvtext
 from fiberbundle.cascade import (
     PowerScaledRule,
     StructureFunction,
@@ -26,7 +31,11 @@ from fiberbundle.distributions import unit_exponential
 from fiberbundle.loadshare import (
     AbsorbingRule,
     EqualRule,
+    InvalidShareError,
+    LoadShareVector,
+    TransitionMatrix,
     build_grid_graph,
+    share_rows,
     share_table,
     transition_matrix,
 )
@@ -113,3 +122,81 @@ def test_cycle_count_is_the_samplers_at_every_boundary(s_star, a):
     ks = np.arange(1, 40)
     below = a ** (ks - 1) * strengths[:, None] <= s_star
     assert np.array_equal(sampled, ks[below.argmax(axis=1)])
+
+
+@st.composite
+def connected_chains(draw):
+    """A random connected graph on 2-8 nodes, a spanning tree plus extra
+    edges, as its one-step chain p[i, j] = 1/degree(i)."""
+    n = draw(st.integers(2, 8))
+    edges = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
+    pairs = [(i, j) for j in range(n) for i in range(j)]
+    edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=2 * n)))
+    adj = np.zeros((n, n))
+    for i, j in edges:
+        adj[i, j] = adj[j, i] = 1.0
+    return TransitionMatrix(adj / adj.sum(axis=1, keepdims=True))
+
+
+@PROPERTY
+@given(data=st.data(), absorbing=st.booleans())
+def test_share_rows_carry_the_whole_load(data, absorbing):
+    # n components carry load n, however many have failed
+    if absorbing:
+        p = data.draw(connected_chains())
+        n, rule = p.n, AbsorbingRule(p)
+    else:
+        n = data.draw(st.integers(1, 12))
+        rule = EqualRule(n)
+    masks = data.draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=16))
+    rows = share_rows(rule, n, masks)
+    assert np.all(np.abs(rows.sum(axis=1) - n) <= 1e-12 * n)
+
+
+SPECIAL_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324,
+                  2.225073858507201e-308, 2.2250738585072014e-308, 1.7976931348623157e308]
+
+
+@PROPERTY
+@given(bits=st.lists(st.integers(0, (1 << 64) - 1), min_size=1, max_size=64),
+       specials=st.lists(st.sampled_from(SPECIAL_FLOATS), max_size=8),
+       ints=st.lists(st.integers(-(1 << 63), (1 << 63) - 1), min_size=72, max_size=72))
+def test_csv_rows_are_repr_byte_for_byte(bits, specials, ints):
+    # any bit pattern: subnormals, both zeros, both infinities, NaN payloads
+    floats = np.concatenate([np.array(bits, dtype=np.uint64).view(np.float64), specials])
+    whole = np.array(ints[:floats.size], dtype=np.int64)
+    want = "".join(f"{float(x)!r},{int(k)}\n" for x, k in zip(floats, whole))
+    assert csvtext._csv_rows([floats, whole]) == want.encode()
+
+
+DEFECTS = {
+    "zero": lambda values, member, failed: values.update({member: 0.0}),
+    "nan": lambda values, member, failed: values.update({member: math.nan}),
+    "inf": lambda values, member, failed: values.update({member: math.inf}),
+    "missing": lambda values, member, failed: values.pop(member),
+    "failed-share": lambda values, member, failed: values.update({failed: 1.0}),
+}
+
+
+@PROPERTY
+@given(data=st.data(), defect=st.sampled_from(sorted(DEFECTS)), n=st.integers(2, 7))
+def test_share_error_names_the_corrupted_mask(data, defect, n):
+    full = (1 << n) - 1
+    bad = data.draw(st.integers(1, full - 1 if defect == "failed-share" else full))
+    working = [i for i in range(n) if bad >> i & 1]
+    member = data.draw(st.sampled_from(working))
+    failed = data.draw(st.sampled_from([i for i in range(n) if not bad >> i & 1] or [member]))
+    equal = EqualRule(n)
+
+    def rule(cfg):
+        values = dict(equal(cfg).values)
+        if cfg.mask == bad:
+            DEFECTS[defect](values, member, failed)
+        return LoadShareVector(values)
+
+    others = data.draw(st.lists(st.integers(0, full).filter(lambda m: m != bad), max_size=8))
+    at = data.draw(st.integers(0, len(others)))
+    with pytest.raises(InvalidShareError) as exc:
+        share_rows(rule, n, [*others[:at], bad, *others[at:]])
+    assert exc.value.mask == bad
+    assert f"at working set {working};" in str(exc.value)

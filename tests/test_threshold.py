@@ -483,37 +483,44 @@ class TestPatternDensity:
     def test_two_component_hand_values(self):
         er = EqualRule(2)
         ue = unit_exponential()
-        inp = th.pattern_density_input(parse_pattern("1(2)"), er, 2, ue, [0.3])
+        inp = th.pattern_density_input(parse_pattern("1(2)"), er, 2, ue)
         expected = (math.exp(-0.3) - math.exp(-0.6)) * math.exp(-0.3)
-        assert th.phase1_pattern_density(inp) == pytest.approx(expected)
-        inp2 = th.pattern_density_input(parse_pattern("1 2"), er, 2, ue, [0.3, 0.5])
-        assert th.phase1_pattern_density(inp2) == pytest.approx(
+        assert th.phase1_pattern_density(inp, [0.3]) == pytest.approx(expected)
+        inp2 = th.pattern_density_input(parse_pattern("1 2"), er, 2, ue)
+        assert th.phase1_pattern_density(inp2, [0.3, 0.5]) == pytest.approx(
             math.exp(-0.3) * 2 * math.exp(-1.0)
         )
 
     def test_single_cycle_reduces_to_phase1_factor(self):
         # empty burst: density is a * f(a s) alone
-        inp = th.pattern_density_input(parse_pattern("1"), EqualRule(1), 1,
-                                       unit_exponential(), [0.7])
-        assert th.phase1_pattern_density(inp) == pytest.approx(math.exp(-0.7))
+        inp = th.pattern_density_input(parse_pattern("1"), EqualRule(1), 1, unit_exponential())
+        assert th.phase1_pattern_density(inp, [0.7]) == pytest.approx(math.exp(-0.7))
+
+    def test_one_input_evaluates_every_stress_vector(self):
+        er, ue = EqualRule(2), unit_exponential()
+        inp = th.pattern_density_input(parse_pattern("1(2)"), er, 2, ue)
+        for s in (0.1, 0.3, 1.7):
+            want = (math.exp(-s) - math.exp(-2 * s)) * math.exp(-s)
+            assert th.phase1_pattern_density(inp, [s]) == pytest.approx(want, rel=1e-14)
+        with pytest.raises(ValueError, match="length"):
+            th.phase1_pattern_density(inp, [0.1, 0.2])
 
     def test_decreasing_stresses_rejected(self):
-        inp = th.pattern_density_input(parse_pattern("1 2"), EqualRule(2), 2,
-                                       unit_exponential(), [0.5, 0.3])
+        inp = th.pattern_density_input(parse_pattern("1 2"), EqualRule(2), 2, unit_exponential())
         with pytest.raises(ValueError, match="increasing"):
-            th.phase1_pattern_density(inp)
+            th.phase1_pattern_density(inp, [0.5, 0.3])
 
     def test_per_component_scale_vector(self):
         scales = (1.0, 1.5, 2.0)
         parts = [StrengthModel("weibull", 5.0, sc) for sc in scales]
         s = [0.4, 0.9]
         inp = th.pattern_density_input(parse_pattern("2(1) 3"), EqualRule(3), 3,
-                                       StrengthModel("weibull", 5.0, scales), s)
+                                       StrengthModel("weibull", 5.0, scales))
         # equal rule: 1 f_2(s1) (F_1(1.5 s1) - F_1(s1)) * 3 f_3(3 s2)
         expected = 1.0 * float(parts[1].pdf(1.0 * s[0]))
         expected *= float(parts[0].cdf(1.5 * s[0])) - float(parts[0].cdf(1.0 * s[0]))
         expected *= 3.0 * float(parts[2].pdf(3.0 * s[1]))
-        assert th.phase1_pattern_density(inp) == expected
+        assert th.phase1_pattern_density(inp, s) == expected
 
     def test_absorbing_bounds_read_the_share_table(self):
         # oracle: the dense table indexed by the pattern's working-set masks
@@ -525,8 +532,7 @@ class TestPatternDensity:
         for _ in range(60):
             x = rng.standard_exponential(6) + 0.01
             pattern = simulate_cascade(x, rule, st).pattern
-            inp = th.pattern_density_input(pattern, rule, 6, unit_exponential(),
-                                           [1.0] * len(pattern.cycles))
+            inp = th.pattern_density_input(pattern, rule, 6, unit_exponential())
             mask = (1 << 6) - 1
             for u, cyc in enumerate(pattern.cycles):
                 assert inp.phase1_shares[u] == table[mask, cyc.phase1]
@@ -598,6 +604,18 @@ class TestLowerTailConstant:
         want = np.exp(np.mean(np.log(ranks) - np.log(np.sort(xs)[pos.start:pos.stop])))
         assert th.lower_tail_constant(1, samples=xs, window=(0.8, 1.0)) == want
         assert st.lower_tail_slope(xs, (0.8, 1.0)).n_points == pos.stop - pos.start
+
+    def test_zero_strengths_in_the_window_rejected(self):
+        # no log of a zero strength: both fits name the bad points
+        xs = np.random.default_rng(5).weibull(2.0, 200_000)
+        xs[:50] = 0.0
+        msg = r"^49 of the 199 strengths in quantile window \(1e-05, 0\.001\) are zero or not"
+        with pytest.raises(ArithmeticError, match=msg):
+            st.lower_tail_slope(xs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArithmeticError, match=msg):
+                th.lower_tail_constant(2, samples=xs)
 
     def test_exactly_one_source(self):
         with pytest.raises(ValueError):
