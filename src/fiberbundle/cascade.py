@@ -72,60 +72,54 @@ class ComponentStrengths:
 
 @dataclass(frozen=True)
 class StructureFunction:
-    """Coherent structure given by its minimal path sets.
+    """Coherent structure given by its minimal path sets: pairwise-disjoint,
+    nonempty bit masks (bit i is component i) that together cover the n
+    components.  The system works while some path is wholly intact.
 
-    ``parallel``: any single surviving component keeps the system alive
-    (smallest cut set is everything).  ``column-paths``: the system lives as
-    long as some grid column is fully intact, so the smallest cut sets are
-    transversals with one node per column.
+    ``parallel``: each component is a path, so any single survivor keeps the
+    system alive.  ``column-paths``: each grid column is a path, so the
+    smallest cut sets are transversals with one node per column.
     """
 
-    kind: str
     n: int
-    rows: int = 0
-    cols: int = 0
+    paths: tuple[int, ...]
 
     @classmethod
     def parallel(cls, n: int) -> "StructureFunction":
-        if n < 1:
-            raise ValueError("n must be positive")
-        return cls(kind="parallel", n=n)
+        return cls(n, tuple(1 << i for i in range(n)))
 
     @classmethod
     def column_paths(cls, rows: int, cols: int) -> "StructureFunction":
         if rows < 1 or cols < 1:
             raise ValueError("rows and cols must be positive")
-        return cls(kind="column-paths", n=rows * cols, rows=rows, cols=cols)
+        column = sum(1 << r * cols for r in range(rows))
+        return cls(rows * cols, tuple(column << c for c in range(cols)))
 
     def __post_init__(self):
-        if self.kind not in ("parallel", "column-paths"):
-            raise ValueError(f"unknown structure kind {self.kind!r}")
-
-    def minimal_path_sets(self) -> tuple[frozenset[int], ...]:
-        if self.kind == "parallel":
-            return tuple(frozenset({i}) for i in range(self.n))
-        return tuple(
-            frozenset(r * self.cols + c for r in range(self.rows)) for c in range(self.cols)
-        )
+        object.__setattr__(self, "paths", tuple(self.paths))
+        if self.n < 1:
+            raise ValueError(f"n must be positive, got {self.n}")
+        full, covered = (1 << self.n) - 1, 0
+        for path in self.paths:
+            if not 0 < path <= full:
+                raise ValueError(f"path {path:#b} is empty or names a component >= n = {self.n}")
+            if path & covered:
+                raise ValueError(f"path {path:#b} overlaps an earlier path in {path & covered:#b}")
+            covered |= path
+        if covered != full:
+            raise ValueError(f"components {full & ~covered:#b} of n = {self.n} are in no path")
 
     def smallest_cut_size(self) -> int:
-        return self.n if self.kind == "parallel" else self.cols
+        return len(self.paths)
 
     def works(self, working: frozenset[int]) -> bool:
-        if self.kind == "parallel":
-            return bool(working)
-        return any(path <= working for path in self.minimal_path_sets())
-
-    def _path_masks(self) -> np.ndarray:
-        return np.asarray([Configuration(self.n, path).mask for path in self.minimal_path_sets()],
-                          dtype=np.int64)
+        mask = sum(1 << i for i in working)
+        return any((mask & path) == path for path in self.paths)
 
     def _works_masks(self, masks: np.ndarray) -> np.ndarray:
-        if self.kind == "parallel":
-            return masks != 0
         ok = np.zeros(masks.shape, dtype=bool)
-        for pm in self._path_masks():
-            ok |= (masks & pm) == pm
+        for path in self.paths:
+            ok |= (masks & path) == path
         return ok
 
 

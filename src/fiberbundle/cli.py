@@ -565,9 +565,11 @@ def cmd_density(cfg: dict) -> None:
         for spec in cfg["s"]:
             s = [float(v) for v in str(spec).split(",")]
             if len(s) != f:
-                raise ValueError(f"stress vector {spec!r} must have {f} entries")
+                raise ValueError(f"--s: stress vector {spec!r} must have {f} entries")
             if not all(map(math.isfinite, s)):
                 raise ValueError(f"--s: stress vector {spec!r} has a non-finite entry")
+            if any(b <= a for a, b in zip(s, s[1:])):
+                raise ValueError(f"--s: stress vector {spec!r} must be strictly increasing")
             stresses.append(s)
         inp = threshold.pattern_density_input(pattern, rule, n, model)
         density = [threshold.phase1_pattern_density(inp, s) for s in stresses]

@@ -145,15 +145,13 @@ class TestHandTraces:
 class TestStructureFunction:
     def test_parallel_sets(self):
         st = StructureFunction.parallel(3)
-        assert st.minimal_path_sets() == (frozenset({0}), frozenset({1}), frozenset({2}))
+        assert st.paths == (0b001, 0b010, 0b100)
         assert st.smallest_cut_size() == 3
         assert st.works(frozenset({2})) and not st.works(frozenset())
 
     def test_column_paths_sets(self):
         st = StructureFunction.column_paths(2, 3)
-        assert st.minimal_path_sets() == (
-            frozenset({0, 3}), frozenset({1, 4}), frozenset({2, 5}),
-        )
+        assert st.paths == (0b001001, 0b010010, 0b100100)
         assert st.smallest_cut_size() == 3
         assert st.works(frozenset({1, 4, 0}))
         assert not st.works(frozenset({0, 1, 5}))  # every column broken
@@ -165,15 +163,27 @@ class TestStructureFunction:
         for m in range(1 << 6):
             assert vec[m] == st.works(frozenset(i for i in range(6) if m >> i & 1))
 
-    def test_works_table_equals_works_on_every_mask(self):
-        shapes = [(r, c) for r in range(1, 13) for c in range(1, 13) if r * c <= 12]
-        structures = ([StructureFunction.parallel(n) for n in range(1, 13)]
-                      + [StructureFunction.column_paths(r, c) for r, c in shapes])
-        for st in structures:
-            table = cascade._works_table(st)
-            assert table.dtype == bool and table.shape == (1 << st.n,)
-            want = [st.works(Configuration.from_mask(st.n, m).working) for m in range(1 << st.n)]
-            assert table.tolist() == want, st
+    @pytest.mark.parametrize("n, paths, message", [
+        (3, (), r"components 0b111 of n = 3 are in no path"),
+        (3, (0b011, 0, 0b100), r"path 0b0 is empty"),
+        (3, (0b111, 0b1000), r"path 0b1000 is empty or names a component >= n = 3"),
+        (3, (0b011, 0b110), r"path 0b110 overlaps an earlier path in 0b10"),
+        (3, (0b001, 0b100), r"components 0b10 of n = 3 are in no path"),
+        (0, (), r"n must be positive, got 0"),
+        (3, (0b0101, 0b1010), r"path 0b1010 is empty or names a component >= n = 3"),
+    ], ids=["no-paths", "zero-mask", "mask-past-n", "overlap", "uncovered", "n-zero",
+            "2x2-columns-on-n-3"])
+    def test_bad_structure_rejected_when_built(self, n, paths, message):
+        with pytest.raises(ValueError, match=message):
+            StructureFunction(n, paths)
+
+    def test_masks_past_63_bits(self):
+        st = StructureFunction.parallel(100)
+        assert st.paths[-1] == 1 << 99
+        assert st.works(frozenset({99})) and not st.works(frozenset())
+        assert not StructureFunction(100, ((1 << 100) - 1,)).works(frozenset(range(99)))
+        x = np.linspace(1.0, 2.0, 100)
+        assert simulate_cascade(x, EqualRule(100), st).strength == pytest.approx(1.0)
 
 
 class TestPatternNotation:

@@ -599,6 +599,23 @@ class TestDensityCommand:
         assert "--s: stress vector" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("s, why", [("0.5,0.3", "strictly increasing"),
+                                         ("0.3", "must have 2 entries")])
+    def test_bad_stress_vector_rejected_before_any_solve(self, tmp_path, capsys, monkeypatch,
+                                                         s, why):
+        from fiberbundle import loadshare
+
+        def solve(p, a):
+            raise AssertionError("absorbing system solved for a rejected --s")
+
+        monkeypatch.setattr(loadshare, "absorption_probabilities", solve)
+        out = tmp_path / "d"
+        assert main(["density", "--kind", "pattern", "--pattern", "1 2", "--rows", "2",
+                     "--cols", "2", "--rule", "absorbing", "--s", s, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"--s: stress vector '{s}'" in err and why in err
+        assert not out.exists()
+
     def test_unknown_kind(self, tmp_path):
         assert main(["density", "--kind", "irwin-hall", "--m", "-3",
                      "--out", str(tmp_path / "o")]) == 2

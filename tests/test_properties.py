@@ -3,7 +3,9 @@
 The vectorized cascade kernel against the scalar cascade (whose pattern
 ``replay_pattern`` must accept), and the scalar cycle count against the
 sampler's, on strengths that sit on the rounding boundaries where a second,
-separately written decision would disagree.  Then the invariants every rule
+separately written decision would disagree.  The kernel also against the
+max-min identity, and the works table against ``works``, on the fixed
+bundles and on random rules over random partitions into paths.  Then the invariants every rule
 and writer keeps: share rows that conserve the load, CSV text that is
 ``repr`` byte for byte, and a share error that names the mask it came from.
 Hypothesis runs derandomized and keeps no example database, so the suite
@@ -16,7 +18,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fiberbundle import cascade, csvtext
 from fiberbundle.cascade import (
@@ -30,6 +32,7 @@ from fiberbundle.cascade import (
 from fiberbundle.distributions import unit_exponential
 from fiberbundle.loadshare import (
     AbsorbingRule,
+    Configuration,
     EqualRule,
     InvalidShareError,
     LoadShareVector,
@@ -63,9 +66,39 @@ BUNDLES = {
 
 
 @functools.cache
-def table_of(name):
+def fixed_bundle(name):
+    """(rule, structure, share table) of a named bundle, the table built once."""
     rule, structure = BUNDLES[name]
-    return share_table(rule, structure.n)
+    return rule, structure, share_table(rule, structure.n)
+
+
+@st.composite
+def path_structures(draw, n):
+    """A random partition of the n components into paths, in random order."""
+    paths: dict = {}
+    for i, label in enumerate(draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))):
+        paths[label] = paths.get(label, 0) | 1 << i
+    return StructureFunction(n, draw(st.permutations(list(paths.values()))))
+
+
+@st.composite
+def random_bundles(draw):
+    """(rule, structure, share table) on n <= 9 components: an absorbing rule
+    on a random connected graph or the equal rule, power-scaled or not, and a
+    random partition of the components into paths."""
+    if draw(st.booleans()):
+        p = draw(connected_chains())
+        n, rule = p.n, AbsorbingRule(p)
+    else:
+        n = draw(st.integers(1, 9))
+        rule = EqualRule(n)
+    if draw(st.booleans()):
+        scales = draw(st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n))
+        rule = PowerScaledRule(rule, scales, draw(st.floats(0.25, 4.0)))
+    return rule, draw(path_structures(n)), share_table(rule, n)
+
+
+BUNDLE_DRAWS = st.one_of(st.sampled_from(sorted(BUNDLES)).map(fixed_bundle), random_bundles())
 
 
 def step(v, ulps):
@@ -95,16 +128,71 @@ def boundary_strengths(draw, table):
     return x
 
 
+@st.composite
+def burst_ties(draw, bundle):
+    """Boundary strengths with, where their scalar cascade allows, one
+    survivor j of a non-terminal cycle put exactly on its burst bound
+    x_j = share_j * s at the set the cycle left, for a product that
+    x_j / share_j does not round back to s.  The burst test fails j in that
+    cycle at stress s; a kernel that missed the tie would fail j by its
+    Phase-I ratio in a new cycle, at another stress."""
+    rule, structure, table = bundle
+    x = draw(boundary_strengths(table))
+    res = simulate_cascade(x, rule, structure)
+    ties = []
+    for s, left in zip(res.phase1_stresses[:-1], res.survivor_sets[1:-1]):
+        share = table[sum(1 << i for i in left)]
+        ties += [(j, share[j] * s) for j in sorted(left) if share[j] * s / share[j] != s]
+    if ties:
+        j, x[j] = draw(st.sampled_from(ties))
+    return x
+
+
 @PROPERTY
-@given(data=st.data(), name=st.sampled_from(sorted(BUNDLES)))
-def test_kernel_equals_scalar_cascade_and_replay_accepts_its_pattern(data, name):
-    rule, structure = BUNDLES[name]
-    table = table_of(name)
-    x = data.draw(boundary_strengths(table))
+@given(data=st.data(), bundle=BUNDLE_DRAWS)
+def test_kernel_equals_scalar_cascade_and_replay_accepts_its_pattern(data, bundle):
+    rule, structure, table = bundle
+    x = data.draw(burst_ties(bundle))
     res = simulate_cascade(x, rule, structure)
     fast = cascade._cascade_strengths_block(x[None, :], table, structure)
     assert fast.tobytes() == np.float64(res.strength).tobytes()
     assert replay_pattern(res.pattern, x, rule, structure)
+
+
+@PROPERTY
+@given(data=st.data(), bundle=BUNDLE_DRAWS)
+def test_strength_is_the_max_over_working_sets_of_the_least_load_ratio(data, bundle):
+    # S = max over working sets A that hold a path of min over i in A of x_i / share_i(A)
+    rule, structure, table = bundle
+    x = data.draw(burst_ties(bundle))
+    n = structure.n
+    alive = [a for a in range(1, 1 << n) if structure.works(Configuration.from_mask(n, a).working)]
+    member = (np.array(alive)[:, None] >> np.arange(n) & 1).astype(bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        want = np.where(member, x / table[alive], np.inf).min(axis=1).max()
+    fast = cascade._cascade_strengths_block(x[None, :], table, structure)[0]
+    assert abs(fast - want) <= 1e-12 * want
+
+
+def fixed_structures(test):
+    """Run ``test`` on every parallel and column-paths structure of n <= 12
+    components, as explicit examples, before the generated ones."""
+    shapes = [(r, c) for r in range(1, 13) for c in range(1, 13) if r * c <= 12]
+    for structure in ([StructureFunction.parallel(n) for n in range(1, 13)]
+                      + [StructureFunction.column_paths(r, c) for r, c in shapes]):
+        test = example(structure=structure)(test)
+    return test
+
+
+@settings(PROPERTY, max_examples=100)
+@fixed_structures
+@given(structure=st.integers(1, 9).flatmap(path_structures))
+def test_works_table_equals_works_on_every_mask(structure):
+    table = cascade._works_table(structure)
+    assert table.dtype == bool and table.shape == (1 << structure.n,)
+    want = [structure.works(Configuration.from_mask(structure.n, m).working)
+            for m in range(1 << structure.n)]
+    assert table.tolist() == want, structure
 
 
 @settings(PROPERTY, max_examples=100)
