@@ -284,6 +284,9 @@ def _resolve(args: argparse.Namespace) -> dict:
         unread = [_flag(k) for k in given if k not in ("kind", "out", *_KIND_READS[cfg["kind"]])]
         if unread:
             raise ValueError(f"--kind {cfg['kind']} does not read {', '.join(unread)}")
+    if "shape" in given and cfg["family"] == "exponential":
+        raise ValueError("--shape: --family exponential fixes the shape at 1; "
+                         "drop --shape or use --family weibull")
     return cfg
 
 

@@ -277,10 +277,10 @@ def absorption_probabilities(p: TransitionMatrix, a: Configuration) -> Absorptio
     working = tuple(sorted(a.working))
     failed = tuple(i for i in range(a.n) if i not in a.working)
     from_failed = p.p.take(failed, axis=0)
-    # I - Q as 0.0 - Q plus 1 on the diagonal: unlike -Q, 0.0 - Q keeps zeros
-    # unsigned, so the matrix is bit for bit np.eye(k) - Q
+    # I - Q as 0.0 - Q with 1 on the diagonal: unlike -Q, 0.0 - Q keeps zeros
+    # unsigned, and Q's diagonal is 0, so the matrix is bit for bit np.eye(k) - Q
     m = np.subtract(0.0, from_failed.take(failed, axis=1))
-    m.flat[::len(failed) + 1] += 1.0
+    m.flat[::len(failed) + 1] = 1.0
     try:
         u = np.linalg.solve(m, from_failed.take(working, axis=1))
     except np.linalg.LinAlgError as exc:
@@ -288,8 +288,8 @@ def absorption_probabilities(p: TransitionMatrix, a: Configuration) -> Absorptio
             f"absorption system singular for working set {working}: "
             "some failed component cannot reach the working set"
         ) from exc
-    dev = np.abs(u.sum(axis=1) - 1.0).max(initial=0.0)
-    if not dev <= _ROW_SUM_TOL:  # NaN fails too
+    if not all(abs(s - 1.0) <= _ROW_SUM_TOL for s in u.sum(axis=1).tolist()):  # NaN fails too
+        dev = np.abs(u.sum(axis=1) - 1.0).max()
         raise SingularAbsorptionError(
             f"absorption rows do not sum to 1 (max dev {dev:.3e}, "
             f"cond {np.linalg.cond(m):.3e})"
@@ -384,16 +384,42 @@ def _checked_shares(rule: Rule, config: Configuration) -> dict[int, float]:
 def share_rows(rule: Rule, n: int, masks) -> np.ndarray:
     """(len(masks), n) float64 load shares, one row per working-set mask and
     0.0 outside the working set: one checked ``rule`` call per nonempty mask
-    (see :func:`_checked_shares`), none for mask 0."""
+    (see :func:`_checked_shares`), none for mask 0.
+
+    An :class:`AbsorbingRule` (that class exactly: a subclass may override
+    ``__call__``) makes one :func:`absorption_probabilities` call per nonempty
+    mask instead, writes ``absorbing_load_share``'s values straight into the
+    row, and has every member's share checked once, after the last mask."""
     rows = np.zeros((len(masks), n))
+    absorbing = type(rule) is AbsorbingRule
+    members = 0
     for r, mask in enumerate(map(int, masks)):
         if not 0 <= mask < 1 << n:
             raise ValueError(f"working-set mask {mask} is outside 0..{(1 << n) - 1} for n = {n}")
-        if mask:
+        if not mask:
+            continue
+        config = Configuration.from_mask(n, mask)
+        if absorbing:
+            res = absorption_probabilities(rule.transition, config)
+            rows[r].put(res.working, 1.0 + res.u.sum(axis=0))  # faster than rows[r, res.working]
+            members += len(res.working)
+        else:
             row = rows[r]
-            for i, v in _checked_shares(rule, Configuration.from_mask(n, mask)).items():
+            for i, v in _checked_shares(rule, config).items():
                 row[i] = v
+    if absorbing and np.count_nonzero((rows > 0.0) & (rows < math.inf)) != members:
+        _raise_first_invalid(rows, n, masks)
     return rows
+
+
+def _raise_first_invalid(rows: np.ndarray, n: int, masks) -> None:
+    """Raise :class:`InvalidShareError` for the first member of the first
+    mask whose share is not finite and > 0."""
+    for row, mask in zip(rows, map(int, masks)):
+        config = Configuration.from_mask(n, mask)
+        for i in sorted(config.working):
+            if not 0.0 < row[i] < math.inf:
+                raise InvalidShareError(config, i, float(row[i]))
 
 
 def _first_drop(table: np.ndarray) -> tuple[int, int, int] | None:

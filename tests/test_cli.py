@@ -341,6 +341,56 @@ def test_non_finite_model_or_load_is_a_usage_error(tmp_path, capsys, command, fl
     assert not out.exists()
 
 
+_EXPONENTIAL = {
+    "simulate": ["simulate", "--rows", "2", "--cols", "2", "--replicas", "1000",
+                 "--tail-lo", "0.01", "--tail-hi", "0.5", "--workers", "1"],
+    "gibbs": ["gibbs", "--rows", "2", "--cols", "2", "--replicas", "1000",
+              "--percentiles", "10,50", "--workers", "1"],
+    "cycles": ["cycles", "--rows", "2", "--cols", "2", "--replicas", "1000", "--workers", "1"],
+    "density": ["density", "--kind", "pattern", "--pattern", "1 2", "--rows", "1",
+                "--cols", "2", "--s", "0.2,0.5"],
+}
+
+
+@pytest.mark.parametrize("command", list(_EXPONENTIAL))
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_shape_with_exponential_family_is_a_usage_error(tmp_path, capsys, command, via):
+    # the exponential law has shape 1, so a given --shape would be echoed but not used
+    out = tmp_path / "o"
+    argv = [*_EXPONENTIAL[command], "--family", "exponential", "--out", str(out)]
+    if via == "flag":
+        argv += ["--shape", "3"]
+    else:
+        (tmp_path / "c.cfg").write_text("shape=3\n")
+        argv += ["--config", str(tmp_path / "c.cfg")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --shape: --family exponential fixes the shape at 1"), err
+    assert not out.exists()
+    assert main(argv[:argv.index("--out") + 2]) == 0  # without --shape it runs
+    assert json.loads((out / "manifest.json").read_text())["config"]["shape"] == 5.0
+
+
+@pytest.mark.parametrize("argv, solves", [
+    # the pre-check, the sampler and each build_gibbs read one 4,095-row table
+    (["gibbs", "--rows", "3", "--cols", "4", "--percentiles", "1,50", "--replicas", "2000"], 4095),
+    (["cycles", "--rows", "3", "--cols", "3", "--replicas", "2000"], 511),
+], ids=["gibbs-3x4", "cycles-3x3"])
+def test_one_absorbing_solve_per_mask_per_run(tmp_path, monkeypatch, argv, solves):
+    from fiberbundle import loadshare
+
+    calls = []
+    solve = loadshare.absorption_probabilities
+
+    def counting(p, a):
+        calls.append(a.mask)
+        return solve(p, a)
+
+    monkeypatch.setattr(loadshare, "absorption_probabilities", counting)
+    assert main([*argv, "--workers", "1", "--out", str(tmp_path / "o")]) == 0
+    assert len(calls) == solves and sorted(calls) == list(range(1, solves + 1))
+
+
 @pytest.mark.parametrize("command, per_replica", [
     ("cycles", 16), ("simulate", 24),
     pytest.param("simulate --chain 2", 24, id="simulate-chain-24"),

@@ -504,6 +504,67 @@ class TestShareRows:
         assert str(back) == str(err) and back.mask == err.mask == 5
 
 
+class TestAbsorbingRows:
+    """share_rows' AbsorbingRule branch against the checked rule-call path."""
+
+    @pytest.mark.parametrize("rows, cols, masks", [
+        (2, 3, range(1 << 6)), (3, 3, range(1 << 9)), (3, 4, range(1 << 12)),
+        (4, 4, np.random.default_rng(44).integers(0, 1 << 16, 200)),
+    ], ids=["2x3", "3x3", "3x4", "4x4-random-200"])
+    def test_rows_equal_the_rule_call_path(self, rows, cols, masks):
+        # a wrapper is not an AbsorbingRule, so it takes the per-mask rule call
+        n = rows * cols
+        rule = grid_rule(rows, cols)
+        fast = share_rows(rule, n, masks)
+        assert fast.tobytes() == share_rows(lambda c: rule(c), n, masks).tobytes()
+
+    def test_subclass_call_is_checked(self):
+        class ZeroAtFive(AbsorbingRule):
+            def __call__(self, config):
+                values = dict(super().__call__(config).values)
+                if config.mask == 5:
+                    values[0] = 0.0
+                return LoadShareVector(values)
+
+        with pytest.raises(InvalidShareError, match=r"component 0 the share 0.0") as exc:
+            share_rows(ZeroAtFive(transition_matrix(build_grid_graph(1, 3))), 3, [7, 5, 3])
+        assert exc.value.mask == 5
+
+    @pytest.mark.parametrize("bad", [-1.5, -1.0, math.nan, math.inf])
+    def test_share_checked_after_the_last_solve(self, monkeypatch, bad):
+        # the column sums at masks 5 and 6 make shares 1 + bad; every mask is solved
+        solve = loadshare.absorption_probabilities
+        calls = []
+
+        def corrupt(p, a):
+            calls.append(a.mask)
+            res = solve(p, a)
+            if a.mask in (5, 6):
+                u = res.u.copy()
+                u[0, 0] = bad
+                return res._replace(u=u)
+            return res
+
+        monkeypatch.setattr(loadshare, "absorption_probabilities", corrupt)
+        rule = grid_rule(1, 3)
+        with pytest.raises(InvalidShareError) as exc:
+            share_rows(rule, 3, [7, 3, 5, 6, 1])
+        assert exc.value.mask == 5 and calls == [7, 3, 5, 6, 1]
+        assert f"component 0 the share {1.0 + bad} at working set [0, 2]" in str(exc.value)
+        with pytest.raises(InvalidShareError) as exc:
+            share_table(rule, 3)
+        assert exc.value.mask == 5
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_solution_is_singular(self, monkeypatch, value):
+        monkeypatch.setattr(loadshare.np.linalg, "solve", lambda m, r: np.full(r.shape, value))
+        rule = grid_rule(2, 3)
+        with pytest.raises(SingularAbsorptionError, match=rf"max dev {value}"):
+            absorption_probabilities(rule.transition, Configuration(6, frozenset({0, 5})))
+        with pytest.raises(SingularAbsorptionError, match="do not sum to 1"):
+            share_rows(rule, 6, [63, 33])
+
+
 # every path that reads a rule, asked for the shares at {0, 2} of 3 components;
 # the pattern "2 1 3" fails component 1 first, so its walk reaches {0, 2}
 CONTRACT_PATHS = {
