@@ -21,7 +21,6 @@ _EXPORTS = {
         "ComponentGraph",
         "Configuration",
         "EqualRule",
-        "LoadShareVector",
         "NonMonotoneRuleError",
         "TransitionMatrix",
         "UnitRule",

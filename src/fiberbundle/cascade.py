@@ -27,8 +27,8 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .distributions import StrengthModel
-from .loadshare import (_REL_TOL, Configuration, LoadShareVector, NonMonotoneRuleError, Rule,
-                        _checked_shares, _table_fits, share_table)
+from .loadshare import (_REL_TOL, Configuration, NonMonotoneRuleError, Rule, _checked_row,
+                        _table_fits, share_table)
 
 __all__ = [
     "ComponentStrengths",
@@ -261,8 +261,8 @@ def _as_strengths(x, n: int) -> np.ndarray:
 
 def _share_walk(rule: Rule, n: int) -> Callable[[frozenset[int]], list[float]]:
     """Share rows (lists of n floats, 0.0 outside the working set) along a walk
-    down nested working sets, one checked ``rule`` call per set, as in
-    :func:`~fiberbundle.loadshare.share_rows`.
+    down nested working sets, one ``rule`` call per set, each row checked as
+    :func:`~fiberbundle.loadshare.share_rows` checks its rows.
 
     Asking again for the latest set returns its row without a call, and the
     empty set's row is all zeros.  A member whose share drops from the
@@ -277,9 +277,8 @@ def _share_walk(rule: Rule, n: int) -> Callable[[frozenset[int]], list[float]]:
             return empty
         if working == latest[0]:
             return latest[1]
-        row, prev = [0.0] * n, latest[1]
-        for i, v in _checked_shares(rule, Configuration(n, working)).items():
-            row[i] = v
+        config, prev = Configuration(n, working), latest[1]
+        row = _checked_row(rule(config), config)
         for j in working:
             if row[j] < prev[j] * (1.0 - _REL_TOL):
                 raise NonMonotoneRuleError(
@@ -376,10 +375,12 @@ def replay_pattern(pattern: BreakingPattern, x, rule: Rule, structure: Structure
     last = len(pattern.cycles) - 1
     for idx, (cyc, working, lam, bursts, cur, lam_t) in enumerate(
             _pattern_steps(pattern, rule, structure.n)):
-        s_u = xs[cyc.phase1] / lam[cyc.phase1]
+        s_u = float(xs[cyc.phase1] / lam[cyc.phase1])
         if s_u < prev_s * lo:
             return False
-        if any(xs[j] < lam[j] * s_u * lo for j in working if j != cyc.phase1):
+        # Phase-I minimality on the load ratios, as the cascade decides it: a
+        # share times the stress rounds too coarsely among the subnormals
+        if any(xs[j] / lam[j] < s_u * lo for j in working if j != cyc.phase1):
             return False
         for k, (grp, lam_lo, lam_hi) in enumerate(bursts):
             # the first group's lower bound is Phase-I minimality (a zero meets it)
@@ -407,9 +408,17 @@ class PowerScaledRule:
         self.scales = np.asarray(scales, dtype=float)
         self.rho = float(rho)
 
-    def __call__(self, config: Configuration) -> LoadShareVector:
-        lam, sig = self.base(config), np.broadcast_to(self.scales, config.n)
-        return LoadShareVector({i: (lam[i] / sig[i]) ** self.rho for i in config.working})
+    def __call__(self, config: Configuration) -> np.ndarray:
+        try:
+            sig = np.broadcast_to(self.scales, config.n)
+        except ValueError:
+            raise ValueError(f"scale vector has length {self.scales.size}, but the bundle has "
+                             f"n = {config.n} components") from None
+        lam, row = self.base(config), np.zeros(config.n)
+        for i in config.working:
+            # one scalar ** per member: NumPy's vectorised power can differ in the last bit
+            row[i] = (lam[i] / sig[i]) ** self.rho
+        return row
 
 
 # ---------------------------------------------------------------------------

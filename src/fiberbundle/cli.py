@@ -128,8 +128,7 @@ def _bundle(cfg: dict) -> tuple[int, object, StrengthModel]:
     from . import loadshare
 
     rows, cols = cfg["rows"], cfg["cols"]
-    shape = 1.0 if cfg["family"] == "exponential" else cfg["shape"]
-    model = StrengthModel(family=cfg["family"], shape=shape, scale=cfg["scale"])
+    model = StrengthModel(family=cfg["family"], shape=cfg["shape"], scale=cfg["scale"])
     return rows * cols, _RULES[cfg["rule"]](loadshare, rows, cols), model
 
 
@@ -284,9 +283,11 @@ def _resolve(args: argparse.Namespace) -> dict:
         unread = [_flag(k) for k in given if k not in ("kind", "out", *_KIND_READS[cfg["kind"]])]
         if unread:
             raise ValueError(f"--kind {cfg['kind']} does not read {', '.join(unread)}")
-    if "shape" in given and cfg["family"] == "exponential":
-        raise ValueError("--shape: --family exponential fixes the shape at 1; "
-                         "drop --shape or use --family weibull")
+    if cfg.get("family") == "exponential":
+        if "shape" in given:
+            raise ValueError("--shape: --family exponential fixes the shape at 1; "
+                             "drop --shape or use --family weibull")
+        cfg["shape"] = 1.0  # the shape the law uses, so the manifest echoes it
     return cfg
 
 

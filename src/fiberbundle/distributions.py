@@ -41,7 +41,7 @@ class StrengthModel:
 
     @property
     def rho(self) -> float:
-        return 1.0 if self.family == "exponential" else self.shape
+        return self.shape  # the exponential family's is 1.0
 
     def component(self, i: int) -> "StrengthModel":
         """Marginal law of component i: the same family and shape with the

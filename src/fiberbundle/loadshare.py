@@ -19,7 +19,6 @@ __all__ = [
     "ComponentGraph",
     "TransitionMatrix",
     "Configuration",
-    "LoadShareVector",
     "AbsorptionResult",
     "MonotoneCheck",
     "build_grid_graph",
@@ -163,35 +162,6 @@ class Configuration:
         return len(self.working)
 
 
-@dataclass(frozen=True)
-class LoadShareVector:
-    """Load multipliers for the surviving components only.
-
-    Indexing a failed component raises: the rule is defined on survivors, and
-    callers must not read a silent 0 for a node that carries no load.
-    """
-
-    values: dict[int, float]
-
-    def __getitem__(self, i: int) -> float:
-        try:
-            return self.values[i]
-        except KeyError:
-            raise KeyError(
-                f"component {i} is not in the working set; "
-                "load shares are defined for survivors only"
-            ) from None
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def total(self) -> float:
-        return sum(self.values.values())
-
-
 class AbsorptionResult(NamedTuple):
     """Absorption probabilities u[i, j] from failed node i into working node j."""
 
@@ -297,21 +267,30 @@ def absorption_probabilities(p: TransitionMatrix, a: Configuration) -> Absorptio
     return AbsorptionResult(failed, working, u)
 
 
-def absorbing_load_share(p: TransitionMatrix, a: Configuration) -> LoadShareVector:
+def absorbing_load_share(p: TransitionMatrix, a: Configuration) -> np.ndarray:
     """Absorbing-state rule: each survivor carries 1 plus the load absorbed
     from every failed component."""
     res = absorption_probabilities(p, a)
-    return LoadShareVector(dict(zip(res.working, (1.0 + res.u.sum(axis=0)).tolist())))
+    row = np.zeros(a.n)
+    row.put(res.working, 1.0 + res.u.sum(axis=0))  # faster than row[list(res.working)] =
+    return row
 
 
-def equal_load_share(n: int, a: Configuration) -> LoadShareVector:
-    """Equal rule: the total load n is split evenly over the survivors."""
+def _even_row(n: int, a: Configuration, total: float) -> np.ndarray:
+    """n shares: ``total`` split evenly over the members of the nonempty
+    working set A, 0.0 at each failed component."""
     if a.n != n:
         raise ValueError("configuration size does not match n")
     if not a.working:
         raise ValueError("working set must be nonempty")
-    lam = n / len(a.working)
-    return LoadShareVector({i: lam for i in a.working})
+    row = np.zeros(n)
+    row.put(list(a.working), total / len(a.working))
+    return row
+
+
+def equal_load_share(n: int, a: Configuration) -> np.ndarray:
+    """Equal rule: the total load n is split evenly over the survivors."""
+    return _even_row(n, a, n)
 
 
 class AbsorbingRule:
@@ -324,7 +303,7 @@ class AbsorbingRule:
     def n(self) -> int:
         return self.transition.n
 
-    def __call__(self, config: Configuration) -> LoadShareVector:
+    def __call__(self, config: Configuration) -> np.ndarray:
         return absorbing_load_share(self.transition, config)
 
 
@@ -336,7 +315,7 @@ class EqualRule:
             raise ValueError("n must be positive")
         self.n = n
 
-    def __call__(self, config: Configuration) -> LoadShareVector:
+    def __call__(self, config: Configuration) -> np.ndarray:
         return equal_load_share(self.n, config)
 
 
@@ -348,78 +327,64 @@ class UnitRule:
     """
 
     def __init__(self, n: int):
+        if n < 1:
+            raise ValueError("n must be positive")
         self.n = n
 
-    def __call__(self, config: Configuration) -> LoadShareVector:
-        if not config.working:
-            raise ValueError("working set must be nonempty")
-        return LoadShareVector({i: 1.0 for i in config.working})
+    def __call__(self, config: Configuration) -> np.ndarray:
+        return _even_row(self.n, config, len(config.working))  # each survivor keeps its 1
 
 
-Rule = Callable[[Configuration], LoadShareVector]
+# A rule maps a working set A of n components to its row of n shares: each
+# member's finite and > 0, each failed component's 0.0.
+Rule = Callable[[Configuration], np.ndarray]
 
 
 def _table_fits(n: int) -> bool:
     return (1 << n) * n * 8 <= _TABLE_MAX_BYTES
 
 
-def _checked_shares(rule: Rule, config: Configuration) -> dict[int, float]:
-    """The package's one rule call: ``rule(config).values`` once every key is in
-    range(n) (else ``ValueError``), every member's share finite and > 0 and a
-    failed component's 0.0 or absent (else :class:`InvalidShareError`)."""
-    shares = rule(config).values
-    working = config.working
-    if shares.keys() == working and all(0.0 < v < math.inf for v in shares.values()):
-        return shares
-    for i in shares.keys() - range(config.n):
-        raise ValueError(f"rule gave a share to component {i!r} at working set "
-                         f"{sorted(working)}; components are 0..{config.n - 1}")
-    for i in sorted(working | shares.keys()):
-        v = shares.get(i, 0.0)
+def _row(row, config: Configuration) -> np.ndarray:
+    """A rule's ``row`` at ``config`` as float64, once it has length n (else ``ValueError``)."""
+    row = np.asarray(row, dtype=float)
+    if row.shape != (config.n,):
+        raise ValueError(f"rule gave a row of shape {row.shape} at working set "
+                         f"{sorted(config.working)}; it needs one share per component, "
+                         f"n = {config.n}")
+    return row
+
+
+def _checked_row(row, config: Configuration) -> list[float]:
+    """A rule's ``row`` at ``config`` as a list of n floats, once every member's
+    share is finite and > 0 and every failed component's 0.0; else
+    :class:`InvalidShareError` for the first bad component."""
+    shares, working = _row(row, config).tolist(), config.working
+    for i, v in enumerate(shares):
         if not (0.0 < v < math.inf if i in working else v == 0.0):
             raise InvalidShareError(config, i, v)
     return shares
 
 
 def share_rows(rule: Rule, n: int, masks) -> np.ndarray:
-    """(len(masks), n) float64 load shares, one row per working-set mask and
-    0.0 outside the working set: one checked ``rule`` call per nonempty mask
-    (see :func:`_checked_shares`), none for mask 0.
-
-    An :class:`AbsorbingRule` (that class exactly: a subclass may override
-    ``__call__``) makes one :func:`absorption_probabilities` call per nonempty
-    mask instead, writes ``absorbing_load_share``'s values straight into the
-    row, and has every member's share checked once, after the last mask."""
+    """(len(masks), n) float64 load shares, one row per working-set mask:
+    ``rule``'s row, one call per nonempty mask and 0.0 for mask 0.  A row of
+    another length raises at once; after the last call every share is
+    checked at once, and the first bad component of the first bad mask
+    raises as :func:`_checked_row` does."""
     rows = np.zeros((len(masks), n))
-    absorbing = type(rule) is AbsorbingRule
-    members = 0
     for r, mask in enumerate(map(int, masks)):
         if not 0 <= mask < 1 << n:
             raise ValueError(f"working-set mask {mask} is outside 0..{(1 << n) - 1} for n = {n}")
-        if not mask:
-            continue
-        config = Configuration.from_mask(n, mask)
-        if absorbing:
-            res = absorption_probabilities(rule.transition, config)
-            rows[r].put(res.working, 1.0 + res.u.sum(axis=0))  # faster than rows[r, res.working]
-            members += len(res.working)
-        else:
-            row = rows[r]
-            for i, v in _checked_shares(rule, config).items():
-                row[i] = v
-    if absorbing and np.count_nonzero((rows > 0.0) & (rows < math.inf)) != members:
-        _raise_first_invalid(rows, n, masks)
+        if mask:
+            config = Configuration.from_mask(n, mask)
+            rows[r] = _row(rule(config), config)
+    k = (n + 7) // 8  # bytes per mask, so any n
+    packed = np.frombuffer(b"".join(m.to_bytes(k, "little") for m in map(int, masks)), np.uint8)
+    member = np.unpackbits(packed.reshape(-1, k), axis=1, count=n, bitorder="little").view(bool)
+    if not np.where(member, (rows > 0.0) & (rows < math.inf), rows == 0.0).all():
+        for row, mask in zip(rows, map(int, masks)):
+            _checked_row(row, Configuration.from_mask(n, mask))
     return rows
-
-
-def _raise_first_invalid(rows: np.ndarray, n: int, masks) -> None:
-    """Raise :class:`InvalidShareError` for the first member of the first
-    mask whose share is not finite and > 0."""
-    for row, mask in zip(rows, map(int, masks)):
-        config = Configuration.from_mask(n, mask)
-        for i in sorted(config.working):
-            if not 0.0 < row[i] < math.inf:
-                raise InvalidShareError(config, i, float(row[i]))
 
 
 def _first_drop(table: np.ndarray) -> tuple[int, int, int] | None:

@@ -33,7 +33,6 @@ from fiberbundle.loadshare import (
     AbsorbingRule,
     Configuration,
     EqualRule,
-    LoadShareVector,
     UnitRule,
     build_grid_graph,
     share_table,
@@ -45,9 +44,23 @@ def grid_rule(rows, cols):
     return AbsorbingRule(transition_matrix(build_grid_graph(rows, cols)))
 
 
+def members_row(cfg, share):
+    """The row of n shares with ``share`` at each member of ``cfg``, 0.0 elsewhere."""
+    row = np.zeros(cfg.n)
+    row[list(cfg.working)] = share
+    return row
+
+
 def size_rule(cfg):
     """Non-monotone: every survivor's share is the size of the working set."""
-    return LoadShareVector({i: float(len(cfg.working)) for i in cfg.working})
+    return members_row(cfg, float(len(cfg.working)))
+
+
+def with_share(row, i, value):
+    """A copy of ``row`` with component i's share replaced by ``value``."""
+    row = row.copy()
+    row[i] = value
+    return row
 
 
 class TestHandTraces:
@@ -105,30 +118,28 @@ class TestHandTraces:
         with pytest.raises(NonMonotoneRuleError):
             simulate_cascade([0.5, 0.9, 1.4], size_rule, StructureFunction.parallel(3))
 
-    @pytest.mark.parametrize("defect,i", [
-        (lambda v: v.update({0: 0.0}), 0),
-        (lambda v: v.update({2: math.nan}), 2),
-        (lambda v: v.update({1: 1.5}), 1),
-        (lambda v: v.pop(0), 0),
-    ], ids=["zero", "nan", "extra-key", "missing-key"])
-    def test_invalid_shares_rejected(self, defect, i):
+    # extra-key gives the failed component 1 a share; missing-key leaves member
+    # 0's share out, at the row's 0.0
+    @pytest.mark.parametrize("i,value", [
+        (0, 0.0), (2, math.nan), (1, 1.5), (0, 0.0), (2, math.inf),
+    ], ids=["zero", "nan", "extra-key", "missing-key", "inf"])
+    def test_invalid_shares_rejected(self, i, value):
         # component 1 fails first, so the cascade asks for the shares at {0, 2}
         def rule(cfg):
-            values = dict(EqualRule(3)(cfg).values)
-            if cfg.working == {0, 2}:
-                defect(values)
-            return LoadShareVector(values)
+            row = EqualRule(3)(cfg)
+            return with_share(row, i, value) if cfg.working == {0, 2} else row
 
         with pytest.raises(ValueError, match=rf"component {i} the share .* at working set \[0, 2\]"):
             simulate_cascade([2.0, 1.0, 3.0], rule, StructureFunction.parallel(3))
 
     @pytest.mark.parametrize("key", [3, -1])
     def test_key_outside_bundle_rejected(self, key):
-        # a zero share passes the value check, so only the key can be wrong
+        # a zero share for a component before 0 or after n - 1 passes the value
+        # check, so only the row's length can be wrong
         def rule(cfg):
-            return LoadShareVector({**EqualRule(3)(cfg).values, key: 0.0})
+            return np.insert(EqualRule(3)(cfg), 0 if key < 0 else 3, 0.0)
 
-        with pytest.raises(ValueError, match=rf"component {key} at working set \[0, 1, 2\]"):
+        with pytest.raises(ValueError, match=r"row of shape \(4,\) at working set \[0, 1, 2\]"):
             simulate_cascade([2.0, 1.0, 3.0], rule, StructureFunction.parallel(3))
 
     def test_nan_strength_rejected(self):
@@ -360,6 +371,19 @@ class TestInvariants:
             s_weib = simulate_cascade(x, base, st).strength
             s_exp = simulate_cascade(z, power, st).strength
             assert s_weib == pytest.approx(s_exp ** (1.0 / rho), rel=1e-10)
+
+    def test_scale_vector_of_the_wrong_length_named(self):
+        rule = PowerScaledRule(EqualRule(3), [1.0, 2.0], 2.0)
+        message = "scale vector has length 2, but the bundle has n = 3 components"
+        with pytest.raises(ValueError, match=message):
+            rule(Configuration.full(3))
+        with pytest.raises(ValueError, match=message):
+            share_table(rule, 3)
+        # one scale broadcasts, as a scalar does
+        config = Configuration(3, {0, 2})
+        one = PowerScaledRule(EqualRule(3), [2.0], 2.0)(config)
+        assert one.tolist() == PowerScaledRule(EqualRule(3), 2.0, 2.0)(config).tolist()
+        assert one.tolist() == [0.5625, 0.0, 0.5625]
 
     def test_weibull_transform_distributional(self):
         rho, sigma = 5.0, 2.0
@@ -606,7 +630,7 @@ class TestSampling:
     def test_sampler_rejects_all_zero_shares(self):
         # every ratio x / 0.0 is +inf, so the kernel never finds a failure
         def zero_rule(cfg):
-            return LoadShareVector({i: 0.0 for i in cfg.working})
+            return np.zeros(cfg.n)
 
         with pytest.raises(ValueError, match="finite share > 0"):
             sample_bundle_strengths(unit_exponential(), zero_rule, StructureFunction.parallel(3), 3)

@@ -368,7 +368,10 @@ def test_shape_with_exponential_family_is_a_usage_error(tmp_path, capsys, comman
     assert err.startswith("error: --shape: --family exponential fixes the shape at 1"), err
     assert not out.exists()
     assert main(argv[:argv.index("--out") + 2]) == 0  # without --shape it runs
-    assert json.loads((out / "manifest.json").read_text())["config"]["shape"] == 5.0
+    # and its manifest echoes the shape the law uses, not the --shape default
+    assert json.loads((out / "manifest.json").read_text())["config"]["shape"] == 1.0
+    if command == "simulate":
+        assert json.loads((out / "tail_fit.json").read_text())["component_shape"] == 1.0
 
 
 @pytest.mark.parametrize("argv, solves", [

@@ -13,7 +13,6 @@ from fiberbundle.loadshare import (
     AbsorbingRule,
     Configuration,
     EqualRule,
-    LoadShareVector,
     UnitRule,
     build_grid_graph,
     transition_matrix,
@@ -239,7 +238,9 @@ class HalfEqualRule:
     n: int
 
     def __call__(self, cfg):
-        return LoadShareVector({i: 0.5 * self.n / len(cfg.working) for i in cfg.working})
+        row = np.zeros(self.n)
+        row[list(cfg.working)] = 0.5 * self.n / len(cfg.working)
+        return row
 
 
 class TestOneTablePerRule:

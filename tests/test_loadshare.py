@@ -17,7 +17,6 @@ from fiberbundle.loadshare import (
     Configuration,
     EqualRule,
     InvalidShareError,
-    LoadShareVector,
     MonotoneCheck,
     NonMonotoneRuleError,
     SingularAbsorptionError,
@@ -39,22 +38,52 @@ def grid_rule(rows, cols):
     return AbsorbingRule(transition_matrix(build_grid_graph(rows, cols)))
 
 
-# each breaks the rule-output contract for one component at working set {0, 2}
+def members_row(cfg, share):
+    """The row of n shares with ``share`` at each member of ``cfg``, 0.0 elsewhere."""
+    row = np.zeros(cfg.n)
+    row[list(cfg.working)] = share
+    return row
+
+
+def size_rule(cfg):
+    """Non-monotone: every survivor's share is the size of the working set."""
+    return members_row(cfg, float(len(cfg.working)))
+
+
+def with_share(i, value):
+    """A row defect: component i's share replaced by ``value``."""
+    def defect(row):
+        row = row.copy()
+        row[i] = value
+        return row
+
+    return defect
+
+
+def with_extra_share(key):
+    """A row defect: one more share, for a component ``key`` outside 0..n-1
+    (before component 0 when negative, after the last one otherwise)."""
+    return lambda row: np.insert(row, 0 if key < 0 else row.size, 0.0)
+
+
+# each breaks the rule-output contract for one component at working set {0, 2};
+# extra-key gives the failed component 1 a share, missing-key leaves member 0's
+# share out, at the row's 0.0
 DEFECTS = [
-    pytest.param(lambda v: v.update({0: 0.0}), 0, id="zero"),
-    pytest.param(lambda v: v.update({2: math.nan}), 2, id="nan"),
-    pytest.param(lambda v: v.update({1: 1.5}), 1, id="extra-key"),
-    pytest.param(lambda v: v.pop(0), 0, id="missing-key"),
+    pytest.param(with_share(0, 0.0), 0, id="zero"),
+    pytest.param(with_share(2, math.nan), 2, id="nan"),
+    pytest.param(with_share(1, 1.5), 1, id="extra-key"),
+    pytest.param(with_share(0, 0.0), 0, id="missing-key"),
+    pytest.param(with_share(2, math.inf), 2, id="inf"),
+    pytest.param(with_share(0, -1.0), 0, id="negative"),
 ]
 
 
 def defective_rule(defect):
-    """The equal rule on 3 components with ``defect`` applied at {0, 2}."""
+    """The equal rule on 3 components with ``defect`` applied to its row at {0, 2}."""
     def rule(cfg):
-        values = dict(EqualRule(3)(cfg).values)
-        if cfg.working == {0, 2}:
-            defect(values)
-        return LoadShareVector(values)
+        row = EqualRule(3)(cfg)
+        return defect(row) if cfg.working == {0, 2} else row
 
     return rule
 
@@ -194,7 +223,8 @@ class TestAbsorbingLoadShare:
     def test_full_working_set_is_unit(self):
         tm = transition_matrix(build_grid_graph(3, 3))
         lam = absorbing_load_share(tm, Configuration.full(9))
-        assert all(v == pytest.approx(1.0) for v in lam.values.values())
+        assert lam.shape == (9,) and lam.dtype == np.float64
+        assert all(v == pytest.approx(1.0) for v in lam)
 
     def test_two_by_two_corner_failure(self):
         g = build_grid_graph(2, 2)
@@ -203,13 +233,7 @@ class TestAbsorbingLoadShare:
         assert lam[g.node_index(0, 1)] == pytest.approx(1.5)
         assert lam[g.node_index(1, 1)] == pytest.approx(1.5)
         assert lam[g.node_index(1, 0)] == pytest.approx(1.0)
-        assert lam.total() == pytest.approx(4.0)
-
-    def test_failed_component_lookup_raises(self):
-        tm = transition_matrix(build_grid_graph(1, 3))
-        lam = absorbing_load_share(tm, Configuration(3, frozenset({0, 2})))
-        with pytest.raises(KeyError, match="survivors"):
-            lam[1]
+        assert lam[0] == 0.0 and lam.sum() == pytest.approx(4.0)
 
     def test_conservation_exhaustive_small_grids(self):
         for rows, cols in [(1, 3), (2, 2), (2, 3)]:
@@ -217,15 +241,16 @@ class TestAbsorbingLoadShare:
             tm = transition_matrix(build_grid_graph(rows, cols))
             for mask in range(1, 1 << n):
                 lam = absorbing_load_share(tm, Configuration.from_mask(n, mask))
-                assert lam.total() == pytest.approx(n, abs=1e-9)
+                assert lam.sum() == pytest.approx(n, abs=1e-9)
 
     def test_survivor_share_at_least_one(self):
         tm = transition_matrix(build_grid_graph(2, 3))
         rng = np.random.default_rng(1)
         for _ in range(30):
             mask = int(rng.integers(1, 1 << 6))
-            lam = absorbing_load_share(tm, Configuration.from_mask(6, mask))
-            assert all(v >= 1.0 - 1e-12 for v in lam.values.values())
+            cfg = Configuration.from_mask(6, mask)
+            lam = absorbing_load_share(tm, cfg)
+            assert all(lam[i] >= 1.0 - 1e-12 for i in cfg.working)
 
     def test_mirror_symmetry(self):
         rows, cols = 2, 3
@@ -250,7 +275,7 @@ class TestEqualRule:
     @pytest.mark.parametrize("n,size,expected", [(4, 4, 1.0), (4, 2, 2.0), (3, 1, 3.0)])
     def test_values(self, n, size, expected):
         lam = equal_load_share(n, Configuration(n, frozenset(range(size))))
-        assert all(v == pytest.approx(expected) for v in lam.values.values())
+        assert lam.tolist() == [expected] * size + [0.0] * (n - size)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -263,7 +288,7 @@ class TestEqualRule:
                 cfg = Configuration.from_mask(n, mask)
                 lam = absorbing_load_share(tm, cfg)
                 expected = n / len(cfg.working)
-                assert all(v == pytest.approx(expected, abs=1e-9) for v in lam.values.values())
+                assert all(lam[i] == pytest.approx(expected, abs=1e-9) for i in cfg.working)
 
 
 class TestVerifyMonotone:
@@ -274,9 +299,7 @@ class TestVerifyMonotone:
         assert verify_monotone(EqualRule(5), 5).ok
 
     def test_adversarial_rule_caught(self):
-        def rule(cfg):
-            return LoadShareVector({i: float(len(cfg.working)) for i in cfg.working})
-
+        rule = size_rule
         check = verify_monotone(rule, 4)
         assert not check.ok
         a, b, j = check.counterexample
@@ -286,7 +309,7 @@ class TestVerifyMonotone:
 
     def test_nonpositive_total_caught(self):
         def rule(cfg):
-            return LoadShareVector({i: 0.0 if cfg.working == {1} else 1.0 for i in cfg.working})
+            return members_row(cfg, 0.0 if cfg.working == {1} else 1.0)
 
         assert verify_monotone(rule, 3) == MonotoneCheck(False, (frozenset({1}), frozenset({1}), -1))
 
@@ -304,10 +327,10 @@ class TestVerifyMonotone:
         full = frozenset(range(14))
 
         def rule(cfg):
-            lam = EqualRule(14)(cfg).values
+            lam = EqualRule(14)(cfg)
             if cfg.working == full - {13}:
-                lam = {**lam, 0: 0.5}
-            return LoadShareVector(lam)
+                lam[0] = 0.5
+            return lam
 
         assert verify_monotone(rule, 14) == MonotoneCheck(False, (full - {13}, full, 0))
 
@@ -321,15 +344,12 @@ class TestVerifyMonotone:
     def test_monotonicity_exhaustive_pairs(self):
         # direct lattice sweep, independent of verify_monotone internals
         rule = grid_rule(2, 3)
-        shares = {
-            mask: dict(rule(Configuration.from_mask(6, mask)).values)
-            for mask in range(1, 1 << 6)
-        }
+        shares = {mask: rule(Configuration.from_mask(6, mask)) for mask in range(1, 1 << 6)}
         for bmask in range(1, 1 << 6):
             sub = (bmask - 1) & bmask
             while sub:
-                for j, val in shares[sub].items():
-                    assert shares[bmask][j] <= val + 1e-12
+                for j in Configuration.from_mask(6, sub).working:
+                    assert shares[bmask][j] <= shares[sub][j] + 1e-12
                 sub = (sub - 1) & bmask
 
 
@@ -353,22 +373,16 @@ class TestShareTable:
         assert other is not table and np.array_equal(other, table)
 
     def test_non_monotone_rule_rejected(self):
-        def rule(cfg):
-            return LoadShareVector({i: float(len(cfg.working)) for i in cfg.working})
-
         with pytest.raises(NonMonotoneRuleError, match="dropped"):
-            share_table(rule, 3)
+            share_table(size_rule, 3)
         assert cascade.NonMonotoneRuleError is NonMonotoneRuleError
 
     def test_counterexample_is_verify_monotones(self):
-        def size_rule(cfg):
-            return LoadShareVector({i: float(len(cfg.working)) for i in cfg.working})
-
         full = frozenset(range(14))
 
         def one_drop(cfg):
-            lam = EqualRule(14)(cfg).values
-            return LoadShareVector({**lam, 0: 0.5} if cfg.working == full - {13} else lam)
+            lam = EqualRule(14)(cfg)
+            return with_share(0, 0.5)(lam) if cfg.working == full - {13} else lam
 
         for rule, n, want in [(size_rule, 4, (frozenset({1}), frozenset({0, 1}), 1)),
                               (one_drop, 14, (full - {13}, full, 0))]:
@@ -403,11 +417,13 @@ class TestShareTable:
 
     @pytest.mark.parametrize("key", [3, -1])
     def test_key_outside_bundle_rejected(self, key):
-        # -1 would index component 2's slot, and 3 the end of the row
-        rule = defective_rule(lambda v: v.update({key: 0.0}))
-        with pytest.raises(ValueError, match=rf"component {key} at working set \[0, 2\]"):
+        # a share for a component before 0 or after n - 1 makes a row of length 4
+        rule = defective_rule(with_extra_share(key))
+        message = r"row of shape \(4,\) at working set \[0, 2\]; .* n = 3"
+        with pytest.raises(ValueError, match=message) as exc:
             share_table(rule, 3)
-        with pytest.raises(ValueError, match=rf"component {key} at working set \[0, 2\]"):
+        assert type(exc.value) is ValueError
+        with pytest.raises(ValueError, match=message):
             verify_monotone(rule, 3)
 
     def test_table_bound_checked_before_any_work(self):
@@ -484,17 +500,49 @@ class TestShareRows:
             share_rows(EqualRule(4), 4, [3, mask])
 
     def test_first_defect_stops_the_rows(self):
-        # mask 5 is {0, 2}: nothing after it is asked for
+        # masks 5 and 3 are both bad: every mask is asked for, and the rows stop
+        # with the error of the first bad one in the given order
         calls = []
-        rule = defective_rule(lambda v: v.update({0: 0.0}))
 
         def counting(cfg):
             calls.append(cfg.mask)
-            return rule(cfg)
+            row = EqualRule(3)(cfg)
+            return with_share(0, 0.0)(row) if cfg.mask in (3, 5) else row
 
         with pytest.raises(InvalidShareError) as exc:
             share_rows(counting, 3, [7, 5, 3])
-        assert exc.value.mask == 5 and calls == [7, 5]
+        assert exc.value.mask == 5 and calls == [7, 5, 3]
+        with pytest.raises(InvalidShareError) as exc:
+            share_rows(counting, 3, [7, 3, 5])
+        assert exc.value.mask == 3
+
+    @pytest.mark.parametrize("length", [0, 1, 2, 4])
+    def test_row_of_the_wrong_length_rejected_at_once(self, length):
+        # a length-1 row would broadcast over the table's row
+        calls = []
+
+        def rule(cfg):
+            calls.append(cfg.mask)
+            return np.ones(length) if cfg.mask == 5 else EqualRule(3)(cfg)
+
+        message = rf"rule gave a row of shape \({length},\) at working set \[0, 2\]; .* n = 3"
+        with pytest.raises(ValueError, match=message):
+            share_rows(rule, 3, [7, 5, 3])
+        assert calls == [7, 5]
+
+    def test_any_sequence_of_floats_is_a_row(self):
+        rows = share_rows(lambda cfg: [float(cfg.mask >> i & 1) for i in range(3)], 3, [0, 5, 7])
+        assert rows.tolist() == [[0.0, 0.0, 0.0], [1.0, 0.0, 1.0], [1.0, 1.0, 1.0]]
+
+    def test_masks_past_63_bits(self):
+        # the vectorised check reads every mask's bits, whatever n
+        n = 70
+        mask = 1 << 69 | 1
+        rows = share_rows(EqualRule(n), n, [mask])
+        assert rows[0, 0] == rows[0, 69] == 35.0 and np.count_nonzero(rows) == 2
+        with pytest.raises(InvalidShareError) as exc:
+            share_rows(lambda cfg: with_share(69, 0.0)(EqualRule(n)(cfg)), n, [mask])
+        assert exc.value.mask == mask
 
     def test_share_error_pickles(self):
         # a worker process hands its error back pickled
@@ -505,26 +553,29 @@ class TestShareRows:
 
 
 class TestAbsorbingRows:
-    """share_rows' AbsorbingRule branch against the checked rule-call path."""
+    """share_rows of an AbsorbingRule against its absorption solves."""
 
     @pytest.mark.parametrize("rows, cols, masks", [
         (2, 3, range(1 << 6)), (3, 3, range(1 << 9)), (3, 4, range(1 << 12)),
         (4, 4, np.random.default_rng(44).integers(0, 1 << 16, 200)),
     ], ids=["2x3", "3x3", "3x4", "4x4-random-200"])
-    def test_rows_equal_the_rule_call_path(self, rows, cols, masks):
-        # a wrapper is not an AbsorbingRule, so it takes the per-mask rule call
+    def test_rows_are_one_plus_the_absorbed_loads(self, rows, cols, masks):
+        # each member carries 1 plus the column sum of u, byte for byte
         n = rows * cols
         rule = grid_rule(rows, cols)
-        fast = share_rows(rule, n, masks)
-        assert fast.tobytes() == share_rows(lambda c: rule(c), n, masks).tobytes()
+        want = np.zeros((len(masks), n))
+        for r, mask in enumerate(masks):
+            if mask:
+                config = Configuration.from_mask(n, int(mask))
+                res = absorption_probabilities(rule.transition, config)
+                want[r, list(res.working)] = 1 + res.u.sum(axis=0)
+        assert share_rows(rule, n, masks).tobytes() == want.tobytes()
 
     def test_subclass_call_is_checked(self):
         class ZeroAtFive(AbsorbingRule):
             def __call__(self, config):
-                values = dict(super().__call__(config).values)
-                if config.mask == 5:
-                    values[0] = 0.0
-                return LoadShareVector(values)
+                row = super().__call__(config)
+                return with_share(0, 0.0)(row) if config.mask == 5 else row
 
         with pytest.raises(InvalidShareError, match=r"component 0 the share 0.0") as exc:
             share_rows(ZeroAtFive(transition_matrix(build_grid_graph(1, 3))), 3, [7, 5, 3])
@@ -579,19 +630,27 @@ CONTRACT_PATHS = {
     "tail_constant": lambda rule: threshold.parallel_exponential_tail_constant(rule, 3),
     "log_odds": lambda rule: gibbs.log_odds(
         Configuration(3, frozenset({0, 2})), 0, 1.0, rule, unit_exponential()),
+    "share_rows": lambda rule: share_rows(rule, 3, [7, 5, 3]),
 }
+
+_LONG = r"row of shape \(4,\) at working set \[0, 2\]; it needs one share per component, n = 3"
 
 
 class TestOneContract:
+    # missing-member leaves member 0's share at the row's 0.0; key-3 and
+    # key-minus-1 add a share for a component outside the bundle
     @pytest.mark.parametrize("defect, message", [
-        (lambda v: v.update({0: 0.0}), r"component 0 the share 0.0 at working set \[0, 2\]"),
-        (lambda v: v.update({2: math.nan}), r"component 2 the share nan at working set \[0, 2\]"),
-        (lambda v: v.pop(0), r"component 0 the share 0.0 at working set \[0, 2\]"),
-        (lambda v: v.update({1: 1.5}), r"component 1 the share 1.5 at working set \[0, 2\]"),
-        (lambda v: v.update({0: -1.0}), r"component 0 the share -1.0 at working set \[0, 2\]"),
-        (lambda v: v.update({3: 0.0}), r"share to component 3 at working set \[0, 2\]"),
-        (lambda v: v.update({-1: 0.0}), r"share to component -1 at working set \[0, 2\]"),
-    ], ids=["zero", "nan", "missing-member", "failed-component", "negative", "key-3", "key-minus-1"])
+        (with_share(0, 0.0), r"component 0 the share 0.0 at working set \[0, 2\]"),
+        (with_share(2, math.nan), r"component 2 the share nan at working set \[0, 2\]"),
+        (with_share(0, 0.0), r"component 0 the share 0.0 at working set \[0, 2\]"),
+        (with_share(1, 1.5), r"component 1 the share 1.5 at working set \[0, 2\]"),
+        (with_share(0, -1.0), r"component 0 the share -1.0 at working set \[0, 2\]"),
+        (with_extra_share(3), _LONG),
+        (with_extra_share(-1), _LONG),
+        (with_share(2, math.inf), r"component 2 the share inf at working set \[0, 2\]"),
+        (lambda row: row[:2], r"row of shape \(2,\) at working set \[0, 2\]; .* n = 3"),
+    ], ids=["zero", "nan", "missing-member", "failed-component", "negative", "key-3", "key-minus-1",
+            "inf", "short-row"])
     @pytest.mark.parametrize("path", list(CONTRACT_PATHS))
     def test_every_path_raises_the_same_error(self, path, defect, message):
         rule = defective_rule(defect)
@@ -637,4 +696,14 @@ class TestConfiguration:
 
     def test_unit_rule_is_one_everywhere(self):
         lam = UnitRule(4)(Configuration(4, frozenset({1, 3})))
-        assert lam.values == {1: 1.0, 3: 1.0}
+        assert lam.tolist() == [0.0, 1.0, 0.0, 1.0]
+
+    def test_unit_rule_checks_n_and_the_configuration_size(self):
+        # as the equal rule does
+        for rule in (UnitRule, EqualRule):
+            with pytest.raises(ValueError, match="n must be positive"):
+                rule(0)
+            with pytest.raises(ValueError, match="configuration size does not match n"):
+                share_table(rule(3), 4)
+            with pytest.raises(ValueError, match="configuration size does not match n"):
+                rule(3)(Configuration.full(2))

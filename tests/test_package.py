@@ -10,11 +10,12 @@ import pytest
 
 import fiberbundle
 
-# every name the package re-exported when it imported its submodules eagerly
+# every name the package re-exported when it imported its submodules eagerly,
+# but LoadShareVector, which went when rules came to return share rows
 _EXPORTED = {
     "distributions": ["StrengthModel", "unit_exponential"],
     "loadshare": [
-        "AbsorbingRule", "ComponentGraph", "Configuration", "EqualRule", "LoadShareVector",
+        "AbsorbingRule", "ComponentGraph", "Configuration", "EqualRule",
         "NonMonotoneRuleError", "TransitionMatrix", "UnitRule", "absorbing_load_share",
         "absorption_probabilities", "build_grid_graph", "complete_graph_transition",
         "equal_load_share", "share_table", "transition_matrix", "verify_monotone",

@@ -35,8 +35,8 @@ from fiberbundle.loadshare import (
     Configuration,
     EqualRule,
     InvalidShareError,
-    LoadShareVector,
     TransitionMatrix,
+    UnitRule,
     build_grid_graph,
     share_rows,
     share_table,
@@ -62,6 +62,8 @@ BUNDLES = {
                          StructureFunction.column_paths(2, 3)),
     "power-scaled-equal-3": (PowerScaledRule(EqualRule(3), [0.7, 1.0, 1.3], 0.5),
                              StructureFunction.parallel(3)),
+    "unit-3": (UnitRule(3), StructureFunction.parallel(3)),
+    "unit-2x3": (UnitRule(6), StructureFunction.column_paths(2, 3)),
 }
 
 
@@ -84,14 +86,14 @@ def path_structures(draw, n):
 @st.composite
 def random_bundles(draw):
     """(rule, structure, share table) on n <= 9 components: an absorbing rule
-    on a random connected graph or the equal rule, power-scaled or not, and a
-    random partition of the components into paths."""
+    on a random connected graph, the equal rule or the unit rule, power-scaled
+    or not, and a random partition of the components into paths."""
     if draw(st.booleans()):
         p = draw(connected_chains())
         n, rule = p.n, AbsorbingRule(p)
     else:
         n = draw(st.integers(1, 9))
-        rule = EqualRule(n)
+        rule = draw(st.sampled_from([EqualRule, UnitRule]))(n)
     if draw(st.booleans()):
         scales = draw(st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n))
         rule = PowerScaledRule(rule, scales, draw(st.floats(0.25, 4.0)))
@@ -108,15 +110,21 @@ def step(v, ulps):
     return v
 
 
+# powers of two that scale strengths into the subnormals or up to the
+# largest finite floats, where the sampler's overflow check begins
+SCALES = st.sampled_from([0, 0, 0, 0, -1074, -1064, -1040, -1022, 1000, 1016, 1021])
+
+
 @st.composite
-def boundary_strengths(draw, table):
-    """n strengths >= 0 with ties and zeros, some of them moved onto (or an ulp
-    or two beside) a share times another component's Phase-I stress: the
-    product against which the cascade decides whether a burst goes on."""
+def boundary_strengths(draw, table, scales=st.just(0)):
+    """n strengths >= 0 with ties and zeros, scaled by 2 to a power drawn from
+    ``scales``, some of them moved onto (or an ulp or two beside) a share
+    times another component's Phase-I stress: the product against which the
+    cascade decides whether a burst goes on."""
     n = table.shape[1]
     full = (1 << n) - 1
     value = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0]), st.floats(0.0, 4.0))
-    x = np.array(draw(st.lists(value, min_size=n, max_size=n)))
+    x = np.ldexp(draw(st.lists(value, min_size=n, max_size=n)), draw(scales))
     for _ in range(draw(st.integers(0, n))):
         j, k = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
         # k fails first at the full set, j is asked at the set without k,
@@ -124,12 +132,13 @@ def boundary_strengths(draw, table):
         at_k = draw(st.one_of(st.just(full), st.integers(1, full))) | 1 << k
         at_j = draw(st.one_of(st.just(full & ~(1 << k)), st.integers(1, full))) | 1 << j
         stress = x[k] / table[at_k, k]
-        x[j] = max(step(table[at_j, j] * stress, draw(st.integers(-2, 2))), 0.0)
+        near = step(table[at_j, j] * stress, draw(st.integers(-2, 2)))
+        x[j] = min(max(near, 0.0), np.finfo(float).max)  # finite, as the sampler's draws
     return x
 
 
 @st.composite
-def burst_ties(draw, bundle):
+def burst_ties(draw, bundle, scales=st.just(0)):
     """Boundary strengths with, where their scalar cascade allows, one
     survivor j of a non-terminal cycle put exactly on its burst bound
     x_j = share_j * s at the set the cycle left, for a product that
@@ -137,7 +146,7 @@ def burst_ties(draw, bundle):
     cycle at stress s; a kernel that missed the tie would fail j by its
     Phase-I ratio in a new cycle, at another stress."""
     rule, structure, table = bundle
-    x = draw(boundary_strengths(table))
+    x = draw(boundary_strengths(table, scales))
     res = simulate_cascade(x, rule, structure)
     ties = []
     for s, left in zip(res.phase1_stresses[:-1], res.survivor_sets[1:-1]):
@@ -152,7 +161,7 @@ def burst_ties(draw, bundle):
 @given(data=st.data(), bundle=BUNDLE_DRAWS)
 def test_kernel_equals_scalar_cascade_and_replay_accepts_its_pattern(data, bundle):
     rule, structure, table = bundle
-    x = data.draw(burst_ties(bundle))
+    x = data.draw(burst_ties(bundle, SCALES))
     res = simulate_cascade(x, rule, structure)
     fast = cascade._cascade_strengths_block(x[None, :], table, structure)
     assert fast.tobytes() == np.float64(res.strength).tobytes()
@@ -257,12 +266,20 @@ def test_csv_rows_are_repr_byte_for_byte(bits, specials, ints):
     assert csvtext._csv_rows([floats, whole]) == want.encode()
 
 
+def _put(row, i, value):
+    row[i] = value
+    return row
+
+
+# each takes the row, a member and a failed component, and returns a bad row
 DEFECTS = {
-    "zero": lambda values, member, failed: values.update({member: 0.0}),
-    "nan": lambda values, member, failed: values.update({member: math.nan}),
-    "inf": lambda values, member, failed: values.update({member: math.inf}),
-    "missing": lambda values, member, failed: values.pop(member),
-    "failed-share": lambda values, member, failed: values.update({failed: 1.0}),
+    "zero": lambda row, member, failed: _put(row, member, 0.0),
+    "nan": lambda row, member, failed: _put(row, member, math.nan),
+    "inf": lambda row, member, failed: _put(row, member, math.inf),
+    "negative": lambda row, member, failed: _put(row, member, -row[member]),
+    "failed-share": lambda row, member, failed: _put(row, failed, 1.0),
+    "short": lambda row, member, failed: row[:-1],
+    "long": lambda row, member, failed: np.append(row, 0.0),
 }
 
 
@@ -277,14 +294,16 @@ def test_share_error_names_the_corrupted_mask(data, defect, n):
     equal = EqualRule(n)
 
     def rule(cfg):
-        values = dict(equal(cfg).values)
-        if cfg.mask == bad:
-            DEFECTS[defect](values, member, failed)
-        return LoadShareVector(values)
+        row = equal(cfg)
+        return DEFECTS[defect](row, member, failed) if cfg.mask == bad else row
 
     others = data.draw(st.lists(st.integers(0, full).filter(lambda m: m != bad), max_size=8))
     at = data.draw(st.integers(0, len(others)))
-    with pytest.raises(InvalidShareError) as exc:
+    with pytest.raises(ValueError) as exc:
         share_rows(rule, n, [*others[:at], bad, *others[at:]])
-    assert exc.value.mask == bad
     assert f"at working set {working};" in str(exc.value)
+    if defect in ("short", "long"):
+        length = n - 1 if defect == "short" else n + 1
+        assert type(exc.value) is ValueError and f"shape ({length},)" in str(exc.value)
+    else:
+        assert type(exc.value) is InvalidShareError and exc.value.mask == bad
