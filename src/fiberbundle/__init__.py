@@ -24,11 +24,9 @@ _EXPORTS = {
         "NonMonotoneRuleError",
         "TransitionMatrix",
         "UnitRule",
-        "absorbing_load_share",
         "absorption_probabilities",
         "build_grid_graph",
         "complete_graph_transition",
-        "equal_load_share",
         "share_table",
         "transition_matrix",
         "verify_monotone",

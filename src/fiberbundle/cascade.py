@@ -27,8 +27,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .distributions import StrengthModel
-from .loadshare import (_REL_TOL, Configuration, NonMonotoneRuleError, Rule, _checked_row,
-                        _table_fits, share_table)
+from .loadshare import _REL_TOL, NonMonotoneRuleError, Rule, _rule_rows, _table_fits, share_table
 
 __all__ = [
     "ComponentStrengths",
@@ -244,9 +243,10 @@ class ChainSpec:
             raise ValueError("chain length must be >= 1")
 
 
-def _as_strengths(x, n: int) -> np.ndarray:
-    """The n component strengths as a float vector, each one >= 0 (so not NaN);
-    a zero (an underflowed draw) fails at load 0, as in the kernel."""
+def _as_strengths(x, n: int) -> list[float]:
+    """The n component strengths as Python floats, each one >= 0 (so not NaN);
+    a zero (an underflowed draw) fails at load 0 and a ratio past the largest
+    float is inf, without a warning, as in the kernel."""
     if isinstance(x, ComponentStrengths):
         x = x.x
     arr = np.asarray(x, dtype=float)
@@ -254,15 +254,17 @@ def _as_strengths(x, n: int) -> np.ndarray:
         raise ValueError("strengths must be a 1-d vector")
     if arr.size != n:
         raise ValueError(f"expected {n} strengths, got {arr.size}")
-    if not np.all(arr >= 0):
+    xs = arr.tolist()
+    if not all(v >= 0 for v in xs):
         raise ValueError("all component strengths must be strictly positive or zero")
-    return arr
+    return xs
 
 
 def _share_walk(rule: Rule, n: int) -> Callable[[frozenset[int]], list[float]]:
     """Share rows (lists of n floats, 0.0 outside the working set) along a walk
-    down nested working sets, one ``rule`` call per set, each row checked as
-    :func:`~fiberbundle.loadshare.share_rows` checks its rows.
+    down nested working sets, one ``rule`` call per set on a one-row
+    membership array, each row checked as
+    :func:`~fiberbundle.loadshare.share_rows` checks its batches.
 
     Asking again for the latest set returns its row without a call, and the
     empty set's row is all zeros.  A member whose share drops from the
@@ -277,8 +279,9 @@ def _share_walk(rule: Rule, n: int) -> Callable[[frozenset[int]], list[float]]:
             return empty
         if working == latest[0]:
             return latest[1]
-        config, prev = Configuration(n, working), latest[1]
-        row = _checked_row(rule(config), config)
+        prev = latest[1]
+        # from a list of bools: on the hot walk it builds faster than zeros and a fancy assignment
+        row = _rule_rows(rule, np.array([[i in working for i in range(n)]]))[0].tolist()
         for j in working:
             if row[j] < prev[j] * (1.0 - _REL_TOL):
                 raise NonMonotoneRuleError(
@@ -335,8 +338,8 @@ def simulate_cascade(x, rule: Rule, structure: StructureFunction) -> CascadeResu
         lam = shares(working)
         order = sorted(working)
         ratios = [xs[i] / lam[i] for i in order]
-        j = int(np.argmin(ratios))
-        s_u, i0 = float(ratios[j]), order[j]
+        s_u = min(ratios)
+        i0 = order[ratios.index(s_u)]  # the first in column order on a tie
         cur = working - {i0}
         groups: list[frozenset[int]] = []
         while cur:
@@ -375,7 +378,7 @@ def replay_pattern(pattern: BreakingPattern, x, rule: Rule, structure: Structure
     last = len(pattern.cycles) - 1
     for idx, (cyc, working, lam, bursts, cur, lam_t) in enumerate(
             _pattern_steps(pattern, rule, structure.n)):
-        s_u = float(xs[cyc.phase1] / lam[cyc.phase1])
+        s_u = xs[cyc.phase1] / lam[cyc.phase1]
         if s_u < prev_s * lo:
             return False
         # Phase-I minimality on the load ratios, as the cascade decides it: a
@@ -408,17 +411,17 @@ class PowerScaledRule:
         self.scales = np.asarray(scales, dtype=float)
         self.rho = float(rho)
 
-    def __call__(self, config: Configuration) -> np.ndarray:
+    def __call__(self, member: np.ndarray) -> np.ndarray:
         try:
-            sig = np.broadcast_to(self.scales, config.n)
+            sig = np.broadcast_to(self.scales, member.shape[1])
         except ValueError:
             raise ValueError(f"scale vector has length {self.scales.size}, but the bundle has "
-                             f"n = {config.n} components") from None
-        lam, row = self.base(config), np.zeros(config.n)
-        for i in config.working:
-            # one scalar ** per member: NumPy's vectorised power can differ in the last bit
-            row[i] = (lam[i] / sig[i]) ** self.rho
-        return row
+                             f"n = {member.shape[1]} components") from None
+        rows = np.zeros(member.shape)
+        ratios = np.asarray(self.base(member), dtype=float)[member] / sig[np.nonzero(member)[1]]
+        # one scalar ** per member: NumPy's vectorised power can differ in the last bit
+        rows[member] = [v ** self.rho for v in ratios]
+        return rows
 
 
 # ---------------------------------------------------------------------------
@@ -460,8 +463,9 @@ def _cascade_strengths_block(x: np.ndarray, table: np.ndarray,
 
     Failed components have share 0.0 in the table, so their ratio x / share
     is +inf (NaN for a zero strength, which fails at s = 0 in the first cycle)
-    and ``x <= share * s`` is false: no membership mask is needed.  Row bits
-    are packed by a float matrix-vector product with weights 2^i, exact for
+    and ``x <= share * s`` is false: no membership mask is needed; past the
+    largest float a ratio or a load is inf, unwarned.  Row bits are packed
+    by a float matrix-vector product with weights 2^i, exact for
     n <= 20.  The state of the live replicas is compacted when some retire;
     the caller's ``x`` is not modified.  Every pass fails a working
     component of each live replica, so all have retired by the n-th pass;
@@ -473,7 +477,7 @@ def _cascade_strengths_block(x: np.ndarray, table: np.ndarray,
     weight = np.ldexp(1.0, np.arange(n))
     strength = np.empty(m)
     rows = np.arange(m)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         s, first = _phase_one(x / table[-1], weight)
         masks = np.int64((1 << n) - 1) ^ first
         for _ in range(n):

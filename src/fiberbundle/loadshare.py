@@ -25,8 +25,6 @@ __all__ = [
     "transition_matrix",
     "complete_graph_transition",
     "absorption_probabilities",
-    "absorbing_load_share",
-    "equal_load_share",
     "verify_monotone",
     "share_table",
     "share_rows",
@@ -40,6 +38,7 @@ __all__ = [
 _ROW_SUM_TOL = 1e-9
 _REL_TOL = 1e-9  # relative drop in a share that counts as non-monotone
 _TABLE_MAX_BYTES = 256 << 20  # 2^n * n float64 shares: n <= 20; n * n transitions: n <= 5,792
+_BATCH = 1 << 12  # working sets per rule call in share_rows: bounds its temporaries
 
 
 class NonMonotoneRuleError(RuntimeError):
@@ -55,12 +54,12 @@ class InvalidShareError(ValueError):
     """A rule gave a member a share that is not finite and > 0, or a failed
     component a nonzero share; ``mask`` is the working set's mask."""
 
-    def __init__(self, config: "Configuration", i: int, value: float):
+    def __init__(self, n: int, mask: int, i: int, value: float):
         super().__init__(f"rule gave component {i} the share {value} at working set "
-                         f"{sorted(config.working)}; a member needs a finite share > 0, "
+                         f"{sorted(_working(n, mask))}; a member needs a finite share > 0, "
                          "a failed one none")
-        self.mask = config.mask
-        self._given = (config, i, value)
+        self.mask = mask
+        self._given = (n, mask, i, value)
 
     def __reduce__(self):  # unpickling calls __init__ with these, not with the message
         return type(self), self._given
@@ -148,7 +147,7 @@ class Configuration:
             raise ValueError("component count must be positive")
         config = object.__new__(cls)
         object.__setattr__(config, "n", n)
-        object.__setattr__(config, "working", frozenset(i for i in range(n) if mask >> i & 1))
+        object.__setattr__(config, "working", _working(n, mask))
         return config
 
     @property
@@ -176,6 +175,11 @@ class AbsorptionResult(NamedTuple):
 class MonotoneCheck(NamedTuple):
     ok: bool
     counterexample: tuple[frozenset[int], frozenset[int], int] | None
+
+
+def _working(n: int, mask: int) -> frozenset[int]:
+    """The working set of ``mask``: its set bits below bit n."""
+    return frozenset(i for i in range(n) if mask >> i & 1)
 
 
 def _check_bytes(what: str, nbytes: int, advice: str) -> None:
@@ -233,29 +237,30 @@ def complete_graph_transition(n: int) -> TransitionMatrix:
     return TransitionMatrix(p)
 
 
-def absorption_probabilities(p: TransitionMatrix, a: Configuration) -> AbsorptionResult:
-    """Solve U = QU + R for the chain frozen on the working set A.
+def absorption_probabilities(p: TransitionMatrix, member) -> AbsorptionResult:
+    """Solve U = QU + R for the chain frozen on the working set A, given by its
+    length-n membership row (``member[i]`` is true when component i works).
 
     Q holds failed-to-failed transitions, R failed-to-working; the solution
     (I - Q)^{-1} R gives, row by row, how a failed component's load splits
     over the survivors.  Rows sum to 1 on a connected graph.
     """
-    if p.n != a.n:
-        raise ValueError("configuration size does not match transition matrix")
-    if not a.working:
+    member = np.asarray(member, dtype=bool)
+    if member.shape != (p.n,):
+        raise ValueError("membership row size does not match transition matrix")
+    (working,), (failed,) = member.nonzero(), (~member).nonzero()
+    if not working.size:
         raise ValueError("working set must be nonempty")
-    working = tuple(sorted(a.working))
-    failed = tuple(i for i in range(a.n) if i not in a.working)
     from_failed = p.p.take(failed, axis=0)
     # I - Q as 0.0 - Q with 1 on the diagonal: unlike -Q, 0.0 - Q keeps zeros
     # unsigned, and Q's diagonal is 0, so the matrix is bit for bit np.eye(k) - Q
     m = np.subtract(0.0, from_failed.take(failed, axis=1))
-    m.flat[::len(failed) + 1] = 1.0
+    m.flat[::failed.size + 1] = 1.0
     try:
         u = np.linalg.solve(m, from_failed.take(working, axis=1))
     except np.linalg.LinAlgError as exc:
         raise SingularAbsorptionError(
-            f"absorption system singular for working set {working}: "
+            f"absorption system singular for working set {tuple(working.tolist())}: "
             "some failed component cannot reach the working set"
         ) from exc
     if not all(abs(s - 1.0) <= _ROW_SUM_TOL for s in u.sum(axis=1).tolist()):  # NaN fails too
@@ -264,37 +269,18 @@ def absorption_probabilities(p: TransitionMatrix, a: Configuration) -> Absorptio
             f"absorption rows do not sum to 1 (max dev {dev:.3e}, "
             f"cond {np.linalg.cond(m):.3e})"
         )
-    return AbsorptionResult(failed, working, u)
+    return AbsorptionResult(tuple(failed.tolist()), tuple(working.tolist()), u)
 
 
-def absorbing_load_share(p: TransitionMatrix, a: Configuration) -> np.ndarray:
-    """Absorbing-state rule: each survivor carries 1 plus the load absorbed
-    from every failed component."""
-    res = absorption_probabilities(p, a)
-    row = np.zeros(a.n)
-    row.put(res.working, 1.0 + res.u.sum(axis=0))  # faster than row[list(res.working)] =
-    return row
-
-
-def _even_row(n: int, a: Configuration, total: float) -> np.ndarray:
-    """n shares: ``total`` split evenly over the members of the nonempty
-    working set A, 0.0 at each failed component."""
-    if a.n != n:
-        raise ValueError("configuration size does not match n")
-    if not a.working:
-        raise ValueError("working set must be nonempty")
-    row = np.zeros(n)
-    row.put(list(a.working), total / len(a.working))
-    return row
-
-
-def equal_load_share(n: int, a: Configuration) -> np.ndarray:
-    """Equal rule: the total load n is split evenly over the survivors."""
-    return _even_row(n, a, n)
+# A rule maps a (k, n) boolean membership array, row r true at the members of
+# working set r (each nonempty), to its (k, n) float64 shares: each member's
+# finite and > 0, each failed component's 0.0.
+Rule = Callable[[np.ndarray], np.ndarray]
 
 
 class AbsorbingRule:
-    """Callable load-sharing rule backed by absorption solves."""
+    """Absorbing-state rule: each survivor carries 1 plus the load absorbed
+    from every failed component, one absorption solve per working set."""
 
     def __init__(self, transition: TransitionMatrix):
         self.transition = transition
@@ -303,20 +289,34 @@ class AbsorbingRule:
     def n(self) -> int:
         return self.transition.n
 
-    def __call__(self, config: Configuration) -> np.ndarray:
-        return absorbing_load_share(self.transition, config)
+    def __call__(self, member: np.ndarray) -> np.ndarray:
+        rows = np.zeros(member.shape)
+        for row, working in zip(rows, member):
+            res = absorption_probabilities(self.transition, working)
+            row.put(res.working, 1.0 + res.u.sum(axis=0))  # faster than row[list(res.working)] =
+        return rows
+
+
+def _sizes(member: np.ndarray, n: int) -> np.ndarray:
+    """The (k, 1) float sizes of the nonempty working sets of ``member``, of n components."""
+    if member.shape[1] != n:
+        raise ValueError("configuration size does not match n")
+    sizes = member.sum(axis=1, keepdims=True, dtype=float)  # a float divisor divides faster
+    if np.count_nonzero(sizes) < len(sizes):  # faster than sizes.all() on one row
+        raise ValueError("working set must be nonempty")
+    return sizes
 
 
 class EqualRule:
-    """Callable equal rule on n components."""
+    """Equal rule on n components: the total load n split evenly over the survivors."""
 
     def __init__(self, n: int):
         if n < 1:
             raise ValueError("n must be positive")
         self.n = n
 
-    def __call__(self, config: Configuration) -> np.ndarray:
-        return equal_load_share(self.n, config)
+    def __call__(self, member: np.ndarray) -> np.ndarray:
+        return np.where(member, self.n / _sizes(member, self.n), 0.0)
 
 
 class UnitRule:
@@ -331,59 +331,51 @@ class UnitRule:
             raise ValueError("n must be positive")
         self.n = n
 
-    def __call__(self, config: Configuration) -> np.ndarray:
-        return _even_row(self.n, config, len(config.working))  # each survivor keeps its 1
-
-
-# A rule maps a working set A of n components to its row of n shares: each
-# member's finite and > 0, each failed component's 0.0.
-Rule = Callable[[Configuration], np.ndarray]
+    def __call__(self, member: np.ndarray) -> np.ndarray:
+        _sizes(member, self.n)
+        return np.where(member, 1.0, 0.0)  # each survivor keeps its 1
 
 
 def _table_fits(n: int) -> bool:
     return (1 << n) * n * 8 <= _TABLE_MAX_BYTES
 
 
-def _row(row, config: Configuration) -> np.ndarray:
-    """A rule's ``row`` at ``config`` as float64, once it has length n (else ``ValueError``)."""
-    row = np.asarray(row, dtype=float)
-    if row.shape != (config.n,):
-        raise ValueError(f"rule gave a row of shape {row.shape} at working set "
-                         f"{sorted(config.working)}; it needs one share per component, "
-                         f"n = {config.n}")
-    return row
-
-
-def _checked_row(row, config: Configuration) -> list[float]:
-    """A rule's ``row`` at ``config`` as a list of n floats, once every member's
-    share is finite and > 0 and every failed component's 0.0; else
-    :class:`InvalidShareError` for the first bad component."""
-    shares, working = _row(row, config).tolist(), config.working
-    for i, v in enumerate(shares):
-        if not (0.0 < v < math.inf if i in working else v == 0.0):
-            raise InvalidShareError(config, i, v)
-    return shares
+def _rule_rows(rule: Rule, member: np.ndarray) -> np.ndarray:
+    """``rule``'s (k, n) float64 shares for the (k, n) membership array
+    ``member``, once checked: shares of another shape raise ``ValueError``,
+    and the first bad share in row order :class:`InvalidShareError`."""
+    rows = np.asarray(rule(member), dtype=float)
+    if rows.shape != member.shape:
+        raise ValueError(f"rule gave shares of shape {rows.shape} for a membership array of "
+                         f"shape {member.shape}; it needs one row of n = {member.shape[1]} "
+                         "shares per working set")
+    # sign is 1 at a share > 0, 0 at a zero, -1 below it and NaN at NaN
+    ok = (np.sign(rows) == member) & (rows < math.inf)
+    if np.count_nonzero(ok) < ok.size:  # faster than ok.all() on one row
+        r, i = divmod(int(ok.argmin()), member.shape[1])
+        mask = int.from_bytes(np.packbits(member[r], bitorder="little").tobytes(), "little")
+        raise InvalidShareError(member.shape[1], mask, i, float(rows[r, i]))
+    return rows
 
 
 def share_rows(rule: Rule, n: int, masks) -> np.ndarray:
-    """(len(masks), n) float64 load shares, one row per working-set mask:
-    ``rule``'s row, one call per nonempty mask and 0.0 for mask 0.  A row of
-    another length raises at once; after the last call every share is
-    checked at once, and the first bad component of the first bad mask
-    raises as :func:`_checked_row` does."""
+    """(len(masks), n) float64 load shares, one row per working-set mask of
+    the sequence ``masks``, 0.0 for mask 0.  The nonempty masks go to
+    ``rule`` as membership arrays, one call per batch of at most 4,096 masks
+    in the given order, each checked by :func:`_rule_rows`, so the first bad
+    component of the first bad mask raises."""
     rows = np.zeros((len(masks), n))
-    for r, mask in enumerate(map(int, masks)):
-        if not 0 <= mask < 1 << n:
-            raise ValueError(f"working-set mask {mask} is outside 0..{(1 << n) - 1} for n = {n}")
-        if mask:
-            config = Configuration.from_mask(n, mask)
-            rows[r] = _row(rule(config), config)
-    k = (n + 7) // 8  # bytes per mask, so any n
-    packed = np.frombuffer(b"".join(m.to_bytes(k, "little") for m in map(int, masks)), np.uint8)
-    member = np.unpackbits(packed.reshape(-1, k), axis=1, count=n, bitorder="little").view(bool)
-    if not np.where(member, (rows > 0.0) & (rows < math.inf), rows == 0.0).all():
-        for row, mask in zip(rows, map(int, masks)):
-            _checked_row(row, Configuration.from_mask(n, mask))
+    top, k = 1 << n, (n + 7) // 8  # k bytes per mask, so any n
+    for lo in range(0, len(rows), _BATCH):
+        batch = list(map(int, masks[lo:lo + _BATCH]))
+        if min(batch) < 0 or max(batch) >= top:
+            mask = next(m for m in batch if not 0 <= m < top)
+            raise ValueError(f"working-set mask {mask} is outside 0..{top - 1} for n = {n}")
+        packed = np.frombuffer(b"".join(m.to_bytes(k, "little") for m in batch), np.uint8)
+        member = np.unpackbits(packed.reshape(-1, k), axis=1, count=n, bitorder="little").view(bool)
+        live = member.any(axis=1)
+        if live.any():
+            rows[lo:lo + len(batch)][live] = _rule_rows(rule, member[live])
     return rows
 
 
@@ -425,7 +417,7 @@ def share_table(rule: Rule, n: int) -> np.ndarray:
     drop = _first_drop(table)
     if drop is not None:
         mask, i, j = drop
-        a, b = (Configuration.from_mask(n, m).working for m in (mask & ~(1 << i), mask))
+        a, b = _working(n, mask & ~(1 << i)), _working(n, mask)
         raise NonMonotoneRuleError(
             f"share of component {j} dropped from {table[mask, j]} to "
             f"{table[mask & ~(1 << i), j]} when component {i} failed from working-set mask {mask}",
@@ -447,7 +439,7 @@ def verify_monotone(rule: Rule, n: int) -> MonotoneCheck:
     try:
         share_table(rule, n)
     except InvalidShareError as exc:
-        b = Configuration.from_mask(n, exc.mask).working
+        b = _working(n, exc.mask)
         return MonotoneCheck(False, (b, b, -1))
     except NonMonotoneRuleError as exc:
         return MonotoneCheck(False, exc.counterexample)

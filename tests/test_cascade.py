@@ -3,6 +3,7 @@
 import concurrent.futures
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -31,7 +32,6 @@ from fiberbundle.cascade import (
 from fiberbundle.distributions import StrengthModel, unit_exponential
 from fiberbundle.loadshare import (
     AbsorbingRule,
-    Configuration,
     EqualRule,
     UnitRule,
     build_grid_graph,
@@ -44,23 +44,14 @@ def grid_rule(rows, cols):
     return AbsorbingRule(transition_matrix(build_grid_graph(rows, cols)))
 
 
-def members_row(cfg, share):
-    """The row of n shares with ``share`` at each member of ``cfg``, 0.0 elsewhere."""
-    row = np.zeros(cfg.n)
-    row[list(cfg.working)] = share
-    return row
+def members(n, working):
+    """The (1, n) membership array of one working set."""
+    return np.array([[i in working for i in range(n)]])
 
 
-def size_rule(cfg):
+def size_rule(member):
     """Non-monotone: every survivor's share is the size of the working set."""
-    return members_row(cfg, float(len(cfg.working)))
-
-
-def with_share(row, i, value):
-    """A copy of ``row`` with component i's share replaced by ``value``."""
-    row = row.copy()
-    row[i] = value
-    return row
+    return np.where(member, member.sum(axis=1, keepdims=True), 0.0)
 
 
 class TestHandTraces:
@@ -125,9 +116,10 @@ class TestHandTraces:
     ], ids=["zero", "nan", "extra-key", "missing-key", "inf"])
     def test_invalid_shares_rejected(self, i, value):
         # component 1 fails first, so the cascade asks for the shares at {0, 2}
-        def rule(cfg):
-            row = EqualRule(3)(cfg)
-            return with_share(row, i, value) if cfg.working == {0, 2} else row
+        def rule(member):
+            rows = EqualRule(3)(member)
+            rows[(member == [True, False, True]).all(axis=1), i] = value
+            return rows
 
         with pytest.raises(ValueError, match=rf"component {i} the share .* at working set \[0, 2\]"):
             simulate_cascade([2.0, 1.0, 3.0], rule, StructureFunction.parallel(3))
@@ -136,10 +128,11 @@ class TestHandTraces:
     def test_key_outside_bundle_rejected(self, key):
         # a zero share for a component before 0 or after n - 1 passes the value
         # check, so only the row's length can be wrong
-        def rule(cfg):
-            return np.insert(EqualRule(3)(cfg), 0 if key < 0 else 3, 0.0)
+        def rule(member):
+            return np.insert(EqualRule(3)(member), 0 if key < 0 else 3, 0.0, axis=1)
 
-        with pytest.raises(ValueError, match=r"row of shape \(4,\) at working set \[0, 1, 2\]"):
+        with pytest.raises(ValueError, match=r"shares of shape \(1, 4\) for a membership array of "
+                                             r"shape \(1, 3\)"):
             simulate_cascade([2.0, 1.0, 3.0], rule, StructureFunction.parallel(3))
 
     def test_nan_strength_rejected(self):
@@ -151,6 +144,18 @@ class TestHandTraces:
         with pytest.raises(ValueError, match="strictly positive"):
             replay_pattern(parse_pattern("1 2"), [math.nan, 1.0], EqualRule(2),
                            StructureFunction.parallel(2))
+
+    def test_ratio_past_the_largest_float_is_inf_without_a_warning(self):
+        # shares of 1/16 put x / share past the largest float on every path
+        x = np.array([1e308, 1.5e308])
+        rule, st = PowerScaledRule(EqualRule(2), 2.0, 4.0), StructureFunction.parallel(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = simulate_cascade(x, rule, st)
+            replayed = replay_pattern(res.pattern, x, rule, st)
+            fast = cascade._cascade_strengths_block(x[None, :], share_table(rule, 2), st)
+        assert res.strength == math.inf and str(res.pattern) == "1(2)" and replayed
+        assert fast.tolist() == [math.inf]
 
 
 class TestStructureFunction:
@@ -263,9 +268,9 @@ class CountingRule:
     def __init__(self, base):
         self.base, self.calls = base, []
 
-    def __call__(self, config):
-        self.calls.append(config.working)
-        return self.base(config)
+    def __call__(self, member):
+        self.calls += [frozenset(np.flatnonzero(row).tolist()) for row in member]
+        return self.base(member)
 
 
 def pattern_working_sets(pattern, n):
@@ -376,14 +381,14 @@ class TestInvariants:
         rule = PowerScaledRule(EqualRule(3), [1.0, 2.0], 2.0)
         message = "scale vector has length 2, but the bundle has n = 3 components"
         with pytest.raises(ValueError, match=message):
-            rule(Configuration.full(3))
+            rule(members(3, {0, 1, 2}))
         with pytest.raises(ValueError, match=message):
             share_table(rule, 3)
         # one scale broadcasts, as a scalar does
-        config = Configuration(3, {0, 2})
-        one = PowerScaledRule(EqualRule(3), [2.0], 2.0)(config)
-        assert one.tolist() == PowerScaledRule(EqualRule(3), 2.0, 2.0)(config).tolist()
-        assert one.tolist() == [0.5625, 0.0, 0.5625]
+        member = members(3, {0, 2})
+        one = PowerScaledRule(EqualRule(3), [2.0], 2.0)(member)
+        assert one.tolist() == PowerScaledRule(EqualRule(3), 2.0, 2.0)(member).tolist()
+        assert one.tolist() == [[0.5625, 0.0, 0.5625]]
 
     def test_weibull_transform_distributional(self):
         rho, sigma = 5.0, 2.0
@@ -629,8 +634,8 @@ class TestSampling:
 
     def test_sampler_rejects_all_zero_shares(self):
         # every ratio x / 0.0 is +inf, so the kernel never finds a failure
-        def zero_rule(cfg):
-            return np.zeros(cfg.n)
+        def zero_rule(member):
+            return np.zeros(member.shape)
 
         with pytest.raises(ValueError, match="finite share > 0"):
             sample_bundle_strengths(unit_exponential(), zero_rule, StructureFunction.parallel(3), 3)
@@ -790,7 +795,7 @@ class TestCycles:
             while True:
                 xs = np.asarray(x) * a ** (k - 1)
                 while True:
-                    lam = rule(Configuration(n, working))
+                    lam = rule(members(n, working))[0]
                     ratios = {i: xs[i] / lam[i] for i in working}
                     i0 = min(ratios, key=lambda i: (ratios[i], i))
                     s = ratios[i0]
@@ -798,7 +803,7 @@ class TestCycles:
                         break
                     working = working - {i0}
                     while working:
-                        lam2 = rule(Configuration(n, working))
+                        lam2 = rule(members(n, working))[0]
                         grp = {i for i in working if xs[i] <= lam2[i] * s}
                         if not grp:
                             break

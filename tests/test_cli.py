@@ -385,9 +385,9 @@ def test_one_absorbing_solve_per_mask_per_run(tmp_path, monkeypatch, argv, solve
     calls = []
     solve = loadshare.absorption_probabilities
 
-    def counting(p, a):
-        calls.append(a.mask)
-        return solve(p, a)
+    def counting(p, member):
+        calls.append(int(member @ (1 << np.arange(member.size))))
+        return solve(p, member)
 
     monkeypatch.setattr(loadshare, "absorption_probabilities", counting)
     assert main([*argv, "--workers", "1", "--out", str(tmp_path / "o")]) == 0
@@ -587,9 +587,9 @@ class TestDensityCommand:
         calls = []
         solve = loadshare.absorption_probabilities
 
-        def counting(p, a):
-            calls.append(a.mask)
-            return solve(p, a)
+        def counting(p, member):
+            calls.append(int(member @ (1 << np.arange(member.size))))
+            return solve(p, member)
 
         monkeypatch.setattr(loadshare, "absorption_probabilities", counting)
         stresses = [f"{0.1 * k},{0.1 * k + 0.2},{0.1 * k + 0.5}" for k in range(1, 11)]
@@ -658,7 +658,7 @@ class TestDensityCommand:
                                                          s, why):
         from fiberbundle import loadshare
 
-        def solve(p, a):
+        def solve(p, member):
             raise AssertionError("absorbing system solved for a rejected --s")
 
         monkeypatch.setattr(loadshare, "absorption_probabilities", solve)

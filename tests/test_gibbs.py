@@ -237,10 +237,8 @@ class HalfEqualRule:
 
     n: int
 
-    def __call__(self, cfg):
-        row = np.zeros(self.n)
-        row[list(cfg.working)] = 0.5 * self.n / len(cfg.working)
-        return row
+    def __call__(self, member):
+        return np.where(member, 0.5 * self.n / member.sum(axis=1, keepdims=True), 0.0)
 
 
 class TestOneTablePerRule:
@@ -248,9 +246,9 @@ class TestOneTablePerRule:
         n = 4
         calls = []
 
-        def counting(cfg):
-            calls.append(cfg.mask)
-            return EqualRule(n)(cfg)
+        def counting(member):
+            calls.extend(int(m) for m in member @ (1 << np.arange(n)))
+            return EqualRule(n)(member)
 
         samples = sample_bundle_strengths(unit_exponential(), counting,
                                           StructureFunction.parallel(n), 1000, seed=2)
@@ -266,7 +264,7 @@ class TestOneTablePerRule:
                                           StructureFunction.parallel(3), 500, seed=1)
         level = float(np.median(samples))
         model = gb.build_gibbs(3, level, rule, WEIBULL)
-        expected = gb.build_gibbs(3, level, lambda cfg: rule(cfg), WEIBULL)
+        expected = gb.build_gibbs(3, level, lambda member: rule(member), WEIBULL)
         assert np.array_equal(model.energy.values, expected.energy.values)
 
 

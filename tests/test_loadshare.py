@@ -3,6 +3,7 @@
 import math
 import pickle
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,11 +23,9 @@ from fiberbundle.loadshare import (
     SingularAbsorptionError,
     TransitionMatrix,
     UnitRule,
-    absorbing_load_share,
     absorption_probabilities,
     build_grid_graph,
     complete_graph_transition,
-    equal_load_share,
     share_rows,
     share_table,
     transition_matrix,
@@ -38,32 +37,42 @@ def grid_rule(rows, cols):
     return AbsorbingRule(transition_matrix(build_grid_graph(rows, cols)))
 
 
-def members_row(cfg, share):
-    """The row of n shares with ``share`` at each member of ``cfg``, 0.0 elsewhere."""
-    row = np.zeros(cfg.n)
-    row[list(cfg.working)] = share
-    return row
+def members(n, working):
+    """The length-n membership row of a working set."""
+    return np.array([i in working for i in range(n)])
 
 
-def size_rule(cfg):
+def bits(n, mask):
+    """The length-n membership row of a working-set mask."""
+    return np.array([mask >> i & 1 == 1 for i in range(n)])
+
+
+def masks_of(member):
+    """The working-set mask of each row of a membership array."""
+    return np.array([sum(1 << int(i) for i in np.flatnonzero(row)) for row in member])
+
+
+def size_rule(member):
     """Non-monotone: every survivor's share is the size of the working set."""
-    return members_row(cfg, float(len(cfg.working)))
+    return np.where(member, member.sum(axis=1, keepdims=True), 0.0)
 
 
 def with_share(i, value):
-    """A row defect: component i's share replaced by ``value``."""
-    def defect(row):
-        row = row.copy()
-        row[i] = value
-        return row
+    """A defect: component i's share replaced by ``value`` in the rows ``at``."""
+    def defect(rows, at):
+        rows = rows.copy()
+        rows[at, i] = value
+        return rows
 
     return defect
 
 
 def with_extra_share(key):
-    """A row defect: one more share, for a component ``key`` outside 0..n-1
-    (before component 0 when negative, after the last one otherwise)."""
-    return lambda row: np.insert(row, 0 if key < 0 else row.size, 0.0)
+    """A defect: one more share in every row of a batch that has a row ``at``,
+    for a component ``key`` outside 0..n-1 (before component 0 when
+    negative, after the last one otherwise)."""
+    return lambda rows, at: (np.insert(rows, 0 if key < 0 else rows.shape[1], 0.0, axis=1)
+                             if at.any() else rows)
 
 
 # each breaks the rule-output contract for one component at working set {0, 2};
@@ -80,10 +89,9 @@ DEFECTS = [
 
 
 def defective_rule(defect):
-    """The equal rule on 3 components with ``defect`` applied to its row at {0, 2}."""
-    def rule(cfg):
-        row = EqualRule(3)(cfg)
-        return defect(row) if cfg.working == {0, 2} else row
+    """The equal rule on 3 components with ``defect`` applied at {0, 2}."""
+    def rule(member):
+        return defect(EqualRule(3)(member), masks_of(member) == 0b101)
 
     return rule
 
@@ -154,20 +162,20 @@ class TestTransitionMatrix:
 class TestAbsorption:
     def test_one_row_single_failure(self):
         tm = transition_matrix(build_grid_graph(1, 3))
-        res = absorption_probabilities(tm, Configuration(3, frozenset({0, 2})))
+        res = absorption_probabilities(tm, members(3, {0, 2}))
         assert res.failed == (1,) and res.working == (0, 2)
         assert np.allclose(res.u, [[0.5, 0.5]])
 
     def test_single_absorbing_state(self):
         tm = transition_matrix(build_grid_graph(1, 3))
-        res = absorption_probabilities(tm, Configuration(3, frozenset({0})))
+        res = absorption_probabilities(tm, members(3, {0}))
         assert np.allclose(res.u, 1.0)
 
     def test_two_by_two_corner(self):
         g = build_grid_graph(2, 2)
         tm = transition_matrix(g)
         working = frozenset(range(4)) - {g.node_index(0, 0)}
-        res = absorption_probabilities(tm, Configuration(4, working))
+        res = absorption_probabilities(tm, members(4, working))
         assert res.prob(g.node_index(0, 0), g.node_index(0, 1)) == pytest.approx(0.5)
         assert res.prob(g.node_index(0, 0), g.node_index(1, 1)) == pytest.approx(0.5)
         assert res.prob(g.node_index(0, 0), g.node_index(1, 0)) == pytest.approx(0.0)
@@ -177,20 +185,26 @@ class TestAbsorption:
         rng = np.random.default_rng(0)
         for _ in range(50):
             mask = int(rng.integers(1, 1 << 9))
-            res = absorption_probabilities(tm, Configuration.from_mask(9, mask))
+            res = absorption_probabilities(tm, bits(9, mask))
             if res.u.size:
                 assert np.all(np.abs(res.u.sum(axis=1) - 1.0) <= 1e-9)
 
     def test_empty_working_set_rejected(self):
         tm = transition_matrix(build_grid_graph(1, 3))
         with pytest.raises(ValueError):
-            absorption_probabilities(tm, Configuration(3, frozenset()))
+            absorption_probabilities(tm, members(3, ()))
         with pytest.raises(ValueError, match="nonempty"):
-            absorption_probabilities(tm, Configuration.from_mask(3, 0))
+            absorption_probabilities(tm, bits(3, 0))
+
+    def test_membership_row_of_another_length_rejected(self):
+        tm = transition_matrix(build_grid_graph(1, 3))
+        for member in (members(4, {0, 2}), members(2, {0}), members(3, {0, 2})[None]):
+            with pytest.raises(ValueError, match="membership row size does not match"):
+                absorption_probabilities(tm, member)
 
     def test_full_working_set_has_no_failed_rows(self):
         tm = transition_matrix(build_grid_graph(2, 3))
-        res = absorption_probabilities(tm, Configuration.full(6))
+        res = absorption_probabilities(tm, members(6, range(6)))
         assert res.failed == () and res.working == tuple(range(6))
         assert res.u.shape == (0, 6)
 
@@ -199,7 +213,7 @@ class TestAbsorption:
         tm = TransitionMatrix(np.array([[0, 1, 0, 0], [1, 0, 0, 0],
                                         [0, 0, 0, 1], [0, 0, 1, 0]], dtype=float))
         with pytest.raises(SingularAbsorptionError, match=r"working set \(0,\)"):
-            absorption_probabilities(tm, Configuration(4, frozenset({0})))
+            absorption_probabilities(tm, members(4, {0}))
         with pytest.raises(SingularAbsorptionError):
             share_table(AbsorbingRule(tm), 4)
 
@@ -208,7 +222,7 @@ class TestAbsorption:
         # 4e9 and the rows miss 1 by 3e-8; no condition-number limit is enforced
         tm = TransitionMatrix(np.array([[0, 1, 0], [1e-9, 0, 1 - 1e-9], [0, 1, 0]]))
         with pytest.raises(SingularAbsorptionError) as err:
-            absorption_probabilities(tm, Configuration(3, frozenset({0})))
+            absorption_probabilities(tm, members(3, {0}))
         msg = str(err.value)
         assert re.fullmatch(r"absorption rows do not sum to 1 \(max dev \S+, cond 4\.\d{3}e\+09\)",
                             msg), msg
@@ -217,19 +231,19 @@ class TestAbsorption:
 class TestAbsorbingLoadShare:
     def test_one_row_split(self):
         tm = transition_matrix(build_grid_graph(1, 3))
-        lam = absorbing_load_share(tm, Configuration(3, frozenset({0, 2})))
+        lam = AbsorbingRule(tm)(members(3, {0, 2})[None])[0]
         assert lam[0] == pytest.approx(1.5) and lam[2] == pytest.approx(1.5)
 
     def test_full_working_set_is_unit(self):
         tm = transition_matrix(build_grid_graph(3, 3))
-        lam = absorbing_load_share(tm, Configuration.full(9))
-        assert lam.shape == (9,) and lam.dtype == np.float64
-        assert all(v == pytest.approx(1.0) for v in lam)
+        lam = AbsorbingRule(tm)(members(9, range(9))[None])
+        assert lam.shape == (1, 9) and lam.dtype == np.float64
+        assert all(v == pytest.approx(1.0) for v in lam[0])
 
     def test_two_by_two_corner_failure(self):
         g = build_grid_graph(2, 2)
         tm = transition_matrix(g)
-        lam = absorbing_load_share(tm, Configuration(4, frozenset(range(4)) - {0}))
+        lam = AbsorbingRule(tm)(members(4, {1, 2, 3})[None])[0]
         assert lam[g.node_index(0, 1)] == pytest.approx(1.5)
         assert lam[g.node_index(1, 1)] == pytest.approx(1.5)
         assert lam[g.node_index(1, 0)] == pytest.approx(1.0)
@@ -238,24 +252,22 @@ class TestAbsorbingLoadShare:
     def test_conservation_exhaustive_small_grids(self):
         for rows, cols in [(1, 3), (2, 2), (2, 3)]:
             n = rows * cols
-            tm = transition_matrix(build_grid_graph(rows, cols))
+            rule = AbsorbingRule(transition_matrix(build_grid_graph(rows, cols)))
             for mask in range(1, 1 << n):
-                lam = absorbing_load_share(tm, Configuration.from_mask(n, mask))
+                lam = rule(bits(n, mask)[None])[0]
                 assert lam.sum() == pytest.approx(n, abs=1e-9)
 
     def test_survivor_share_at_least_one(self):
-        tm = transition_matrix(build_grid_graph(2, 3))
+        rule = grid_rule(2, 3)
         rng = np.random.default_rng(1)
         for _ in range(30):
-            mask = int(rng.integers(1, 1 << 6))
-            cfg = Configuration.from_mask(6, mask)
-            lam = absorbing_load_share(tm, cfg)
-            assert all(lam[i] >= 1.0 - 1e-12 for i in cfg.working)
+            member = bits(6, int(rng.integers(1, 1 << 6)))
+            lam = rule(member[None])[0]
+            assert all(lam[i] >= 1.0 - 1e-12 for i in np.flatnonzero(member))
 
     def test_mirror_symmetry(self):
         rows, cols = 2, 3
-        g = build_grid_graph(rows, cols)
-        tm = transition_matrix(g)
+        rule = grid_rule(rows, cols)
 
         def mirror(i):
             r, c = divmod(i, cols)
@@ -265,8 +277,8 @@ class TestAbsorbingLoadShare:
         for _ in range(25):
             mask = int(rng.integers(1, 1 << 6))
             working = frozenset(i for i in range(6) if mask >> i & 1)
-            lam = absorbing_load_share(tm, Configuration(6, working))
-            lam_m = absorbing_load_share(tm, Configuration(6, frozenset(map(mirror, working))))
+            lam = rule(members(6, working)[None])[0]
+            lam_m = rule(members(6, set(map(mirror, working)))[None])[0]
             for j in working:
                 assert lam[j] == pytest.approx(lam_m[mirror(j)], abs=1e-12)
 
@@ -274,21 +286,21 @@ class TestAbsorbingLoadShare:
 class TestEqualRule:
     @pytest.mark.parametrize("n,size,expected", [(4, 4, 1.0), (4, 2, 2.0), (3, 1, 3.0)])
     def test_values(self, n, size, expected):
-        lam = equal_load_share(n, Configuration(n, frozenset(range(size))))
+        lam = EqualRule(n)(members(n, range(size))[None])[0]
         assert lam.tolist() == [expected] * size + [0.0] * (n - size)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            equal_load_share(3, Configuration(3, frozenset()))
+            EqualRule(3)(members(3, ())[None])
 
     def test_matches_absorbing_on_complete_graph(self):
         for n in range(2, 7):
-            tm = complete_graph_transition(n)
+            rule = AbsorbingRule(complete_graph_transition(n))
             for mask in range(1, 1 << n):
-                cfg = Configuration.from_mask(n, mask)
-                lam = absorbing_load_share(tm, cfg)
-                expected = n / len(cfg.working)
-                assert all(lam[i] == pytest.approx(expected, abs=1e-9) for i in cfg.working)
+                working = np.flatnonzero(bits(n, mask))
+                lam = rule(bits(n, mask)[None])[0]
+                expected = n / working.size
+                assert all(lam[i] == pytest.approx(expected, abs=1e-9) for i in working)
 
 
 class TestVerifyMonotone:
@@ -305,11 +317,11 @@ class TestVerifyMonotone:
         a, b, j = check.counterexample
         assert a < b and j in a
         assert len(b - a) == 1
-        assert rule(Configuration(4, a))[j] < rule(Configuration(4, b))[j]
+        assert rule(members(4, a)[None])[0, j] < rule(members(4, b)[None])[0, j]
 
     def test_nonpositive_total_caught(self):
-        def rule(cfg):
-            return members_row(cfg, 0.0 if cfg.working == {1} else 1.0)
+        def rule(member):
+            return np.where(member, np.where(masks_of(member) == 0b10, 0.0, 1.0)[:, None], 0.0)
 
         assert verify_monotone(rule, 3) == MonotoneCheck(False, (frozenset({1}), frozenset({1}), -1))
 
@@ -326,16 +338,15 @@ class TestVerifyMonotone:
         # one drop at one single removal, which random pairs of nested sets miss
         full = frozenset(range(14))
 
-        def rule(cfg):
-            lam = EqualRule(14)(cfg)
-            if cfg.working == full - {13}:
-                lam[0] = 0.5
+        def rule(member):
+            lam = EqualRule(14)(member)
+            lam[masks_of(member) == (1 << 13) - 1, 0] = 0.5
             return lam
 
         assert verify_monotone(rule, 14) == MonotoneCheck(False, (full - {13}, full, 0))
 
     def test_bound_checked_before_any_rule_call(self):
-        def rule(cfg):
+        def rule(member):
             raise AssertionError("rule called for a table over the bound")
 
         with pytest.raises(ValueError, match="bytes"):
@@ -344,11 +355,11 @@ class TestVerifyMonotone:
     def test_monotonicity_exhaustive_pairs(self):
         # direct lattice sweep, independent of verify_monotone internals
         rule = grid_rule(2, 3)
-        shares = {mask: rule(Configuration.from_mask(6, mask)) for mask in range(1, 1 << 6)}
+        shares = dict(zip(range(1, 1 << 6), rule(np.array([bits(6, m) for m in range(1, 1 << 6)]))))
         for bmask in range(1, 1 << 6):
             sub = (bmask - 1) & bmask
             while sub:
-                for j in Configuration.from_mask(6, sub).working:
+                for j in np.flatnonzero(bits(6, sub)):
                     assert shares[bmask][j] <= shares[sub][j] + 1e-12
                 sub = (sub - 1) & bmask
 
@@ -360,7 +371,7 @@ class TestShareTable:
         assert table.shape == (64, 6) and table.dtype == np.float64
         assert not table[0].any()
         for mask in range(1, 64):
-            lam = rule(Configuration.from_mask(6, mask))
+            lam = rule(bits(6, mask)[None])[0]
             for i in range(6):
                 assert table[mask, i] == (lam[i] if mask >> i & 1 else 0.0)
 
@@ -380,9 +391,8 @@ class TestShareTable:
     def test_counterexample_is_verify_monotones(self):
         full = frozenset(range(14))
 
-        def one_drop(cfg):
-            lam = EqualRule(14)(cfg)
-            return with_share(0, 0.5)(lam) if cfg.working == full - {13} else lam
+        def one_drop(member):
+            return with_share(0, 0.5)(EqualRule(14)(member), masks_of(member) == (1 << 13) - 1)
 
         for rule, n, want in [(size_rule, 4, (frozenset({1}), frozenset({0, 1}), 1)),
                               (one_drop, 14, (full - {13}, full, 0))]:
@@ -402,9 +412,9 @@ class TestShareTable:
         table = share_table(rule, 4)
         calls = []
 
-        def counting(cfg):
-            calls.append(cfg.mask)
-            return rule(cfg)
+        def counting(member):
+            calls.extend(masks_of(member))
+            return rule(member)
 
         assert verify_monotone(rule, 4).ok and share_table(rule, 4) is table
         assert verify_monotone(counting, 4).ok and len(calls) == 15
@@ -417,9 +427,9 @@ class TestShareTable:
 
     @pytest.mark.parametrize("key", [3, -1])
     def test_key_outside_bundle_rejected(self, key):
-        # a share for a component before 0 or after n - 1 makes a row of length 4
+        # a share for a component before 0 or after n - 1 makes rows of length 4
         rule = defective_rule(with_extra_share(key))
-        message = r"row of shape \(4,\) at working set \[0, 2\]; .* n = 3"
+        message = r"shares of shape \(7, 4\) for a membership array of shape \(7, 3\); .* n = 3"
         with pytest.raises(ValueError, match=message) as exc:
             share_table(rule, 3)
         assert type(exc.value) is ValueError
@@ -428,13 +438,24 @@ class TestShareTable:
 
     def test_table_bound_checked_before_any_work(self):
         # a 2^21 x 21 float64 table would take 352 MB
-        def rule(cfg):
+        def rule(member):
             raise AssertionError("rule called for a table over the bound")
 
         with pytest.raises(ValueError, match="bytes"):
             share_table(EqualRule(21), 21)
         with pytest.raises(ValueError, match="bytes"):
             share_table(rule, 30)
+
+    def test_build_peak_is_the_table_and_the_monotonicity_check(self):
+        # the rows come in batches of 4,096 masks, so no temporary of the
+        # build grows with 2^n; the monotonicity check alone peaks at 1.63x
+        tracemalloc.start()
+        try:
+            table = share_table(EqualRule(18), 18)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.7 * table.nbytes
 
 
 class TestTableOracle:
@@ -457,9 +478,9 @@ class TestTableOracle:
         calls = []
         solve = loadshare.absorption_probabilities
 
-        def counting(p, a):
-            calls.append(a.mask)
-            return solve(p, a)
+        def counting(p, member):
+            calls.append(masks_of([member])[0])
+            return solve(p, member)
 
         monkeypatch.setattr(loadshare, "absorption_probabilities", counting)
         share_table(grid_rule(3, 4), 12)
@@ -482,17 +503,23 @@ class TestShareRows:
         assert np.array_equal(got, table[masks])
         assert np.array_equal(share_rows(rule, n, masks.tolist()), table[masks])
 
-    def test_one_call_per_nonempty_mask(self):
+    def test_one_call_per_batch_of_nonempty_masks(self):
         calls = []
 
-        def rule(cfg):
-            calls.append(cfg.mask)
-            return EqualRule(4)(cfg)
+        def rule(member):
+            calls.append(masks_of(member).tolist())
+            return EqualRule(member.shape[1])(member)
 
         rows = share_rows(rule, 4, [0, 5, 0, 5, 15])
-        assert calls == [5, 5, 15]
+        assert calls == [[5, 5, 15]]
         assert not rows[0].any() and not rows[2].any()
-        assert share_rows(rule, 4, []).shape == (0, 4)
+        assert share_rows(rule, 4, []).shape == (0, 4) and len(calls) == 1
+        # at most 4,096 masks a call; mask 0 is never asked for
+        calls.clear()
+        rows = share_rows(rule, 13, range(1 << 13))
+        assert [len(c) for c in calls] == [4095, 4096]
+        assert sum(calls, []) == list(range(1, 1 << 13))
+        assert rows.tobytes() == share_table(EqualRule(13), 13).tobytes()
 
     @pytest.mark.parametrize("mask", [-1, 16])
     def test_mask_outside_the_bundle_rejected(self, mask):
@@ -500,53 +527,67 @@ class TestShareRows:
             share_rows(EqualRule(4), 4, [3, mask])
 
     def test_first_defect_stops_the_rows(self):
-        # masks 5 and 3 are both bad: every mask is asked for, and the rows stop
-        # with the error of the first bad one in the given order
+        # masks 5 and 3 are both bad: the batch is asked for whole, and the
+        # rows stop with the error of the first bad one in the given order
         calls = []
 
-        def counting(cfg):
-            calls.append(cfg.mask)
-            row = EqualRule(3)(cfg)
-            return with_share(0, 0.0)(row) if cfg.mask in (3, 5) else row
+        def counting(member):
+            masks = masks_of(member)
+            calls.append(masks.tolist())
+            rows = EqualRule(member.shape[1])(member)
+            return with_share(0, 0.0)(rows, (masks == 3) | (masks == 5))
 
         with pytest.raises(InvalidShareError) as exc:
             share_rows(counting, 3, [7, 5, 3])
-        assert exc.value.mask == 5 and calls == [7, 5, 3]
+        assert exc.value.mask == 5 and calls == [[7, 5, 3]]
         with pytest.raises(InvalidShareError) as exc:
             share_rows(counting, 3, [7, 3, 5])
         assert exc.value.mask == 3
+        # a bad share in the first batch stops before the second is asked for
+        calls.clear()
+        with pytest.raises(InvalidShareError) as exc:
+            share_rows(counting, 13, range(1, 1 << 13))
+        assert exc.value.mask == 3 and len(calls) == 1
 
     @pytest.mark.parametrize("length", [0, 1, 2, 4])
     def test_row_of_the_wrong_length_rejected_at_once(self, length):
         # a length-1 row would broadcast over the table's row
         calls = []
 
-        def rule(cfg):
-            calls.append(cfg.mask)
-            return np.ones(length) if cfg.mask == 5 else EqualRule(3)(cfg)
+        def rule(member):
+            calls.append(masks_of(member).tolist())
+            return np.ones((len(member), length)) if 5 in masks_of(member) else EqualRule(3)(member)
 
-        message = rf"rule gave a row of shape \({length},\) at working set \[0, 2\]; .* n = 3"
+        message = rf"shares of shape \(3, {length}\) for a membership array of shape \(3, 3\)"
         with pytest.raises(ValueError, match=message):
             share_rows(rule, 3, [7, 5, 3])
-        assert calls == [7, 5]
+        assert calls == [[7, 5, 3]]
+
+    @pytest.mark.parametrize("shape", [(3,), (1, 3), (3, 3), (2, 3, 1)])
+    def test_batch_of_the_wrong_shape_rejected(self, shape):
+        # one row for the batch, a row too few or too many, or one more axis
+        given = ", ".join(map(str, shape))
+        message = rf"shares of shape \({given},?\) for a membership array of shape \(2, 3\)"
+        with pytest.raises(ValueError, match=message):
+            share_rows(lambda member: np.ones(shape), 3, [7, 5])
 
     def test_any_sequence_of_floats_is_a_row(self):
-        rows = share_rows(lambda cfg: [float(cfg.mask >> i & 1) for i in range(3)], 3, [0, 5, 7])
+        rows = share_rows(lambda member: member.astype(float).tolist(), 3, [0, 5, 7])
         assert rows.tolist() == [[0.0, 0.0, 0.0], [1.0, 0.0, 1.0], [1.0, 1.0, 1.0]]
 
     def test_masks_past_63_bits(self):
-        # the vectorised check reads every mask's bits, whatever n
+        # the membership arrays and the check read every mask's bits, whatever n
         n = 70
         mask = 1 << 69 | 1
         rows = share_rows(EqualRule(n), n, [mask])
         assert rows[0, 0] == rows[0, 69] == 35.0 and np.count_nonzero(rows) == 2
         with pytest.raises(InvalidShareError) as exc:
-            share_rows(lambda cfg: with_share(69, 0.0)(EqualRule(n)(cfg)), n, [mask])
+            share_rows(lambda member: with_share(69, 0.0)(EqualRule(n)(member), 0), n, [mask])
         assert exc.value.mask == mask
 
     def test_share_error_pickles(self):
         # a worker process hands its error back pickled
-        err = InvalidShareError(Configuration(3, frozenset({0, 2})), 0, 0.0)
+        err = InvalidShareError(3, 0b101, 0, 0.0)
         back = pickle.loads(pickle.dumps(err))
         assert type(back) is InvalidShareError
         assert str(back) == str(err) and back.mask == err.mask == 5
@@ -566,16 +607,14 @@ class TestAbsorbingRows:
         want = np.zeros((len(masks), n))
         for r, mask in enumerate(masks):
             if mask:
-                config = Configuration.from_mask(n, int(mask))
-                res = absorption_probabilities(rule.transition, config)
+                res = absorption_probabilities(rule.transition, bits(n, int(mask)))
                 want[r, list(res.working)] = 1 + res.u.sum(axis=0)
         assert share_rows(rule, n, masks).tobytes() == want.tobytes()
 
     def test_subclass_call_is_checked(self):
         class ZeroAtFive(AbsorbingRule):
-            def __call__(self, config):
-                row = super().__call__(config)
-                return with_share(0, 0.0)(row) if config.mask == 5 else row
+            def __call__(self, member):
+                return with_share(0, 0.0)(super().__call__(member), masks_of(member) == 5)
 
         with pytest.raises(InvalidShareError, match=r"component 0 the share 0.0") as exc:
             share_rows(ZeroAtFive(transition_matrix(build_grid_graph(1, 3))), 3, [7, 5, 3])
@@ -587,10 +626,11 @@ class TestAbsorbingRows:
         solve = loadshare.absorption_probabilities
         calls = []
 
-        def corrupt(p, a):
-            calls.append(a.mask)
-            res = solve(p, a)
-            if a.mask in (5, 6):
+        def corrupt(p, member):
+            mask = masks_of([member])[0]
+            calls.append(mask)
+            res = solve(p, member)
+            if mask in (5, 6):
                 u = res.u.copy()
                 u[0, 0] = bad
                 return res._replace(u=u)
@@ -611,7 +651,7 @@ class TestAbsorbingRows:
         monkeypatch.setattr(loadshare.np.linalg, "solve", lambda m, r: np.full(r.shape, value))
         rule = grid_rule(2, 3)
         with pytest.raises(SingularAbsorptionError, match=rf"max dev {value}"):
-            absorption_probabilities(rule.transition, Configuration(6, frozenset({0, 5})))
+            absorption_probabilities(rule.transition, members(6, {0, 5}))
         with pytest.raises(SingularAbsorptionError, match="do not sum to 1"):
             share_rows(rule, 6, [63, 33])
 
@@ -633,7 +673,9 @@ CONTRACT_PATHS = {
     "share_rows": lambda rule: share_rows(rule, 3, [7, 5, 3]),
 }
 
-_LONG = r"row of shape \(4,\) at working set \[0, 2\]; it needs one share per component, n = 3"
+# k is the batch's size: 1 on the share walk, 7 in share_table, 3 in share_rows
+_LONG = (r"shares of shape \((\d+), 4\) for a membership array of shape \(\1, 3\); it needs one "
+         r"row of n = 3 shares per working set")
 
 
 class TestOneContract:
@@ -648,7 +690,8 @@ class TestOneContract:
         (with_extra_share(3), _LONG),
         (with_extra_share(-1), _LONG),
         (with_share(2, math.inf), r"component 2 the share inf at working set \[0, 2\]"),
-        (lambda row: row[:2], r"row of shape \(2,\) at working set \[0, 2\]; .* n = 3"),
+        (lambda rows, at: rows[:, :2] if at.any() else rows,
+         r"shares of shape \((\d+), 2\) for a membership array of shape \(\1, 3\); .* n = 3"),
     ], ids=["zero", "nan", "missing-member", "failed-component", "negative", "key-3", "key-minus-1",
             "inf", "short-row"])
     @pytest.mark.parametrize("path", list(CONTRACT_PATHS))
@@ -695,8 +738,8 @@ class TestConfiguration:
             Configuration.from_mask(0, 1)
 
     def test_unit_rule_is_one_everywhere(self):
-        lam = UnitRule(4)(Configuration(4, frozenset({1, 3})))
-        assert lam.tolist() == [0.0, 1.0, 0.0, 1.0]
+        lam = UnitRule(4)(members(4, {1, 3})[None])
+        assert lam.tolist() == [[0.0, 1.0, 0.0, 1.0]]
 
     def test_unit_rule_checks_n_and_the_configuration_size(self):
         # as the equal rule does
@@ -706,4 +749,4 @@ class TestConfiguration:
             with pytest.raises(ValueError, match="configuration size does not match n"):
                 share_table(rule(3), 4)
             with pytest.raises(ValueError, match="configuration size does not match n"):
-                rule(3)(Configuration.full(2))
+                rule(3)(members(2, {0, 1})[None])

@@ -11,14 +11,16 @@ import pytest
 import fiberbundle
 
 # every name the package re-exported when it imported its submodules eagerly,
-# but LoadShareVector, which went when rules came to return share rows
+# but LoadShareVector, which went when rules came to return share rows, and
+# absorbing_load_share and equal_load_share, which went when rules came to map
+# batches of working sets
 _EXPORTED = {
     "distributions": ["StrengthModel", "unit_exponential"],
     "loadshare": [
         "AbsorbingRule", "ComponentGraph", "Configuration", "EqualRule",
-        "NonMonotoneRuleError", "TransitionMatrix", "UnitRule", "absorbing_load_share",
-        "absorption_probabilities", "build_grid_graph", "complete_graph_transition",
-        "equal_load_share", "share_table", "transition_matrix", "verify_monotone",
+        "NonMonotoneRuleError", "TransitionMatrix", "UnitRule", "absorption_probabilities",
+        "build_grid_graph", "complete_graph_transition", "share_table", "transition_matrix",
+        "verify_monotone",
     ],
     "cascade": [
         "BreakingPattern", "CascadeResult", "ChainSpec", "ComponentStrengths", "PatternCycle",

@@ -131,8 +131,9 @@ def boundary_strengths(draw, table, scales=st.just(0)):
         # or either at any other working set
         at_k = draw(st.one_of(st.just(full), st.integers(1, full))) | 1 << k
         at_j = draw(st.one_of(st.just(full & ~(1 << k)), st.integers(1, full))) | 1 << j
-        stress = x[k] / table[at_k, k]
-        near = step(table[at_j, j] * stress, draw(st.integers(-2, 2)))
+        with np.errstate(over="ignore"):  # past the largest float the stress is inf
+            stress = x[k] / table[at_k, k]
+            near = step(table[at_j, j] * stress, draw(st.integers(-2, 2)))
         x[j] = min(max(near, 0.0), np.finfo(float).max)  # finite, as the sampler's draws
     return x
 
@@ -266,20 +267,51 @@ def test_csv_rows_are_repr_byte_for_byte(bits, specials, ints):
     assert csvtext._csv_rows([floats, whole]) == want.encode()
 
 
-def _put(row, i, value):
-    row[i] = value
-    return row
+@st.composite
+def batch_rules(draw):
+    """(rule, n): the equal or unit rule on 1-9 or 70 components, or an
+    absorbing rule on a random connected graph, power-scaled or not."""
+    if draw(st.booleans()):
+        p = draw(connected_chains())
+        n, rule = p.n, AbsorbingRule(p)
+    else:
+        n = draw(st.one_of(st.integers(1, 9), st.just(70)))
+        rule = draw(st.sampled_from([EqualRule, UnitRule]))(n)
+    if draw(st.booleans()):
+        scales = draw(st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n))
+        rule = PowerScaledRule(rule, scales, draw(st.floats(0.25, 4.0)))
+    return rule, n
 
 
-# each takes the row, a member and a failed component, and returns a bad row
+@PROPERTY
+@given(data=st.data(), bundle=batch_rules())
+def test_a_batch_of_working_sets_gives_its_rows(data, bundle):
+    # one call on k working sets gives the bytes of k one-set calls, whatever
+    # the other sets of the batch
+    rule, n = bundle
+    masks = data.draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=12))
+    member = np.array([[m >> i & 1 == 1 for i in range(n)] for m in masks])
+    rows = rule(member)
+    assert rows.shape == member.shape and rows.dtype == np.float64
+    one_by_one = np.concatenate([rule(member[r:r + 1]) for r in range(len(member))])
+    assert rows.tobytes() == one_by_one.tobytes()
+
+
+def _put(rows, r, i, value):
+    rows[r, i] = value
+    return rows
+
+
+# each takes the rows, the bad row's index r, a member and a failed component
+# of its working set, and returns bad rows
 DEFECTS = {
-    "zero": lambda row, member, failed: _put(row, member, 0.0),
-    "nan": lambda row, member, failed: _put(row, member, math.nan),
-    "inf": lambda row, member, failed: _put(row, member, math.inf),
-    "negative": lambda row, member, failed: _put(row, member, -row[member]),
-    "failed-share": lambda row, member, failed: _put(row, failed, 1.0),
-    "short": lambda row, member, failed: row[:-1],
-    "long": lambda row, member, failed: np.append(row, 0.0),
+    "zero": lambda rows, r, member, failed: _put(rows, r, member, 0.0),
+    "nan": lambda rows, r, member, failed: _put(rows, r, member, math.nan),
+    "inf": lambda rows, r, member, failed: _put(rows, r, member, math.inf),
+    "negative": lambda rows, r, member, failed: _put(rows, r, member, -rows[r, member]),
+    "failed-share": lambda rows, r, member, failed: _put(rows, r, failed, 1.0),
+    "short": lambda rows, r, member, failed: rows[:, :-1],
+    "long": lambda rows, r, member, failed: np.insert(rows, rows.shape[1], 0.0, axis=1),
 }
 
 
@@ -293,17 +325,18 @@ def test_share_error_names_the_corrupted_mask(data, defect, n):
     failed = data.draw(st.sampled_from([i for i in range(n) if not bad >> i & 1] or [member]))
     equal = EqualRule(n)
 
-    def rule(cfg):
-        row = equal(cfg)
-        return DEFECTS[defect](row, member, failed) if cfg.mask == bad else row
+    def rule(members):
+        at = np.flatnonzero(members @ (1 << np.arange(n)) == bad)
+        return DEFECTS[defect](equal(members), at, member, failed) if at.size else equal(members)
 
     others = data.draw(st.lists(st.integers(0, full).filter(lambda m: m != bad), max_size=8))
     at = data.draw(st.integers(0, len(others)))
     with pytest.raises(ValueError) as exc:
         share_rows(rule, n, [*others[:at], bad, *others[at:]])
-    assert f"at working set {working};" in str(exc.value)
     if defect in ("short", "long"):
-        length = n - 1 if defect == "short" else n + 1
-        assert type(exc.value) is ValueError and f"shape ({length},)" in str(exc.value)
+        # the one batch holds every nonempty mask
+        shape = (1 + sum(1 for m in others if m), n - 1 if defect == "short" else n + 1)
+        assert type(exc.value) is ValueError and f"shares of shape {shape}" in str(exc.value)
     else:
+        assert f"at working set {working};" in str(exc.value)
         assert type(exc.value) is InvalidShareError and exc.value.mask == bad
