@@ -27,7 +27,8 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .distributions import StrengthModel
-from .loadshare import _REL_TOL, NonMonotoneRuleError, Rule, _rule_rows, _table_fits, share_table
+from .loadshare import (_REL_TOL, NonMonotoneRuleError, Rule, _check_n, _rule_rows, _table_fits,
+                        share_table)
 
 __all__ = [
     "ComponentStrengths",
@@ -55,10 +56,9 @@ _BLOCK = 1 << 12  # replicas drawn and run at a time: bounds the kernel's (rows,
 
 @dataclass(frozen=True)
 class ComponentStrengths:
-    """Realized strengths of the n components, optionally with their law."""
+    """Realized strengths of the n components."""
 
     x: tuple[float, ...]
-    model: StrengthModel | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "x", tuple(float(v) for v in self.x))
@@ -96,8 +96,7 @@ class StructureFunction:
 
     def __post_init__(self):
         object.__setattr__(self, "paths", tuple(self.paths))
-        if self.n < 1:
-            raise ValueError(f"n must be positive, got {self.n}")
+        _check_n(self.n)
         full, covered = (1 << self.n) - 1, 0
         for path in self.paths:
             if not 0 < path <= full:

@@ -366,15 +366,14 @@ def cmd_simulate(cfg: dict) -> None:
     _manifest(outdir, "simulate", cfg, derived)
 
 
-def _percentile_list(cfg: dict) -> list[float]:
-    text = cfg["percentiles"].strip()
-    if not text:
-        raise ValueError("gibbs needs a nonempty --percentiles list (first is the reference)")
-    ps = [float(v) for v in text.split(",") if v.strip()]
+def _percentile_list(cfg: dict, n: int) -> list[float]:
+    ps = [float(v) for v in cfg["percentiles"].split(",") if v.strip()]
     if not ps:
-        raise ValueError("empty percentile list")
+        raise ValueError("gibbs needs a nonempty --percentiles list (first is the reference)")
     if any(not 0 < p < 100 for p in ps):
         raise ValueError("percentiles must lie in (0, 100)")
+    if n == 1 and len(ps) > 1:  # one potential: lmf_fit would reject every fit
+        raise ValueError(f"an LMF fit needs n >= 2 components, got n = {n}; give one --percentiles")
     return ps
 
 
@@ -383,8 +382,8 @@ def cmd_gibbs(cfg: dict) -> None:
     from . import gibbs
     from .loadshare import share_table
 
-    ps = _percentile_list(cfg)
     n, rule, model = _bundle(cfg)
+    ps = _percentile_list(cfg, n)
     share_table(rule, n)  # bounds n; the sampler and build_gibbs reuse this table
     samples = _read_strengths(cfg["samples"]) if cfg["samples"] else None
     outdir = _ensure_outdir(cfg["out"])

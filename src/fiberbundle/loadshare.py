@@ -130,21 +130,15 @@ class Configuration:
 
     def __post_init__(self):
         object.__setattr__(self, "working", frozenset(self.working))
-        if self.n < 1:
-            raise ValueError("component count must be positive")
+        _check_n(self.n)
         if any(not (0 <= i < self.n) for i in self.working):
             raise ValueError("working set contains out-of-range components")
-
-    @classmethod
-    def full(cls, n: int) -> "Configuration":
-        return cls(n, frozenset(range(n)))
 
     @classmethod
     def from_mask(cls, n: int, mask: int) -> "Configuration":
         """The set bits of ``mask`` below bit n; in range by construction, so
         only n is checked."""
-        if n < 1:
-            raise ValueError("component count must be positive")
+        _check_n(n)
         config = object.__new__(cls)
         object.__setattr__(config, "n", n)
         object.__setattr__(config, "working", _working(n, mask))
@@ -168,9 +162,6 @@ class AbsorptionResult(NamedTuple):
     working: tuple[int, ...]
     u: np.ndarray
 
-    def prob(self, i: int, j: int) -> float:
-        return float(self.u[self.failed.index(i), self.working.index(j)])
-
 
 class MonotoneCheck(NamedTuple):
     ok: bool
@@ -180,6 +171,11 @@ class MonotoneCheck(NamedTuple):
 def _working(n: int, mask: int) -> frozenset[int]:
     """The working set of ``mask``: its set bits below bit n."""
     return frozenset(i for i in range(n) if mask >> i & 1)
+
+
+def _check_n(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
 
 
 def _check_bytes(what: str, nbytes: int, advice: str) -> None:
@@ -311,8 +307,7 @@ class EqualRule:
     """Equal rule on n components: the total load n split evenly over the survivors."""
 
     def __init__(self, n: int):
-        if n < 1:
-            raise ValueError("n must be positive")
+        _check_n(n)
         self.n = n
 
     def __call__(self, member: np.ndarray) -> np.ndarray:
@@ -327,8 +322,7 @@ class UnitRule:
     """
 
     def __init__(self, n: int):
-        if n < 1:
-            raise ValueError("n must be positive")
+        _check_n(n)
         self.n = n
 
     def __call__(self, member: np.ndarray) -> np.ndarray:
@@ -363,7 +357,8 @@ def share_rows(rule: Rule, n: int, masks) -> np.ndarray:
     the sequence ``masks``, 0.0 for mask 0.  The nonempty masks go to
     ``rule`` as membership arrays, one call per batch of at most 4,096 masks
     in the given order, each checked by :func:`_rule_rows`, so the first bad
-    component of the first bad mask raises."""
+    component of the first bad mask raises.  n < 1 is a ``ValueError``."""
+    _check_n(n)
     rows = np.zeros((len(masks), n))
     top, k = 1 << n, (n + 7) // 8  # k bytes per mask, so any n
     for lo in range(0, len(rows), _BATCH):
@@ -379,23 +374,6 @@ def share_rows(rule: Rule, n: int, masks) -> np.ndarray:
     return rows
 
 
-def _first_drop(table: np.ndarray) -> tuple[int, int, int] | None:
-    """First (mask, i, j) where removing component i from working-set ``mask``
-    lowers survivor j's share by more than the relative tolerance, or None.
-    By transitivity, single removals cover every pair of nested working sets."""
-    n = table.shape[1]
-    for i in range(n):
-        # axis 1 is bit i of the mask: [:, 0] is the working set without i
-        pairs = table.reshape(-1, 2, 1 << i, n)
-        without, within = pairs[:, 0], pairs[:, 1]
-        drop = without < within * (1.0 - _REL_TOL)
-        drop[..., i] = False  # i itself fails and sheds its whole share
-        if drop.any():
-            hi, lo, j = np.unravel_index(np.argmax(drop), drop.shape)
-            return int(hi) << (i + 1) | 1 << i | int(lo), i, int(j)
-    return None
-
-
 _last_table: list = [None, None]  # rule and table of the latest share_table build
 
 
@@ -403,25 +381,48 @@ def share_table(rule: Rule, n: int) -> np.ndarray:
     """Read-only (2^n, n) float64 table of load shares indexed by working-set
     mask, 0.0 outside the working set (a failed component carries no load).
 
-    Built by :func:`share_rows` over every mask, then checked for a share
-    dropping after a failure (:class:`NonMonotoneRuleError`).  The latest table
-    is kept with its rule, matched by identity, so the sampler, the Gibbs
-    builder and :func:`verify_monotone` share one build.
+    Built and checked in one pass over aligned batches of 4,096 masks: each
+    batch's rows come from :func:`share_rows`, then its first working set in
+    mask order from which one failure lowers a survivor's share raises
+    :class:`NonMonotoneRuleError`, before the next batch is built.  The latest
+    table is kept with its rule, matched by identity, so the sampler, the Gibbs
+    builder and :func:`verify_monotone` share one build.  n < 1 is a ``ValueError``.
     """
+    _check_n(n)
     last_rule, last = _last_table
     if last_rule is rule and last.shape[1] == n:
         return last
     _check_bytes(f"a share table for n = {n}", (1 << n) * n * 8,
                  "use sampling for larger bundles")
-    table = share_rows(rule, n, range(1 << n))
-    drop = _first_drop(table)
-    if drop is not None:
-        mask, i, j = drop
-        a, b = _working(n, mask & ~(1 << i)), _working(n, mask)
-        raise NonMonotoneRuleError(
-            f"share of component {j} dropped from {table[mask, j]} to "
-            f"{table[mask & ~(1 << i), j]} when component {i} failed from working-set mask {mask}",
-            (a, b, j))
+    table = np.empty((1 << n, n))
+    for lo in range(0, 1 << n, _BATCH):
+        hi = min(lo + _BATCH, 1 << n)
+        rows = table[lo:hi]
+        rows[:] = share_rows(rule, n, range(lo, hi))
+        # drops[b, j]: removing one member from working set b lowers survivor j's
+        # share; by transitivity, single removals cover every pair of nested sets
+        scaled = rows * (1.0 - _REL_TOL)
+        drops = np.zeros(rows.shape, bool)
+        for i in range(n):
+            if 1 << i < hi - lo:
+                # axis 1 is bit i of the mask: [:, 0] is the working set without i
+                without = rows.reshape(-1, 2, 1 << i, n)[:, 0]
+                within, at = (x.reshape(-1, 2, 1 << i, n)[:, 1] for x in (scaled, drops))
+            elif lo >> i & 1:  # every mask of the batch holds i: without it, an earlier batch
+                without, within, at = table[lo - (1 << i):hi - (1 << i)], scaled, drops
+            else:
+                continue
+            drop = without < within
+            drop[..., i] = False  # i itself fails and sheds its whole share
+            at |= drop
+        if drops.any():  # the first such working set b, its smallest i, then smallest j
+            b = lo + int(drops.any(axis=1).argmax())
+            i, j = next((i, j) for i in range(n) for j in range(n) if b >> i & 1 and j != i
+                        and table[b & ~(1 << i), j] < table[b, j] * (1.0 - _REL_TOL))
+            raise NonMonotoneRuleError(
+                f"share of component {j} dropped from {table[b, j]} to "
+                f"{table[b & ~(1 << i), j]} when component {i} failed from working-set mask {b}",
+                (_working(n, b & ~(1 << i)), _working(n, b), j))
     table.flags.writeable = False
     _last_table[:] = rule, table
     return table
@@ -431,10 +432,11 @@ def verify_monotone(rule: Rule, n: int) -> MonotoneCheck:
     """Check that failures never relieve a survivor: lambda_j(B) <= lambda_j(A)
     for every A subset of B containing j, plus valid shares.
 
-    The verdict of :func:`share_table`, whose table it keeps: the first
-    working set B whose shares break the table's contract comes back as
-    (B, B, -1), else the counterexample of its :class:`NonMonotoneRuleError`,
-    the first single removal that lowers a survivor's share (relative 1e-9).
+    The verdict of :func:`share_table`, whose table it keeps; its first failing
+    batch of 4,096 masks decides.  The batch's first working set B with an
+    invalid share comes back as (B, B, -1), else its first B in mask order with
+    a single removal B - A that lowers survivor j's share (relative 1e-9), as
+    (A, B, j) of smallest removed component, then smallest j.  n < 1 is a ``ValueError``.
     """
     try:
         share_table(rule, n)

@@ -491,6 +491,22 @@ class TestGibbsCommand:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: the 10.0 percentile strength level is 0.0"), err
 
+    def test_fit_at_one_component_rejected_before_sampling(self, tmp_path, capsys, monkeypatch):
+        # at n = 1 the reference measure has one potential, so every LMF fit is degenerate
+        def never(*args, **kwargs):
+            raise AssertionError("sampled")
+
+        monkeypatch.setattr(cli, "sample_bundle_strengths", never)
+        argv = ["gibbs", "--rows", "1", "--cols", "1", "--rule", "equal", "--percentiles", "1,50",
+                "--replicas", "200", "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: an LMF fit needs n >= 2 components, got n = 1; give one --percentiles\n")
+        assert not (tmp_path / "o").exists()
+        monkeypatch.undo()
+        assert main(argv[:-5] + ["50"] + argv[-4:]) == 0
+        assert json.loads((tmp_path / "o" / "lmf.json").read_text()) == []
+
     def test_too_large_grid_rejected(self, tmp_path):
         assert main([
             "gibbs", "--rows", "5", "--cols", "5", "--percentiles", "50",

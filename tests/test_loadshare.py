@@ -96,6 +96,36 @@ def defective_rule(defect):
     return rule
 
 
+def perturbed_rule(n, changes):
+    """The equal rule on n components with member j's share at working-set
+    mask m multiplied by f, for each (m, j, f) of ``changes``."""
+    weights = 1 << np.arange(n)
+
+    def rule(member):
+        rows, masks = EqualRule(n)(member), member @ weights
+        for m, j, f in changes:
+            rows[masks == m, j] *= f
+        return rows
+
+    return rule
+
+
+def scanned_first_drop(table):
+    """Brute force: (A, B, j) of the first working set B in mask order, then the
+    smallest removed component i = B - A, then the smallest survivor j, whose
+    share is lower at A than at B by more than a relative 1e-9; else None."""
+    n = table.shape[1]
+    masks = np.arange(len(table))
+    # drop[b, i, j]; when b lacks i, b & ~(1 << i) is b, and no share is below itself
+    drop = np.stack([table[masks & ~(1 << i)] < table * (1 - 1e-9) for i in range(n)], axis=1)
+    drop[:, range(n), range(n)] = False  # i itself fails and sheds its whole share
+    if not drop.any():
+        return None
+    b, i, j = (int(v) for v in np.unravel_index(drop.argmax(), drop.shape))  # C order
+    working = [frozenset(np.flatnonzero(bits(n, m)).tolist()) for m in (b & ~(1 << i), b)]
+    return (*working, j)
+
+
 class TestGridGraph:
     def test_interior_node_has_six_neighbors(self):
         g = build_grid_graph(4, 4)
@@ -176,9 +206,9 @@ class TestAbsorption:
         tm = transition_matrix(g)
         working = frozenset(range(4)) - {g.node_index(0, 0)}
         res = absorption_probabilities(tm, members(4, working))
-        assert res.prob(g.node_index(0, 0), g.node_index(0, 1)) == pytest.approx(0.5)
-        assert res.prob(g.node_index(0, 0), g.node_index(1, 1)) == pytest.approx(0.5)
-        assert res.prob(g.node_index(0, 0), g.node_index(1, 0)) == pytest.approx(0.0)
+        assert res.failed == (g.node_index(0, 0),)
+        assert res.working == (g.node_index(0, 1), g.node_index(1, 0), g.node_index(1, 1))
+        assert np.allclose(res.u, [[0.5, 0.0, 0.5]])
 
     def test_rows_stochastic_random_configs(self):
         tm = transition_matrix(build_grid_graph(3, 3))
@@ -447,15 +477,71 @@ class TestShareTable:
             share_table(rule, 30)
 
     def test_build_peak_is_the_table_and_the_monotonicity_check(self):
-        # the rows come in batches of 4,096 masks, so no temporary of the
-        # build grows with 2^n; the monotonicity check alone peaks at 1.63x
+        # rows and the monotonicity check come in batches of 4,096 masks, so
+        # no temporary of the build grows with 2^n
         tracemalloc.start()
         try:
             table = share_table(EqualRule(18), 18)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.7 * table.nbytes
+        assert peak <= 1.2 * table.nbytes
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_no_components_rejected_before_any_rule_call(self, n):
+        def rule(member):
+            raise AssertionError("rule called for a bundle of no components")
+
+        for build in (share_table, verify_monotone, lambda rule, n: share_rows(rule, n, [1])):
+            with pytest.raises(ValueError, match=rf"^n must be positive, got {n}$"):
+                build(rule, n)
+
+
+class TestMonotoneVerdict:
+    """The counterexample is the first working set in mask order with a
+    dropping single removal, whichever batch of 4,096 masks it falls in."""
+
+    def check(self, rule, n):
+        want = scanned_first_drop(share_rows(rule, n, range(1 << n)))
+        assert verify_monotone(rule, n) == MonotoneCheck(want is None, want)
+        if want is not None:
+            with pytest.raises(NonMonotoneRuleError) as exc:
+                share_table(rule, n)
+            assert exc.value.counterexample == want
+        return want
+
+    def test_first_working_set_in_mask_order(self):
+        # 0's share drops at {0, 1}, so removing 2 from {0, 1, 2} (mask 7) drops
+        # it; 2's share drops at {2, 3}, so removing 0 from {0, 2, 3} (mask 13) does
+        rule = perturbed_rule(4, [(0b0011, 0, 0.5), (0b1100, 2, 0.5)])
+        assert self.check(rule, 4) == (frozenset({0, 1}), frozenset({0, 1, 2}), 0)
+
+    def test_random_rules_match_the_scan(self):
+        rng = np.random.default_rng(27)
+        verdicts = []
+        for n in [2, 3, 4, 5, 7, 9, 12] * 2 + [13, 14] * 10:
+            masks = rng.integers(1, 1 << n, size=rng.integers(0, 4)).tolist()
+            if n > 12 and rng.random() < 0.5:  # lowered, it drops from the whole bundle at i >= 12
+                masks.append((1 << n) - 1 - (1 << int(rng.integers(12, n))))
+            changes = []
+            for m in masks:
+                changes.append((m, int(rng.choice(np.flatnonzero(bits(n, m)))),
+                                float(rng.choice([0.5, 2.0]))))
+            verdicts.append(self.check(perturbed_rule(n, changes), n))
+        found = [(a, b) for a, b, _ in filter(None, verdicts)]
+        assert sum(v is None for v in verdicts) >= 3
+        assert any(max(b) >= 12 for a, b in found)  # in a later batch than the first
+        assert any(max(b - a) >= 12 for a, b in found)  # A in an earlier batch than B
+
+    def test_a_batch_is_checked_before_the_next_is_built(self):
+        # mask 5,000 = {3, 7, 8, 9, 12} lies in the second batch, mask 100 in the first
+        drop = (0b0011, 0, 0.5)
+        for invalid, want, b in [((5000, 3, 0.0), NonMonotoneRuleError, {0, 1, 2}),
+                                 ((100, 2, 0.0), InvalidShareError, {2, 5, 6})]:
+            rule = perturbed_rule(13, [drop, invalid])
+            with pytest.raises(want):
+                share_table(rule, 13)
+            assert verify_monotone(rule, 13).counterexample[1] == b
 
 
 class TestTableOracle:

@@ -1,5 +1,6 @@
 """The package namespace: names and submodules resolve on first access."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -67,3 +68,20 @@ def test_bare_import_loads_no_submodule_and_resolves_them_on_access():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_only_the_cli_prints_and_each_logger_is_named_for_its_module():
+    # library code logs through logging.getLogger("fiberbundle.<module>") and never prints
+    for path in sorted(Path(fiberbundle.__file__).parent.glob("*.py")):
+        module = "fiberbundle" if path.stem == "__init__" else f"fiberbundle.{path.stem}"
+        tree = ast.parse(path.read_text())
+        for node in (node for node in ast.walk(tree) if isinstance(node, ast.Call)):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))  # f() or x.f()
+            where = f"{path.name}:{node.lineno}"
+            if name == "print":
+                assert module == "fiberbundle.cli", f"{where} prints"
+            elif name == "getLogger":
+                arg = node.args[0] if node.args else None
+                assert (isinstance(arg, ast.Name) and arg.id == "__name__"
+                        or isinstance(arg, ast.Constant) and arg.value == module), \
+                    f"{where} gets a logger not named {module!r}"
