@@ -35,7 +35,6 @@ _EXPORTS = {
         "BreakingPattern",
         "CascadeResult",
         "ChainSpec",
-        "ComponentStrengths",
         "PatternCycle",
         "StructureFunction",
         "chain_strength",

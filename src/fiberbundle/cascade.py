@@ -31,7 +31,6 @@ from .loadshare import (_REL_TOL, NonMonotoneRuleError, Rule, _check_n, _rule_ro
                         share_table)
 
 __all__ = [
-    "ComponentStrengths",
     "StructureFunction",
     "PatternCycle",
     "BreakingPattern",
@@ -52,21 +51,6 @@ __all__ = [
 
 _CHUNK = 1 << 16  # replicas per (seed, chunk) generator: fixes the sample stream
 _BLOCK = 1 << 12  # replicas drawn and run at a time: bounds the kernel's (rows, n) temporaries
-
-
-@dataclass(frozen=True)
-class ComponentStrengths:
-    """Realized strengths of the n components."""
-
-    x: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", tuple(float(v) for v in self.x))
-        if not all(v > 0 for v in self.x):  # a NaN is not > 0 either
-            raise ValueError("all component strengths must be strictly positive")
-
-    def __len__(self) -> int:
-        return len(self.x)
 
 
 @dataclass(frozen=True)
@@ -246,8 +230,6 @@ def _as_strengths(x, n: int) -> list[float]:
     """The n component strengths as Python floats, each one >= 0 (so not NaN);
     a zero (an underflowed draw) fails at load 0 and a ratio past the largest
     float is inf, without a warning, as in the kernel."""
-    if isinstance(x, ComponentStrengths):
-        x = x.x
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 1:
         raise ValueError("strengths must be a 1-d vector")

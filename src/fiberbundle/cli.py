@@ -407,7 +407,7 @@ def cmd_gibbs(cfg: dict) -> None:
     )
     records = []
     for p in ps[1:]:
-        fit = gibbs.lmf_fit(ref, models[p], p_ref=ps[0], p_target=p)
+        fit = gibbs.lmf_fit(ref, models[p])
         records.append({
             "p": ps[0],
             "p_prime": p,

@@ -143,18 +143,31 @@ def _median(a):
     return arr[lo:half + 1].mean()
 
 
+_LAW_METHODS = ("cdf", "sf", "logsf", "pdf")
+
+
 def component_laws(dist, n: int) -> list:
     """One strength law per component: a list or tuple must hold n laws, a
     :class:`StrengthModel` is split into its component marginals, and any
-    other law is shared by all n components."""
-    if isinstance(dist, (list, tuple)):
-        if len(dist) != n:
-            raise ValueError(f"need {n} component distributions, got {len(dist)}")
-        return list(dist)
+    other law is shared by all n components.
+
+    A strength law has the methods ``cdf``, ``sf``, ``logsf`` and ``pdf``,
+    each evaluated elementwise on an array of loads; :class:`StrengthModel`
+    and SciPy's frozen continuous laws have them.  A law that lacks one
+    raises ``TypeError`` naming the law and what it lacks.
+    """
     if isinstance(dist, StrengthModel):
         dist._scale_array(n)  # a scale vector must have one entry per component
         return [dist.component(i) for i in range(n)]
-    return [dist] * n
+    laws = list(dist) if isinstance(dist, (list, tuple)) else [dist] * n
+    if len(laws) != n:
+        raise ValueError(f"need {n} component distributions, got {len(laws)}")
+    for law in laws:
+        missing = [m for m in _LAW_METHODS if not callable(getattr(law, m, None))]
+        if missing:
+            raise TypeError(f"strength law {law!r} lacks {', '.join(missing)}; a law needs "
+                            f"{', '.join(_LAW_METHODS)}")
+    return laws
 
 
 def unit_exponential() -> StrengthModel:

@@ -108,18 +108,11 @@ def potentials_from_energy(energy: SubsetTable) -> SubsetTable:
     return SubsetTable(energy.n, -_mobius(energy.values, energy.n))
 
 
-def _log_survival(dist, load):
-    """log sf evaluated so deep loads do not underflow to -inf prematurely."""
-    if hasattr(dist, "logsf"):
-        return np.asarray(dist.logsf(load), dtype=float)
-    with np.errstate(divide="ignore"):
-        return np.log(np.asarray(dist.sf(load), dtype=float))
-
-
 def _site_odds(law, loads: np.ndarray, i: int, masks) -> np.ndarray:
     """Survival log odds log sf - log(1 - sf) of component i under ``law`` at
-    its ``loads``, one per working-set mask in ``masks``."""
-    ls = _log_survival(law, loads)
+    its ``loads``, one per working-set mask in ``masks``; from ``law.logsf``,
+    which stays finite at deep loads where sf underflows."""
+    ls = np.asarray(law.logsf(loads), dtype=float)
     bad = ~(np.isfinite(ls) & (ls < 0.0))
     if np.any(bad):
         k = int(np.argmax(bad))
@@ -224,14 +217,9 @@ class LMFFit:
     r2: float
     median_potentials: tuple[float, ...]
     tv_error: float
-    s_ref: float
-    s_target: float
-    p_ref: float | None = None
-    p_target: float | None = None
 
 
-def lmf_fit(model_ref: GibbsModel, model_target: GibbsModel,
-            p_ref: float | None = None, p_target: float | None = None) -> LMFFit:
+def lmf_fit(model_ref: GibbsModel, model_target: GibbsModel) -> LMFFit:
     """Least-squares fit of target potentials against reference potentials.
 
     The reduced energy takes -U(A) ~= slope * sum_{K in A} V_ref(K) +
@@ -266,10 +254,6 @@ def lmf_fit(model_ref: GibbsModel, model_target: GibbsModel,
         r2=r2,
         median_potentials=medians,
         tv_error=tv,
-        s_ref=model_ref.s,
-        s_target=model_target.s,
-        p_ref=p_ref,
-        p_target=p_target,
     )
 
 

@@ -136,13 +136,8 @@ class Configuration:
 
     @classmethod
     def from_mask(cls, n: int, mask: int) -> "Configuration":
-        """The set bits of ``mask`` below bit n; in range by construction, so
-        only n is checked."""
-        _check_n(n)
-        config = object.__new__(cls)
-        object.__setattr__(config, "n", n)
-        object.__setattr__(config, "working", _working(n, mask))
-        return config
+        """The set bits of ``mask`` below bit n."""
+        return cls(n, _working(n, mask))
 
     @property
     def mask(self) -> int:

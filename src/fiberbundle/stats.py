@@ -15,7 +15,6 @@ from typing import Iterator
 import numpy as np
 
 __all__ = [
-    "CensoredSample",
     "KMCurve",
     "WeibullFit",
     "TailFit",
@@ -39,18 +38,6 @@ _Z95 = 1.959963984540054  # central 95% normal quantile
 
 
 @dataclass(frozen=True)
-class CensoredSample:
-    """One strength observation; ``censored`` means right-censored at value."""
-
-    value: float
-    censored: bool = False
-
-    def __post_init__(self):
-        if not 0 < self.value < math.inf:  # NaN fails too
-            raise ValueError(f"strength observations must be positive and finite, got {self.value}")
-
-
-@dataclass(frozen=True)
 class KMCurve:
     """Product-limit survival estimate with Greenwood 95% bands."""
 
@@ -67,10 +54,10 @@ class KMCurve:
 
 
 def _as_censored(samples) -> tuple[np.ndarray, np.ndarray]:
-    """Values and event flags (True where not censored) of ``CensoredSample``
-    items or ``(value, censored)`` pairs, with the checks of ``CensoredSample``
-    made on the whole value array at once."""
-    pairs = [(s.value, s.censored) if isinstance(s, CensoredSample) else s for s in samples]
+    """Values and event flags (True where not censored) of ``(value, censored)``
+    pairs, ``censored`` meaning right-censored at ``value``; every value must
+    be positive and finite."""
+    pairs = list(samples)
     if not pairs:
         raise ValueError("empty sample")
     values = np.array([v for v, _ in pairs], dtype=float)
@@ -360,17 +347,12 @@ class PBDPosterior:
 def pbd_prior_weights(partition: IntervalPartition, base, total_mass: float) -> np.ndarray:
     """Prior cell weights: total mass times the base-measure cell probabilities.
 
-    Uses survival differences so far-tail cells keep their (tiny) mass instead
-    of underflowing through 1 - cdf."""
+    Uses survival differences of the strength law ``base`` so far-tail cells
+    keep their (tiny) mass instead of underflowing through 1 - cdf."""
     if total_mass <= 0:
         raise ValueError("total mass must be positive")
-    if hasattr(base, "sf"):
-        sf_vals = [1.0] + [float(base.sf(e)) for e in partition.edges[1:]] + [0.0]
-        probs = -np.diff(sf_vals)
-    else:
-        cdf_vals = [0.0] + [float(base.cdf(e)) for e in partition.edges[1:]] + [1.0]
-        probs = np.diff(cdf_vals)
-    return total_mass * probs
+    sf_vals = [1.0] + [float(base.sf(e)) for e in partition.edges[1:]] + [0.0]
+    return total_mass * -np.diff(sf_vals)
 
 
 def pbd_posterior(partition: IntervalPartition, base, total_mass: float,

@@ -258,7 +258,7 @@ def test_criterion_10_lmf_linearity(grid44_samples):
         for p_target in (1.0, 10.0, 50.0):
             s_t = gb.strength_percentile(samples, p_target)
             model_t = gb.build_gibbs(16, s_t, rule, WEIBULL52)
-            fit = gb.lmf_fit(model_ref, model_t, p_ref=0.001, p_target=p_target)
+            fit = gb.lmf_fit(model_ref, model_t)
             assert fit.r2 >= 0.9
             info[f"r2_p{p_target:g}"] = f"{fit.r2:.4f}"
             info[f"tv_p{p_target:g}"] = f"{fit.tv_error:.3e}"

@@ -14,7 +14,6 @@ from fiberbundle import threshold as th
 from fiberbundle.cascade import (
     BreakingPattern,
     ChainSpec,
-    ComponentStrengths,
     NonMonotoneRuleError,
     PatternCycle,
     PowerScaledRule,
@@ -102,8 +101,6 @@ class TestHandTraces:
     def test_invalid_strengths_rejected(self):
         with pytest.raises(ValueError):
             simulate_cascade([1.0, -0.5], EqualRule(2), StructureFunction.parallel(2))
-        with pytest.raises(ValueError):
-            ComponentStrengths((0.0, 1.0))
 
     def test_non_monotone_rule_detected(self):
         with pytest.raises(NonMonotoneRuleError):
@@ -137,8 +134,6 @@ class TestHandTraces:
 
     def test_nan_strength_rejected(self):
         # NaN <= 0 is false, so a sign test alone lets it through
-        with pytest.raises(ValueError, match="strictly positive"):
-            ComponentStrengths((math.nan, 1.0))
         with pytest.raises(ValueError, match="strictly positive"):
             simulate_cascade([math.nan, 1.0], EqualRule(2), StructureFunction.parallel(2))
         with pytest.raises(ValueError, match="strictly positive"):
@@ -611,8 +606,6 @@ class TestSampling:
         for bad in (-1e-300, math.nan):
             with pytest.raises(ValueError, match="strictly positive or zero"):
                 simulate_cascade([bad, 1.0], EqualRule(2), StructureFunction.parallel(2))
-        with pytest.raises(ValueError, match="strictly positive"):
-            ComponentStrengths((0.0, 1.0))
 
     def test_sampler_output_is_the_only_large_array(self):
         # 2^21 replicas: 16 MiB of strengths, written chunk by chunk in place

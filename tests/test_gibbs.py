@@ -53,6 +53,13 @@ class TestLogOdds:
             def sf(self, x):
                 return 1.0 - self.cdf(x)
 
+            def logsf(self, x):
+                with np.errstate(divide="ignore"):
+                    return np.log(self.sf(x))
+
+            def pdf(self, x):
+                return np.where((0.0 < x) & (x < 1.0), 1.0, 0.0)
+
         with pytest.raises(gb.PositivityError, match="positivity"):
             gb.log_odds(Configuration(1, frozenset({0})), 0, 2.0, UnitRule(1), Bounded())
 
@@ -229,6 +236,43 @@ class TestBuildGibbs:
         model = gb.build_gibbs(4, 0.2, rule, WEIBULL)
         assert np.all(np.isfinite(model.potentials.values))
         assert np.all(np.isfinite(model.energy.values))
+
+
+class NoLogSurvival:
+    """Unit exponential with a survival function but no log survival."""
+
+    def cdf(self, x):
+        return -np.expm1(-np.asarray(x, dtype=float))
+
+    def sf(self, x):
+        return np.exp(-np.asarray(x, dtype=float))
+
+    def pdf(self, x):
+        return self.sf(x)
+
+
+class TestStrengthLawProtocol:
+    def test_law_without_logsf_rejected_before_the_share_table(self):
+        def rule(member):
+            raise AssertionError("the share table was built")
+
+        with pytest.raises(TypeError, match=r"NoLogSurvival object at .* lacks logsf; "
+                                            r"a law needs cdf, sf, logsf, pdf$"):
+            gb.build_gibbs(3, 0.5, rule, NoLogSurvival())
+
+    def test_every_listed_law_checked(self):
+        with pytest.raises(TypeError, match="lacks logsf;"):
+            gb.build_gibbs(3, 0.5, EqualRule(3), [WEIBULL, NoLogSurvival(), WEIBULL])
+        with pytest.raises(TypeError, match="lacks cdf, sf, logsf, pdf;"):
+            gb.log_odds(Configuration(2, {0, 1}), 0, 0.5, EqualRule(2), object())
+
+    def test_scipy_frozen_law_gives_the_strength_model_sigma(self):
+        from scipy import stats as sps
+
+        rule = AbsorbingRule(transition_matrix(build_grid_graph(2, 3)))
+        frozen = gb.build_gibbs(6, 1.1, rule, sps.weibull_min(5.0, scale=2.0))
+        model = gb.build_gibbs(6, 1.1, rule, WEIBULL)
+        assert np.array_equal(frozen.sigma.values, model.sigma.values)
 
 
 @dataclass

@@ -12,9 +12,10 @@ import pytest
 import fiberbundle
 
 # every name the package re-exported when it imported its submodules eagerly,
-# but LoadShareVector, which went when rules came to return share rows, and
+# but LoadShareVector, which went when rules came to return share rows,
 # absorbing_load_share and equal_load_share, which went when rules came to map
-# batches of working sets
+# batches of working sets, and the strength-vector class, which went when a
+# strength vector came to be an array alone
 _EXPORTED = {
     "distributions": ["StrengthModel", "unit_exponential"],
     "loadshare": [
@@ -24,10 +25,10 @@ _EXPORTED = {
         "verify_monotone",
     ],
     "cascade": [
-        "BreakingPattern", "CascadeResult", "ChainSpec", "ComponentStrengths", "PatternCycle",
-        "StructureFunction", "chain_strength", "cycles_to_failure", "cycles_to_failure_samples",
-        "enumerate_patterns", "format_pattern", "parse_pattern", "replay_pattern",
-        "sample_bundle_strengths", "simulate_cascade",
+        "BreakingPattern", "CascadeResult", "ChainSpec", "PatternCycle", "StructureFunction",
+        "chain_strength", "cycles_to_failure", "cycles_to_failure_samples", "enumerate_patterns",
+        "format_pattern", "parse_pattern", "replay_pattern", "sample_bundle_strengths",
+        "simulate_cascade",
     ],
 }
 _SUBMODULES = ["cascade", "cli", "csvtext", "distributions", "gibbs", "loadshare", "stats",

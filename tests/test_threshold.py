@@ -510,6 +510,26 @@ class TestPatternDensity:
         with pytest.raises(ValueError, match="increasing"):
             th.phase1_pattern_density(inp, [0.5, 0.3])
 
+    def test_scipy_frozen_law_accepted(self):
+        from scipy import stats as sps
+
+        rule = AbsorbingRule(transition_matrix(build_grid_graph(1, 3)))
+        pattern = parse_pattern("1(2) 3")
+        frozen = th.pattern_density_input(pattern, rule, 3, sps.weibull_min(5.0, scale=2.0))
+        model = th.pattern_density_input(pattern, rule, 3, StrengthModel("weibull", 5.0, 2.0))
+        for s in ([0.3, 0.5], [0.2, 0.9], [1.1, 1.9]):
+            want = th.phase1_pattern_density(model, s)
+            assert want > 0.0
+            assert th.phase1_pattern_density(frozen, s) == pytest.approx(want, rel=1e-12)
+
+    def test_incomplete_law_rejected(self):
+        class CdfOnly:
+            def cdf(self, x):
+                return -np.expm1(-np.asarray(x, dtype=float))
+
+        with pytest.raises(TypeError, match="lacks sf, logsf, pdf;"):
+            th.pattern_density_input(parse_pattern("1 2"), EqualRule(2), 2, CdfOnly())
+
     def test_per_component_scale_vector(self):
         scales = (1.0, 1.5, 2.0)
         parts = [StrengthModel("weibull", 5.0, sc) for sc in scales]
