@@ -34,7 +34,6 @@ _EXPORTS = {
     **dict.fromkeys((
         "BreakingPattern",
         "CascadeResult",
-        "ChainSpec",
         "PatternCycle",
         "StructureFunction",
         "chain_strength",

@@ -35,7 +35,6 @@ __all__ = [
     "PatternCycle",
     "BreakingPattern",
     "CascadeResult",
-    "ChainSpec",
     "NonMonotoneRuleError",
     "simulate_cascade",
     "sample_bundle_strengths",
@@ -153,55 +152,36 @@ class BreakingPattern:
 
 def format_pattern(pattern: BreakingPattern) -> str:
     """Render with 1-based labels, bursts as nested groups: ``1(2,3(4)) 5``."""
+    return " ".join(str(c.phase1 + 1) + "".join("(" + ",".join(str(i + 1) for i in sorted(g))
+                                                 for g in c.groups) + ")" * len(c.groups)
+                    for c in pattern.cycles)
 
-    def nest(groups: tuple[frozenset[int], ...]) -> str:
-        if not groups:
-            return ""
-        inner = ",".join(str(i + 1) for i in sorted(groups[0]))
-        return "(" + inner + nest(groups[1:]) + ")"
 
-    return " ".join(str(c.phase1 + 1) + nest(c.groups) for c in pattern.cycles)
+# a cycle: a label, groups that each open with "(" and hold a comma list (where
+# _NO_LABEL finds a missing label), the closing ")"s, then spaces
+_CYCLE = re.compile(r"(\d+)((?:\(\d*(?:,\d*)*)*)(\)*) *")
+_NO_LABEL = re.compile(r"[(,](?!\d)")
 
 
 def parse_pattern(text: str) -> BreakingPattern:
-    """Inverse of :func:`format_pattern`."""
-    pos = 0
+    """Inverse of :func:`format_pattern`.  A cycle follows spaces or the
+    previous cycle's last ``)``; a malformed text raises ``ValueError``
+    naming the position where reading stopped."""
 
-    def fail(msg: str):
-        raise ValueError(f"bad pattern at position {pos}: {msg} in {text!r}")
+    def stop(pos: int, expected: str = "component label"):
+        raise ValueError(f"bad pattern at position {pos}: expected {expected} in {text!r}")
 
-    def read_int() -> int:
-        nonlocal pos
-        m = re.match(r"\d+", text[pos:])
-        if not m:
-            fail("expected component label")
-        pos += m.end()
-        return int(m.group()) - 1
-
-    def read_groups() -> tuple[frozenset[int], ...]:
-        nonlocal pos
-        if pos >= len(text) or text[pos] != "(":
-            return ()
-        pos += 1
-        members = {read_int()}
-        while pos < len(text) and text[pos] == ",":
-            pos += 1
-            members.add(read_int())
-        rest = read_groups()
-        if pos >= len(text) or text[pos] != ")":
-            fail("expected ')'")
-        pos += 1
-        return (frozenset(members),) + rest
-
-    cycles = []
+    cycles, pos = [], len(text) - len(text.lstrip(" "))
     while pos < len(text):
-        while pos < len(text) and text[pos] == " ":
-            pos += 1
-        if pos >= len(text):
-            break
-        phase1 = read_int()
-        groups = read_groups()
-        cycles.append(PatternCycle(phase1, groups))
+        m = _CYCLE.match(text, pos) or stop(pos)
+        gap = _NO_LABEL.search(text, m.start(2), m.end(2))
+        opens, closes = m.group(2).count("("), len(m.group(3))
+        if gap or closes < opens:
+            stop(gap.end() if gap else m.end(3), "component label" if gap else "')'")
+        groups = (frozenset(int(i) - 1 for i in g.split(",")) for g in m.group(2).split("(")[1:])
+        cycles.append(PatternCycle(int(m.group(1)) - 1, tuple(groups)))
+        # a ")" past the cycle's own is read, and rejected, as the next cycle
+        pos = m.end() if closes == opens else m.start(3) + opens
     if not cycles:
         raise ValueError(f"empty pattern {text!r}")
     return BreakingPattern(tuple(cycles))
@@ -213,17 +193,6 @@ class CascadeResult:
     phase1_stresses: tuple[float, ...]
     pattern: BreakingPattern
     survivor_sets: tuple[frozenset[int], ...]
-
-
-@dataclass(frozen=True)
-class ChainSpec:
-    """Series chain of m identical bundles; the chain strength is the minimum."""
-
-    m: int
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("chain length must be >= 1")
 
 
 def _as_strengths(x, n: int) -> list[float]:
@@ -568,23 +537,24 @@ def sample_bundle_strengths(model: StrengthModel, rule: Rule, structure: Structu
     return out
 
 
-def chain_strength(samples, chain: ChainSpec, seed: int = 0,
-                   draws: int | None = None) -> np.ndarray:
-    """Chain-of-bundles strengths: minima of m draws from the bundle pool.
+def chain_strength(samples, m: int, seed: int = 0, draws: int | None = None) -> np.ndarray:
+    """Chain-of-bundles strengths: minima of m >= 1 draws from the bundle pool.
 
     The (draws, m) pool indices are drawn and reduced ``_BLOCK`` (4,096)
     rows at a time. The generator's stream runs on from one call to the next,
     so the result equals one draw of all the rows at once.
     """
+    if m < 1:
+        raise ValueError("chain length must be >= 1")
     pool = np.asarray(samples, dtype=float)
     if pool.size == 0:
         raise ValueError("bundle sample pool is empty")
     if draws is None:
-        draws = max(1, pool.size // chain.m)
+        draws = max(1, pool.size // m)
     rng = np.random.default_rng([seed])
     out = np.empty(draws)
     for lo in range(0, draws, _BLOCK):
-        idx = rng.integers(0, pool.size, size=(min(_BLOCK, draws - lo), chain.m))
+        idx = rng.integers(0, pool.size, size=(min(_BLOCK, draws - lo), m))
         np.min(pool[idx], axis=1, out=out[lo:lo + _BLOCK])
     return out
 

@@ -105,8 +105,9 @@ def _grid_values(spec: str, flag: str = "--grid") -> np.ndarray:
         raise ValueError(f"{flag}: bad grid spec {spec!r}; lo, hi and step must be finite")
     if step <= 0 or hi < lo:
         raise ValueError(f"{flag}: bad grid spec {spec!r}; need step > 0 and hi >= lo")
-    span = (hi - lo) / step
-    count = round(span) + 1 if math.isfinite(span) else math.inf  # the quotient may overflow
+    span = (hi - lo) / step  # may overflow
+    # the points up to hi, with 1e-9 of slack: more than the span's rounding at the row bound
+    count = math.floor(span + 1e-9) + 1 if math.isfinite(span) else math.inf
     _table_rows(flag, count)
     return lo + step * np.arange(count)
 
@@ -331,7 +332,7 @@ def _workers(cfg: dict) -> int:
 def cmd_simulate(cfg: dict) -> None:
     """Sample bundle strengths; emit samples, Weibull plot and lower-tail fit."""
     from . import stats
-    from .cascade import ChainSpec, chain_strength
+    from .cascade import chain_strength
 
     _, rule, model = _bundle(cfg)
     structure = _structure(cfg)
@@ -344,20 +345,19 @@ def cmd_simulate(cfg: dict) -> None:
     _write_csv(outdir / "samples.csv", ["strength"], samples)
     chain = None
     if cfg["chain"] > 1:  # resamples the drawn order, so before the sort
-        chain = chain_strength(samples, ChainSpec(cfg["chain"]), seed=cfg["seed"])
+        chain = chain_strength(samples, cfg["chain"], seed=cfg["seed"])
     samples.sort()  # once, in place, for the plot and the tail fit to read
     _write_csv(outdir / "weibull_plot.csv", ["ln_x", "ln_neg_ln_sf"],
                blocks=stats.weibull_plot_blocks(samples))
     fit = stats.lower_tail_slope(samples, window=window)
-    rho = model.rho
     _write_json(outdir / "tail_fit.json", {
         "slope": fit.slope,
         "intercept": fit.intercept,
         "stderr": fit.stderr,
         "n_points": fit.n_points,
         "window": list(fit.window),
-        "component_shape": rho,
-        "inflation_factor": stats.inflation_factor(fit.slope, rho),
+        "component_shape": model.shape,
+        "inflation_factor": stats.inflation_factor(fit.slope, model.shape),
     })
     derived = {"n_samples": int(samples.size)}
     if chain is not None:
@@ -367,11 +367,14 @@ def cmd_simulate(cfg: dict) -> None:
 
 
 def _percentile_list(cfg: dict, n: int) -> list[float]:
-    ps = [float(v) for v in cfg["percentiles"].split(",") if v.strip()]
+    try:
+        ps = [float(v) for v in cfg["percentiles"].split(",") if v.strip()]
+    except ValueError as exc:
+        raise ValueError(f"--percentiles: {exc}") from None
     if not ps:
         raise ValueError("gibbs needs a nonempty --percentiles list (first is the reference)")
     if any(not 0 < p < 100 for p in ps):
-        raise ValueError("percentiles must lie in (0, 100)")
+        raise ValueError("--percentiles: percentiles must lie in (0, 100)")
     if n == 1 and len(ps) > 1:  # one potential: lmf_fit would reject every fit
         raise ValueError(f"an LMF fit needs n >= 2 components, got n = {n}; give one --percentiles")
     return ps
@@ -550,8 +553,8 @@ def cmd_density(cfg: dict) -> None:
         tc = threshold.TiltedConditional(cfg["k"], cfg["l"], cfg["n"], cfg["x"], cfg["y"])
         g1, g2 = (_grid_values(f"{lo}:{hi}:{(hi - lo) / 20}", "--kind tilted")
                   for lo, hi in (tc.law1.support, tc.law2.support))
-        f1 = np.repeat(tc.factor1(g1), g2.size)
-        f2 = np.tile(tc.factor2(g2), g1.size)
+        f1 = np.repeat(tc.law1.pdf(g1), g2.size)
+        f2 = np.tile(tc.law2.pdf(g2), g1.size)
         columns = (np.repeat(g1, g2.size), np.tile(g2, g1.size), f1 * f2, f1, f2)
         header = ["theta1", "theta2", "pdf", "factor1", "factor2"]
     else:  # pattern
@@ -566,7 +569,10 @@ def cmd_density(cfg: dict) -> None:
         f = len(pattern.cycles)
         stresses = []
         for spec in cfg["s"]:
-            s = [float(v) for v in str(spec).split(",")]
+            try:
+                s = [float(v) for v in str(spec).split(",")]
+            except ValueError as exc:
+                raise ValueError(f"--s: stress vector {spec!r}: {exc}") from None
             if len(s) != f:
                 raise ValueError(f"--s: stress vector {spec!r} must have {f} entries")
             if not all(map(math.isfinite, s)):

@@ -39,10 +39,6 @@ class StrengthModel:
         if self.family == "exponential" and self.shape != 1.0:
             raise ValueError("exponential family has fixed shape 1")
 
-    @property
-    def rho(self) -> float:
-        return self.shape  # the exponential family's is 1.0
-
     def component(self, i: int) -> "StrengthModel":
         """Marginal law of component i: the same family and shape with the
         scalar scale of that component (the model itself if its scale is
@@ -58,9 +54,9 @@ class StrengthModel:
         return sig
 
     def _hazard(self, x) -> np.ndarray:
-        """Cumulative hazard (x / scale)**rho, 0 for x <= 0."""
+        """Cumulative hazard (x / scale)**shape, 0 for x <= 0."""
         x = np.asarray(x, dtype=float)
-        return np.where(x > 0, x / self._scale_array(), 0.0) ** self.rho
+        return np.where(x > 0, x / self._scale_array(), 0.0) ** self.shape
 
     def cdf(self, x):
         return -np.expm1(-self._hazard(x))
@@ -75,7 +71,7 @@ class StrengthModel:
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
         sig = self._scale_array()
-        rho = self.rho
+        rho = self.shape
         out = np.where(
             x > 0,
             (rho / sig) * (x / sig) ** (rho - 1.0) * np.exp(-((x / sig) ** rho)),
@@ -90,7 +86,7 @@ class StrengthModel:
         """
         e = rng.standard_exponential((size, n))
         with np.errstate(over="ignore"):
-            e **= 1.0 / self.rho  # in place, through the same power loop as e ** (1 / rho)
+            e **= 1.0 / self.shape  # in place, through the same power loop as e ** (1 / shape)
             return np.multiply(self._scale_array(n), e, out=e)
 
 

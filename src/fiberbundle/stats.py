@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import logging
 import math
-import warnings
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
@@ -74,7 +73,7 @@ def kaplan_meier(samples) -> KMCurve:
     censorings, so same-time censored items still count as at risk."""
     values, events = _as_censored(samples)
     if not events.any():
-        warnings.warn("all observations are censored; survival curve is constant 1")
+        logger.warning("all observations are censored; survival curve is constant 1")
         empty = np.empty(0)
         return KMCurve(empty, empty, empty, empty, empty)
     times, deaths = np.unique(values[events], return_counts=True)

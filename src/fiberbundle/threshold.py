@@ -28,7 +28,6 @@ __all__ = [
     "irwin_hall_pdf",
     "MixingDensity",
     "order_stat_mixing",
-    "order_stat_mixing_density",
     "OrderStatJointDensity",
     "TiltedConditional",
     "PatternDensityInput",
@@ -230,7 +229,8 @@ class MixingDensity:
         return vals if theta_arr.ndim else float(vals)
 
     def moment(self, r: int) -> float:
-        """E[Theta**r] under the normalized density."""
+        """E[Theta**r] under the normalized density.  A gamma(r) mixture over
+        this law has the lower tail F(x) ~ K x**r with K = moment(r) / r!."""
         if self.is_atom:
             return self.shift**r
 
@@ -290,11 +290,6 @@ def _spacing_mixing(k: int, l: int, n: int) -> MixingDensity:
     # mixing law of the (l-k)-spacing factor; the convolution order is l-k-1,
     # matching the uniform-integral identity for (1-e^{-u})^{l-k-1}
     return MixingDensity(m=l - k - 1, shift=float(n - l + 1), power=l - k)
-
-
-def order_stat_mixing_density(k: int, n: int, theta) -> float | np.ndarray:
-    """Evaluate the order-statistic mixing density a_{k;n} at theta."""
-    return order_stat_mixing(k, n).pdf(theta)
 
 
 @dataclass(frozen=True)
@@ -399,15 +394,6 @@ class TiltedConditional:
         """Law of Theta_2 given (X, Y) = (x, y)."""
         return replace(_spacing_mixing(self.k, self.l, self.n), power=0, tilt=self.y - self.x)
 
-    def factor1(self, theta):
-        return self.law1.pdf(theta)
-
-    def factor2(self, theta):
-        return self.law2.pdf(theta)
-
-    def pdf(self, theta1: float, theta2: float) -> float:
-        return float(self.factor1(theta1)) * float(self.factor2(theta2))
-
 
 # ---------------------------------------------------------------------------
 # Phase-I pattern density
@@ -511,18 +497,11 @@ def pattern_probability(pattern: BreakingPattern, rule: Rule, n: int, dist,
 # lower-tail constant
 
 
-def lower_tail_constant(m: int, samples=None, mixing: MixingDensity | None = None,
-                        window: tuple[float, float] = (1e-5, 1e-3)) -> float:
-    """Constant K of the power-law lower tail F(x) ~ K x**m.
-
-    From ``samples``: intercept of log(ECDF) - m log(x) over the tail-window
+def lower_tail_constant(m: int, samples, window: tuple[float, float] = (1e-5, 1e-3)) -> float:
+    """Constant K of the power-law lower tail F(x) ~ K x**m, estimated from
+    ``samples`` as the intercept of log(ECDF) - m log(x) over the tail-window
     points, taken and checked as the tail slope takes them (the slope m is
-    known from the structure).  From a ``mixing`` density: K = E[Theta**m] / m!.
-    """
-    if (samples is None) == (mixing is None):
-        raise ValueError("provide exactly one of samples or mixing")
-    if mixing is not None:
-        return mixing.moment(m) / math.factorial(m)
+    known from the structure).  A mixing law's exact K is ``moment(m) / m!``."""
     from .stats import _tail_points
 
     xs = np.sort(np.asarray(samples, dtype=float))

@@ -13,7 +13,6 @@ from fiberbundle import cascade
 from fiberbundle import threshold as th
 from fiberbundle.cascade import (
     BreakingPattern,
-    ChainSpec,
     NonMonotoneRuleError,
     PatternCycle,
     PowerScaledRule,
@@ -208,11 +207,24 @@ class TestPatternNotation:
         with pytest.raises(ValueError):
             PatternCycle(0, (frozenset({1}), frozenset({1})))
 
+    def test_every_enumerated_pattern_round_trips(self):
+        for n in range(1, 6):
+            for p in enumerate_patterns(n):
+                assert parse_pattern(format_pattern(p)) == p
+
+    def test_cycles_part_at_spaces_or_after_a_closing_parenthesis(self):
+        assert parse_pattern("1(2)3") == BreakingPattern(
+            (PatternCycle(0, (frozenset({1}),)), PatternCycle(2)))
+        assert parse_pattern("  1   2 ") == BreakingPattern((PatternCycle(0), PatternCycle(1)))
+
     def test_bad_text_rejected(self):
-        with pytest.raises(ValueError):
-            parse_pattern("1(2")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="empty pattern"):
             parse_pattern("")
+        # the position where reading stopped
+        for text, pos in [("1(2", 3), ("1(2))", 4), ("1(2)(3)", 4), ("1( 2)", 2), ("1 (2)", 2),
+                          ("(1)", 0), ("1,2", 1), ("1\t2", 1), ("x", 0)]:
+            with pytest.raises(ValueError, match=rf"^bad pattern at position {pos}: "):
+                parse_pattern(text)
 
     def test_enumeration_counts(self):
         # n=2: {1 2, 2 1, 1(2), 2(1)}
@@ -700,12 +712,12 @@ class TestSampling:
 class TestChain:
     def test_length_one_keeps_distribution(self):
         pool = np.random.default_rng(0).uniform(size=20_000)
-        out = chain_strength(pool, ChainSpec(1), seed=1)
+        out = chain_strength(pool, 1, seed=1)
         assert sps.ks_2samp(pool, out).statistic < 0.02
 
     def test_chain_of_two_uniform_closed_form(self):
         pool = np.random.default_rng(1).uniform(size=400_000)
-        out = chain_strength(pool, ChainSpec(2), seed=2)
+        out = chain_strength(pool, 2, seed=2)
         assert sps.kstest(out, lambda x: 1 - (1 - x) ** 2).statistic < 0.01
 
     @pytest.mark.parametrize("m", [3, 5, 22])
@@ -714,14 +726,14 @@ class TestChain:
         monkeypatch.setattr(cascade, "_BLOCK", 7)
         pool = np.random.default_rng(4).uniform(size=1001)
         idx = np.random.default_rng([9]).integers(0, pool.size, size=(101, m))
-        assert np.array_equal(chain_strength(pool, ChainSpec(m), seed=9, draws=101),
+        assert np.array_equal(chain_strength(pool, m, seed=9, draws=101),
                               pool[idx].min(axis=1))
 
     def test_chain_validation(self):
+        with pytest.raises(ValueError, match="chain length must be >= 1"):
+            chain_strength(np.array([1.0]), 0)
         with pytest.raises(ValueError):
-            ChainSpec(0)
-        with pytest.raises(ValueError):
-            chain_strength(np.array([]), ChainSpec(2))
+            chain_strength(np.array([]), 2)
 
     def test_chain_tail_scaling(self):
         # deep in the tail the chain CDF is m times the bundle CDF, so the
@@ -735,7 +747,7 @@ class TestChain:
         x0 = np.quantile(pool, 2e-4)
         f1 = np.searchsorted(pool_sorted, x0) / pool.size
         for m in (4, 22):
-            chain = chain_strength(pool, ChainSpec(m), seed=6, draws=2_000_000)
+            chain = chain_strength(pool, m, seed=6, draws=2_000_000)
             ratio = np.mean(chain <= x0) / f1
             assert 0.85 * m <= ratio <= 1.15 * m
 

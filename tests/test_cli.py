@@ -270,12 +270,15 @@ class TestAnalyze:
         assert "lines [3, 5]" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    def test_all_censored_km_only(self, tmp_path):
+    def test_all_censored_km_only(self, tmp_path, caplog):
         f = tmp_path / "obs.csv"
         f.write_text("value,censored\n1.0,1\n2.0,1\n")
         out = tmp_path / "an"
-        with pytest.warns(UserWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # logged, not warned
             assert main(["analyze", "--input", str(f), "--out", str(out)]) == 0
+        assert [(r.name, r.levelname) for r in caplog.records] == [("fiberbundle.stats", "WARNING")]
+        assert "all observations are censored" in caplog.records[0].getMessage()
         assert not (out / "weibull_fit.json").exists()
         assert (out / "km.csv").read_text() == "time,surv,lo,hi\n"
 
@@ -449,6 +452,16 @@ class TestGibbsCommand:
         man = json.loads((out / "manifest.json").read_text())
         levels = man["derived"]["strength_levels"]
         assert levels["50.0"] == pytest.approx(float(np.quantile(xs, 0.5)))
+
+    @pytest.mark.parametrize("ps, message", [
+        ("1,abc", "--percentiles: could not convert string to float: 'abc'"),
+        ("50,100", "--percentiles: percentiles must lie in (0, 100)"),
+    ], ids=["unreadable", "out-of-range"])
+    def test_bad_percentile_names_its_flag(self, tmp_path, capsys, ps, message):
+        assert main(["gibbs", "--rows", "1", "--cols", "2", "--percentiles", ps,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
 
     def test_empty_percentiles_usage_error(self, tmp_path):
         assert main([
@@ -659,6 +672,33 @@ class TestDensityCommand:
                      "--out", str(out)]) == 0
         assert (out / "density.csv").read_text().count("\n") == cli._MAX_TABLE_ROWS + 1
 
+    def test_no_grid_point_past_hi(self, tmp_path):
+        out = tmp_path / "d"
+        assert main(["density", "--kind", "irwin-hall", "--m", "2", "--grid", "0:1:0.6",
+                     "--out", str(out)]) == 0
+        assert [row.split(",")[0] for row in (out / "density.csv").read_text().split()] == [
+            "t", "0.0", "0.6"]
+        # a span within rounding of an integer keeps the point at hi
+        for spec, count in [("0:1:0.1", 11), ("0.2:1.0:0.2", 5), ("0:0.3:0.1", 4), ("0:1:0.5", 3),
+                            ("0:1:0.3", 4), ("0:2:0.6", 4), ("5:5:1", 1)]:
+            assert cli._grid_values(spec).size == count, spec
+        from fiberbundle import threshold as th
+
+        for k, n in ((k, n) for n in range(2, 12) for k in range(2, n + 1)):
+            lo, hi = th.order_stat_mixing(k, n).support  # the mixing kind's default grid
+            assert cli._grid_values(f"{lo}:{hi}:{(hi - lo) / 50}").size == 51
+            tc = th.TiltedConditional(k, n + 2, n + 2, 0.5, 1.0)
+            for lo, hi in (tc.law1.support, tc.law2.support):  # the tilted kind's grids
+                assert cli._grid_values(f"{lo}:{hi}:{(hi - lo) / 20}").size == 21
+
+    def test_unreadable_stress_names_its_flag(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        assert main(["density", "--kind", "pattern", "--pattern", "1 2", "--rows", "1",
+                     "--cols", "2", "--rule", "equal", "--s", "0.3,abc", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: --s: stress vector '0.3,abc': could not convert string to float: 'abc'\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("s", ["1,nan", "inf"])
     def test_non_finite_stress_rejected(self, tmp_path, capsys, s):
         out = tmp_path / "d"
@@ -828,7 +868,7 @@ def _density_rows(kind):
         return rows
     if kind == "tilted":
         tc = th.TiltedConditional(2, 4, 6, 0.5, 1.0)
-        return [(t1, t2, tc.pdf(t1, t2), float(tc.factor1(t1)), float(tc.factor2(t2)))
+        return [(t1, t2, tc.law1.pdf(t1) * tc.law2.pdf(t2), tc.law1.pdf(t1), tc.law2.pdf(t2))
                 for t1 in grid("5:6:0.05") for t2 in grid("3:4:0.05")]
     rule = AbsorbingRule(transition_matrix(build_grid_graph(1, 3)))
     model = StrengthModel("weibull", 5.0, 2.0)

@@ -75,7 +75,7 @@ def test_sample_in_place_is_the_expression_bit_for_bit(model):
     # the expression the sampler computed before it worked in place is the oracle
     e = np.random.default_rng(8).standard_exponential((500, 3))
     with np.errstate(over="ignore"):
-        want = model._scale_array(3) * e ** (1.0 / model.rho)
+        want = model._scale_array(3) * e ** (1.0 / model.shape)
     got = model.sample(np.random.default_rng(8), 3, 500)
     assert got.tobytes() == want.tobytes()
 

@@ -15,7 +15,8 @@ import fiberbundle
 # but LoadShareVector, which went when rules came to return share rows,
 # absorbing_load_share and equal_load_share, which went when rules came to map
 # batches of working sets, and the strength-vector class, which went when a
-# strength vector came to be an array alone
+# strength vector came to be an array alone, and the one-field chain spec,
+# which went when chain_strength came to take the chain length
 _EXPORTED = {
     "distributions": ["StrengthModel", "unit_exponential"],
     "loadshare": [
@@ -25,7 +26,7 @@ _EXPORTED = {
         "verify_monotone",
     ],
     "cascade": [
-        "BreakingPattern", "CascadeResult", "ChainSpec", "PatternCycle", "StructureFunction",
+        "BreakingPattern", "CascadeResult", "PatternCycle", "StructureFunction",
         "chain_strength", "cycles_to_failure", "cycles_to_failure_samples", "enumerate_patterns",
         "format_pattern", "parse_pattern", "replay_pattern", "sample_bundle_strengths",
         "simulate_cascade",
@@ -81,6 +82,8 @@ def test_only_the_cli_prints_and_each_logger_is_named_for_its_module():
             where = f"{path.name}:{node.lineno}"
             if name == "print":
                 assert module == "fiberbundle.cli", f"{where} prints"
+            elif name == "warn":  # warnings.warn(...) or warn(...)
+                raise AssertionError(f"{where} warns; log the warning on the module's logger")
             elif name == "getLogger":
                 arg = node.args[0] if node.args else None
                 assert (isinstance(arg, ast.Name) and arg.id == "__name__"

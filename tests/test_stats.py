@@ -60,9 +60,12 @@ class TestKaplanMeier:
         expected = 1.0 - np.arange(1, 201) / 200
         assert np.allclose(km.survival, expected)
 
-    def test_all_censored_constant_one(self):
-        with pytest.warns(UserWarning, match="censored"):
+    def test_all_censored_constant_one(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="fiberbundle.stats"):
             km = st.kaplan_meier([(1.0, True), (2.0, True)])
+        assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+            ("fiberbundle.stats", logging.WARNING,
+             "all observations are censored; survival curve is constant 1")]
         assert km.times.size == 0
         assert km.survival_at(5.0) == 1.0
 

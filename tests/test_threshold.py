@@ -327,14 +327,14 @@ class TestMixingDensity:
         mix = th.order_stat_mixing(1, 7)
         assert mix.is_atom and mix.support == (7.0, 7.0)
         with pytest.raises(ValueError, match="point mass at theta = 7.0"):
-            th.order_stat_mixing_density(1, 7, 7.0)
+            mix.pdf(7.0)
 
     def test_k2_n5_closed_form(self):
         # density proportional to 1/theta^2 on [4, 5]; normalizer 20
         mix = th.order_stat_mixing(2, 5)
         assert 1.0 / mix.normalizer == pytest.approx(20.0, abs=1e-8)
-        assert th.order_stat_mixing_density(2, 5, 4.5) == pytest.approx(20 / 4.5**2)
-        assert th.order_stat_mixing_density(2, 5, 3.99) == 0.0
+        assert mix.pdf(4.5) == pytest.approx(20 / 4.5**2)
+        assert mix.pdf(3.99) == 0.0
 
     @pytest.mark.parametrize("k,n", [(2, 4), (3, 6), (4, 8)])
     def test_integrates_to_one(self, k, n):
@@ -432,21 +432,17 @@ class TestOrderStatJoint:
 class TestTilted:
     def test_factors_normalize(self):
         tc = th.TiltedConditional(2, 4, 6, 0.5, 1.0)
-        v1, _ = integrate.quad(tc.factor1, 5, 6)
-        v2, _ = integrate.quad(tc.factor2, 3, 4)
+        v1, _ = integrate.quad(tc.law1.pdf, 5, 6)
+        v2, _ = integrate.quad(tc.law2.pdf, 3, 4)
         assert v1 == pytest.approx(1.0, abs=1e-8)
         assert v2 == pytest.approx(1.0, abs=1e-8)
-
-    def test_joint_factorizes_exactly(self):
-        tc = th.TiltedConditional(2, 4, 6, 0.5, 1.0)
-        assert tc.pdf(5.3, 3.7) == float(tc.factor1(5.3)) * float(tc.factor2(3.7))
 
     def test_vanishing_tilt_recovers_shifted_convolution(self):
         k, l, n = 3, 6, 8
         tc = th.TiltedConditional(k, l, n, 1e-12, 1.0 + 1e-12)
         shift = n - k + 1
         for theta in (6.3, 7.0, 7.9):
-            assert float(tc.factor1(theta)) == pytest.approx(
+            assert tc.law1.pdf(theta) == pytest.approx(
                 th.irwin_hall_pdf(k - 1, theta - shift), rel=1e-6
             )
 
@@ -455,8 +451,8 @@ class TestTilted:
     def test_posterior_identity(self, k, l, n, x, y):
         # Bayes: each factor is gamma likelihood x untilted mixing prior / evidence
         tc = th.TiltedConditional(k, l, n, x, y)
-        for factor, law, shape, z in ((tc.factor1, th.order_stat_mixing(k, n), k, x),
-                                      (tc.factor2, th._spacing_mixing(k, l, n), l - k, y - x)):
+        for factor, law, shape, z in ((tc.law1.pdf, th.order_stat_mixing(k, n), k, x),
+                                      (tc.law2.pdf, th._spacing_mixing(k, l, n), l - k, y - x)):
             lo, hi = law.support
             evidence = law.gamma_mixture_pdf(shape, z)
             for theta in np.linspace(lo, hi, 9):
@@ -470,7 +466,7 @@ class TestTilted:
 
     def test_unsupported_theta_is_zero(self):
         tc = th.TiltedConditional(2, 4, 6, 0.5, 1.0)
-        assert tc.pdf(4.5, 3.5) == 0.0
+        assert tc.law1.pdf(4.5) == 0.0 and tc.law2.pdf(4.5) == 0.0
 
     def test_degenerate_cases_rejected(self):
         with pytest.raises(ValueError, match="point mass"):
@@ -596,12 +592,12 @@ class TestLowerTailConstant:
     def test_mixing_moment_path(self):
         # strength of the max of n exponentials mixes over a_{n;n}: K = 1
         for n in (2, 3, 4):
-            k = th.lower_tail_constant(n, mixing=th.order_stat_mixing(n, n))
+            k = th.order_stat_mixing(n, n).moment(n) / math.factorial(n)
             assert k == pytest.approx(1.0, abs=1e-8)
 
     def test_atom_moment_path(self):
         # minimum of n exponentials: point-mass mixing at n gives K = n
-        assert th.lower_tail_constant(1, mixing=th.order_stat_mixing(1, 5)) == pytest.approx(5.0)
+        assert th.order_stat_mixing(1, 5).moment(1) == pytest.approx(5.0)
 
     def test_overflowing_moment_raises_without_a_warning(self):
         # t**1000 overflows on the support [5, 7]; the quadrature names where
@@ -609,7 +605,7 @@ class TestLowerTailConstant:
             warnings.simplefilter("error")
             with pytest.raises(ArithmeticError, match=r"^integrand is inf at t = 5\.0\d+, "
                                r"in the panel \[5\.0, 6\.0\] of \[5\.0, 7\.0\]$"):
-                th.lower_tail_constant(1000, mixing=th.order_stat_mixing(3, 7))
+                th.order_stat_mixing(3, 7).moment(1000)
 
     def test_requires_enough_points(self):
         with pytest.raises(ValueError, match="replica"):
@@ -636,12 +632,6 @@ class TestLowerTailConstant:
             warnings.simplefilter("error")
             with pytest.raises(ArithmeticError, match=msg):
                 th.lower_tail_constant(2, samples=xs)
-
-    def test_exactly_one_source(self):
-        with pytest.raises(ValueError):
-            th.lower_tail_constant(1)
-        with pytest.raises(ValueError):
-            th.lower_tail_constant(1, samples=[1.0], mixing=th.order_stat_mixing(2, 2))
 
 
 class TestParallelTailConstant:
