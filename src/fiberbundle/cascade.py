@@ -117,6 +117,8 @@ class PatternCycle:
             raise ValueError("burst groups must be nonempty")
         if 1 + sum(len(g) for g in self.groups) != len(self.components()):
             raise ValueError("components repeat within a cycle")
+        if min(self.components()) < 0:
+            raise ValueError("components must be >= 0")
 
     def components(self) -> frozenset[int]:
         out = {self.phase1}
@@ -161,12 +163,13 @@ def format_pattern(pattern: BreakingPattern) -> str:
 # _NO_LABEL finds a missing label), the closing ")"s, then spaces
 _CYCLE = re.compile(r"(\d+)((?:\(\d*(?:,\d*)*)*)(\)*) *")
 _NO_LABEL = re.compile(r"[(,](?!\d)")
+_ZERO_LABEL = re.compile(r"(?<!\d)0+(?!\d)")
 
 
 def parse_pattern(text: str) -> BreakingPattern:
     """Inverse of :func:`format_pattern`.  A cycle follows spaces or the
     previous cycle's last ``)``; a malformed text raises ``ValueError``
-    naming the position where reading stopped."""
+    naming the position where reading stopped; labels start at 1."""
 
     def stop(pos: int, expected: str = "component label"):
         raise ValueError(f"bad pattern at position {pos}: expected {expected} in {text!r}")
@@ -178,6 +181,9 @@ def parse_pattern(text: str) -> BreakingPattern:
         opens, closes = m.group(2).count("("), len(m.group(3))
         if gap or closes < opens:
             stop(gap.end() if gap else m.end(3), "component label" if gap else "')'")
+        zero = _ZERO_LABEL.search(text, m.start(), m.end(2))
+        if zero:
+            stop(zero.start(), f"component label >= 1, got {zero.group()}")
         groups = (frozenset(int(i) - 1 for i in g.split(",")) for g in m.group(2).split("(")[1:])
         cycles.append(PatternCycle(int(m.group(1)) - 1, tuple(groups)))
         # a ")" past the cycle's own is read, and rejected, as the next cycle

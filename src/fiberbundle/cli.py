@@ -12,13 +12,12 @@ Exit codes: 0 success, 2 usage/configuration, 3 numerical failure, 4 I/O.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
@@ -28,34 +27,13 @@ from .distributions import FAMILIES, StrengthModel, _linear_quantiles
 if TYPE_CHECKING:
     from .cascade import StructureFunction
 
-# Each command imports the numerical modules it runs when it runs, so a run
-# compiles and loads only those (see "Start-up" in README).
+# Each command imports the numerical modules it runs when it runs, and the CSV
+# writer at its first write, so a run compiles and loads only those (see
+# "Start-up" in README).
 
 
 class InputFormatError(OSError):
     """Malformed input file content."""
-
-
-def _write_csv(path: Path, header: list[str], *columns, blocks: Iterable = ()) -> None:
-    """Write equal-length 1-d columns under a header line, then the rows of
-    each tuple of equal-length column blocks that ``blocks`` yields.
-
-    A float is written as its shortest round-trip decimal, the text of
-    ``float.__repr__``; an integer as its plain digits; inf, -inf and NaN as
-    ``inf``, ``-inf`` and ``nan``, by :mod:`fiberbundle.csvtext`.  Rows are
-    formatted and written a block at a time, of at most 8,192 floats, so
-    memory stays flat however many replicas there are; with ``blocks``, the
-    columns need never exist whole.
-    """
-    from . import csvtext
-
-    with open(path, "wb") as fh:
-        fh.write((",".join(header) + "\n").encode())
-        for block in itertools.chain([columns] if columns else [], blocks):
-            cols = [np.asarray(c) for c in block]
-            step = csvtext._CSV_BLOCK // max(1, sum(c.dtype.kind == "f" for c in cols))
-            for lo in range(0, len(cols[0]), step):
-                fh.write(csvtext._csv_rows([c[lo:lo + step] for c in cols]))
 
 
 def _write_json(path: Path, obj) -> None:
@@ -342,13 +320,14 @@ def cmd_simulate(cfg: dict) -> None:
     samples = sample_bundle_strengths(
         model, rule, structure, cfg["replicas"], seed=cfg["seed"], workers=_workers(cfg)
     )
-    _write_csv(outdir / "samples.csv", ["strength"], samples)
+    from .csvtext import write_csv
+    write_csv(outdir / "samples.csv", ["strength"], [(samples,)])
     chain = None
     if cfg["chain"] > 1:  # resamples the drawn order, so before the sort
         chain = chain_strength(samples, cfg["chain"], seed=cfg["seed"])
     samples.sort()  # once, in place, for the plot and the tail fit to read
-    _write_csv(outdir / "weibull_plot.csv", ["ln_x", "ln_neg_ln_sf"],
-               blocks=stats.weibull_plot_blocks(samples))
+    write_csv(outdir / "weibull_plot.csv", ["ln_x", "ln_neg_ln_sf"],
+              stats.weibull_plot_blocks(samples))
     fit = stats.lower_tail_slope(samples, window=window)
     _write_json(outdir / "tail_fit.json", {
         "slope": fit.slope,
@@ -361,7 +340,7 @@ def cmd_simulate(cfg: dict) -> None:
     })
     derived = {"n_samples": int(samples.size)}
     if chain is not None:
-        _write_csv(outdir / "chain.csv", ["strength"], chain)
+        write_csv(outdir / "chain.csv", ["strength"], [(chain,)])
         derived["n_chain"] = int(chain.size)
     _manifest(outdir, "simulate", cfg, derived)
 
@@ -403,11 +382,9 @@ def cmd_gibbs(cfg: dict) -> None:
                 "and the state measure needs a positive load")
     models = {p: gibbs.build_gibbs(n, levels[p], rule, model) for p in ps}
     ref = models[ps[0]]
-    _write_csv(
-        outdir / "potentials.csv",
-        ["subset_mask", "subset_size", "V", "U"],
-        np.arange(1 << n), ref.potentials.sizes, ref.potentials.values, ref.energy.values,
-    )
+    from .csvtext import write_csv
+    columns = (np.arange(1 << n), ref.potentials.sizes, ref.potentials.values, ref.energy.values)
+    write_csv(outdir / "potentials.csv", ["subset_mask", "subset_size", "V", "U"], [columns])
     records = []
     for p in ps[1:]:
         fit = gibbs.lmf_fit(ref, models[p])
@@ -478,8 +455,9 @@ def cmd_analyze(cfg: dict) -> None:
     data = _read_censored(cfg["input"])
     outdir = _ensure_outdir(cfg["out"])
     km = stats.kaplan_meier(data)
-    _write_csv(outdir / "km.csv", ["time", "surv", "lo", "hi"],
-               km.times, km.survival, km.lower, km.upper)
+    from .csvtext import write_csv
+    write_csv(outdir / "km.csv", ["time", "surv", "lo", "hi"],
+              [(km.times, km.survival, km.lower, km.upper)])
     derived: dict = {"n_obs": len(data), "n_censored": sum(1 for _, c in data if c)}
     if sum(1 for _, c in data if not c) >= 2:
         fit = stats.weibull_mle_censored(data)
@@ -501,7 +479,8 @@ def cmd_cycles(cfg: dict) -> None:
         model, rule, structure, cfg["s_star"], cfg["a"], cfg["replicas"],
         seed=cfg["seed"], workers=_workers(cfg),
     )
-    _write_csv(outdir / "cycles.csv", ["cycles"], counts)
+    from .csvtext import write_csv
+    write_csv(outdir / "cycles.csv", ["cycles"], [(counts,)])
     summary = {"mean": float(counts.mean()), "max": int(counts.max())}
     levels = (5, 25, 50, 75, 95)
     # partitions the counts in place; the mean above was summed in sample order
@@ -585,7 +564,8 @@ def cmd_density(cfg: dict) -> None:
         columns = (*np.array(stresses).T, density)
         header = [f"s{u + 1}" for u in range(f)] + ["density"]
     outdir = _ensure_outdir(cfg["out"])
-    _write_csv(outdir / "density.csv", header, *columns)
+    from .csvtext import write_csv
+    write_csv(outdir / "density.csv", header, [columns])
     _manifest(outdir, "density", cfg, derived)
 
 

@@ -1,10 +1,10 @@
-"""CSV number text: the ``float.__repr__`` text of each float64, by Ryu's
-shortest round-trip search (Adams, PLDI 2018) on uint64 arrays, and the plain
-digits of each integer, one _CSV_BLOCK of values at a time.  A value's text
-is built right-aligned in a 24-byte field with NUL bytes left of it; a
-block's fields go side by side into one byte matrix whose NULs are then
-deleted.  The command line imports this module on its first CSV write, so
-the lookup tables below are built then, once.
+"""CSV files (:func:`write_csv`) and their number text: the ``float.__repr__``
+text of each float64, by Ryu's shortest round-trip search (Adams, PLDI 2018)
+on uint64 arrays, and the plain digits of each integer, one _CSV_BLOCK of
+values at a time.  A value's text is built right-aligned in a 24-byte field
+with NUL bytes left of it; a block's fields go side by side into one byte
+matrix whose NULs are then deleted.  The command line imports this module on
+its first CSV write, so the lookup tables below are built then, once.
 """
 
 import numpy as np
@@ -329,3 +329,16 @@ def _csv_rows(columns) -> bytes:
         rows[:, at - 1] = ord(",")
     rows[:, -1] = ord("\n")
     return rows.tobytes().translate(None, b"\0")
+
+
+def write_csv(path, header: list[str], blocks) -> None:
+    """Write a header line, then the rows of each tuple of equal-length 1-d
+    columns that ``blocks`` yields (whole columns are one tuple), at most
+    _CSV_BLOCK floats at a time, so memory stays flat however long they run."""
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        for block in blocks:
+            cols = [np.asarray(c) for c in block]
+            step = _CSV_BLOCK // max(1, sum(c.dtype.kind == "f" for c in cols))
+            for lo in range(0, len(cols[0]), step):
+                fh.write(_csv_rows([c[lo:lo + step] for c in cols]))

@@ -34,6 +34,7 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 _Z95 = 1.959963984540054  # central 95% normal quantile
+_MLE_TOL = 1e-10  # the largest |profile derivative| at a converged Weibull fit's root
 
 
 @dataclass(frozen=True)
@@ -107,13 +108,13 @@ class WeibullFit:
             raise ValueError("fitted shape and scale must be positive")
 
 
-def weibull_mle_censored(samples, tol: float = 1e-10) -> WeibullFit:
+def weibull_mle_censored(samples) -> WeibullFit:
     """Maximum likelihood Weibull fit under right censoring.
 
     Profiles the shape: given rho, the scale is closed form, and the shape
     solves 1/rho + mean(log x | events) = weighted mean of log x with weights
     x**rho over all observations.  Solved by bracketed root finding with
-    geometric bracket expansion; |profile derivative| <= tol at the root.
+    geometric bracket expansion; converged if |profile derivative| <= 1e-10.
     """
     from scipy.optimize import brentq
 
@@ -145,7 +146,7 @@ def weibull_mle_censored(samples, tol: float = 1e-10) -> WeibullFit:
                 f"is {profile(hi):.3e} (degenerate or pathological data)"
             )
     rho = float(brentq(profile, lo, hi, xtol=1e-13, rtol=8.9e-16, maxiter=200))
-    converged = abs(profile(rho)) <= tol
+    converged = abs(profile(rho)) <= _MLE_TOL
     log_sigma = lmax + math.log(np.sum(np.exp(rho * (logx - lmax))) / d) / rho
     sigma = math.exp(log_sigma)
     loglik = float(d * math.log(rho) - d * rho * log_sigma + (rho - 1.0) * logx[event].sum() - d)

@@ -403,14 +403,13 @@ class TiltedConditional:
 class PatternDensityInput:
     """Everything needed to evaluate the joint stress/pattern density at any s.
 
-    ``phase1_shares`` holds the share a_u of each cycle's Phase-I component at
-    its working set; ``bounds`` holds, per cycle, the (component, L, U) share
-    bounds bracketing every Phase-II failure in that cycle.
+    ``laws`` holds each component's strength law; ``phase1_shares`` the share
+    a_u of each cycle's Phase-I component at its working set; ``bounds``, per
+    cycle, the (component, L, U) share bounds bracketing each Phase-II failure.
     """
 
     pattern: BreakingPattern
-    cdfs: tuple[Callable[[float], float], ...]
-    pdfs: tuple[Callable[[float], float], ...]
+    laws: tuple
     phase1_shares: tuple[float, ...]
     bounds: tuple[tuple[tuple[int, float, float], ...], ...]
 
@@ -432,8 +431,7 @@ def pattern_density_input(pattern: BreakingPattern, rule: Rule, n: int,
     with the component laws; evaluate with :func:`phase1_pattern_density`."""
     from .distributions import component_laws
 
-    dists = component_laws(dist, n)
-    return PatternDensityInput(pattern, tuple(d.cdf for d in dists), tuple(d.pdf for d in dists),
+    return PatternDensityInput(pattern, tuple(component_laws(dist, n)),
                                *_pattern_terms(pattern, rule, n))
 
 
@@ -441,9 +439,9 @@ def _cycle_factor(inp: PatternDensityInput, u: int, s_u: float, out: float = 1.0
     """Multiply cycle u's Phase-I factor a_u f(a_u s_u), then each Phase-II
     band F(U s_u) - F(L s_u), into the running product ``out``."""
     a_u = inp.phase1_shares[u]
-    out *= a_u * float(inp.pdfs[inp.pattern.cycles[u].phase1](a_u * s_u))
+    out *= a_u * float(inp.laws[inp.pattern.cycles[u].phase1].pdf(a_u * s_u))
     for (i2, lo, hi) in inp.bounds[u]:
-        out *= float(inp.cdfs[i2](hi * s_u)) - float(inp.cdfs[i2](lo * s_u))
+        out *= float(inp.laws[i2].cdf(hi * s_u)) - float(inp.laws[i2].cdf(lo * s_u))
     return out
 
 
@@ -469,12 +467,11 @@ def phase1_pattern_density(inp: PatternDensityInput, s: Sequence[float]) -> floa
 
 
 def pattern_probability(pattern: BreakingPattern, rule: Rule, n: int, dist,
-                        upper: float = np.inf, epsabs: float = 1e-10,
-                        epsrel: float = 1e-9) -> float:
+                        epsabs: float = 1e-10, epsrel: float = 1e-9) -> float:
     """Probability of a breaking pattern by integrating its stress density.
 
     The density factorizes across cycles, so the ordered-simplex integral runs
-    as nested 1-d quadratures.
+    as nested 1-d quadratures, each from the previous cycle's stress to inf.
     """
     from scipy import integrate
 
@@ -486,7 +483,7 @@ def pattern_probability(pattern: BreakingPattern, rule: Rule, n: int, dist,
             return 1.0
         val, _ = integrate.quad(
             lambda t: _cycle_factor(inp, u, t) * nested(u + 1, t),
-            lower, upper, epsabs=epsabs, epsrel=epsrel, limit=200,
+            lower, np.inf, epsabs=epsabs, epsrel=epsrel, limit=200,
         )
         return val
 

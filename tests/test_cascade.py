@@ -226,6 +226,19 @@ class TestPatternNotation:
             with pytest.raises(ValueError, match=rf"^bad pattern at position {pos}: "):
                 parse_pattern(text)
 
+    def test_labels_start_at_one(self):
+        for text, pos, label in [("0 1", 0, "0"), ("1(0)", 2, "0"), ("1(2,00) 3", 4, "00"),
+                                 ("1(2)0", 4, "0")]:
+            want = rf"^bad pattern at position {pos}: expected component label >= 1, got {label} "
+            with pytest.raises(ValueError, match=want):
+                parse_pattern(text)
+        assert parse_pattern("01 10") == BreakingPattern((PatternCycle(0), PatternCycle(9)))
+
+    def test_negative_component_rejected(self):
+        for phase1, groups in [(-1, ()), (-3, (frozenset({-1}),)), (0, (frozenset({1, -2}),))]:
+            with pytest.raises(ValueError, match="components must be >= 0"):
+                PatternCycle(phase1, groups)
+
     def test_enumeration_counts(self):
         # n=2: {1 2, 2 1, 1(2), 2(1)}
         assert len(enumerate_patterns(2)) == 4

@@ -637,6 +637,14 @@ class TestDensityCommand:
         assert "component 3, but the bundle has n = 2" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_pattern_label_zero_named(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        assert main(["density", "--kind", "pattern", "--pattern", "0 1", "--rows", "1",
+                     "--cols", "2", "--rule", "equal", "--s", "0.5,1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: bad pattern at position 0: expected component label >= 1, got 0 in '0 1'\n")
+        assert not out.exists()
+
     def test_options_the_kind_does_not_read_rejected(self, tmp_path, capsys):
         out = tmp_path / "d"
         assert main(["density", "--kind", "irwin-hall", "--m", "2", "--pattern", "1(2)",

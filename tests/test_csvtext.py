@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fiberbundle import cli, csvtext
+from fiberbundle import csvtext
 
 
 def write_rows(path, header, rows):
@@ -53,7 +53,7 @@ class TestWriter:
     def test_bytes_equal_row_writer(self, tmp_path, columns):
         cols = columns()
         header = [f"c{i}" for i in range(len(cols))]
-        cli._write_csv(tmp_path / "cols.csv", header, *cols)
+        csvtext.write_csv(tmp_path / "cols.csv", header, [cols])
         write_rows(tmp_path / "rows.csv", header, zip(*cols))
         assert (tmp_path / "cols.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
@@ -65,7 +65,7 @@ class TestWriter:
         cols = [ints[0], *[_float_column(size, s) for s in range(floats)], ints[1]]
         cols.insert(2, ints[2])
         header = [f"c{i}" for i in range(len(cols))]
-        cli._write_csv(tmp_path / "cols.csv", header, *cols)
+        csvtext.write_csv(tmp_path / "cols.csv", header, [cols])
         write_rows(tmp_path / "rows.csv", header, zip(*cols))
         assert (tmp_path / "cols.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
@@ -75,8 +75,8 @@ class TestWriter:
         cols = [np.arange(size) - 5, _float_column(size, 4), _float_column(size, 5)]
         cuts = [0, 3, 3, csvtext._CSV_BLOCK + 9, size]
         blocks = ([c[lo:hi] for c in cols] for lo, hi in zip(cuts, cuts[1:]))
-        cli._write_csv(tmp_path / "whole.csv", list("abc"), *cols)
-        cli._write_csv(tmp_path / "blocks.csv", list("abc"), blocks=blocks)
+        csvtext.write_csv(tmp_path / "whole.csv", list("abc"), [cols])
+        csvtext.write_csv(tmp_path / "blocks.csv", list("abc"), blocks)
         assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
     def test_one_float_call_per_block(self, tmp_path, monkeypatch):
@@ -88,7 +88,7 @@ class TestWriter:
 
         monkeypatch.setattr(csvtext, "_float_text", counted)
         cols = [_float_column(100, s) for s in range(5)]
-        cli._write_csv(tmp_path / "t.csv", list("abcde"), *cols)
+        csvtext.write_csv(tmp_path / "t.csv", list("abcde"), [cols])
         assert calls == [500]
 
     def test_random_bit_patterns_read_as_repr(self, tmp_path):
@@ -98,6 +98,6 @@ class TestWriter:
         values = bits.view(np.float64)
         values = values[np.isfinite(values)]
         assert (values < 0).sum() > 4 * 10**5 and (values > 0).sum() > 4 * 10**5
-        cli._write_csv(tmp_path / "bits.csv", ["x"], values)
+        csvtext.write_csv(tmp_path / "bits.csv", ["x"], [(values,)])
         lines = (tmp_path / "bits.csv").read_text().splitlines()
         assert lines == ["x", *map(repr, values.tolist())]

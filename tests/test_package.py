@@ -89,3 +89,18 @@ def test_only_the_cli_prints_and_each_logger_is_named_for_its_module():
                 assert (isinstance(arg, ast.Name) and arg.id == "__name__"
                         or isinstance(arg, ast.Constant) and arg.value == module), \
                     f"{where} gets a logger not named {module!r}"
+
+
+def test_no_module_reads_another_modules_private_names():
+    # a module's underscore names are its own: another module reads only its public ones
+    for path in sorted(Path(fiberbundle.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = {a.asname or a.name for node in ast.walk(tree)  # from . import m, or
+                   if isinstance(node, ast.ImportFrom)            # from fiberbundle import m
+                   and (node.level, node.module) in ((1, None), (0, "fiberbundle"))
+                   for a in node.names if a.name in _SUBMODULES}
+        reads = [f"{path.name}:{node.lineno} reads {node.value.id}.{node.attr}"
+                 for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                 and node.value.id in modules and node.attr.startswith("_")]
+        assert not reads, reads
