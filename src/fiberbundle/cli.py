@@ -585,6 +585,14 @@ def main(argv=None) -> int:
         args = _parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    import logging  # here, so that importing the CLI does not load it (see Start-up in README)
+
+    # for this run the library's log records reach stderr, one line each; they
+    # still propagate to any handler the caller set up
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    logger = logging.getLogger("fiberbundle")
+    logger.addHandler(handler)
     try:
         cfg = _resolve(args)
         _COMMANDS[args.command][0](cfg)
@@ -598,6 +606,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4
+    finally:
+        logger.removeHandler(handler)
     return 0
 
 

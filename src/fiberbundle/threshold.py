@@ -17,12 +17,15 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
+from .distributions import StrengthModel, component_laws
+
 if TYPE_CHECKING:
     from .cascade import BreakingPattern
     from .loadshare import Rule
 
 # The order-statistic densities need NumPy only; the pattern functions and
-# lower_tail_constant import the modules they read when called.
+# lower_tail_constant import the modules they read when called, except the
+# strength laws, which the CLI loads on import anyway.
 
 __all__ = [
     "irwin_hall_pdf",
@@ -59,6 +62,7 @@ _GL_WEIGHTS = np.array([
 # irwin_hall_pdf's bound: a batch trips it only where a lone integrand would.
 _CALL_NODES = 1 << 13
 _IRWIN_HALL_MAX_CELLS = 1 << 22  # m x points per scratch array: 32 MiB of float64
+_MAX_BURST_COMPONENTS = 20  # 2^20 terms of a pattern's exponential sum: 8 MiB per array
 
 
 def irwin_hall_pdf(m: int, t) -> float | np.ndarray:
@@ -429,20 +433,8 @@ def pattern_density_input(pattern: BreakingPattern, rule: Rule, n: int,
                           dist) -> PatternDensityInput:
     """Compute the share bounds of a pattern from the rule and package them
     with the component laws; evaluate with :func:`phase1_pattern_density`."""
-    from .distributions import component_laws
-
     return PatternDensityInput(pattern, tuple(component_laws(dist, n)),
                                *_pattern_terms(pattern, rule, n))
-
-
-def _cycle_factor(inp: PatternDensityInput, u: int, s_u: float, out: float = 1.0) -> float:
-    """Multiply cycle u's Phase-I factor a_u f(a_u s_u), then each Phase-II
-    band F(U s_u) - F(L s_u), into the running product ``out``."""
-    a_u = inp.phase1_shares[u]
-    out *= a_u * float(inp.laws[inp.pattern.cycles[u].phase1].pdf(a_u * s_u))
-    for (i2, lo, hi) in inp.bounds[u]:
-        out *= float(inp.laws[i2].cdf(hi * s_u)) - float(inp.laws[i2].cdf(lo * s_u))
-    return out
 
 
 def phase1_pattern_density(inp: PatternDensityInput, s: Sequence[float]) -> float:
@@ -461,33 +453,60 @@ def phase1_pattern_density(inp: PatternDensityInput, s: Sequence[float]) -> floa
     if any(v <= 0 for v in s):
         return 0.0
     out = 1.0
-    for u in range(len(s)):
-        out = _cycle_factor(inp, u, s[u], out)
+    for u, s_u in enumerate(s):
+        a_u = inp.phase1_shares[u]
+        out *= a_u * float(inp.laws[inp.pattern.cycles[u].phase1].pdf(a_u * s_u))
+        for (i2, lo, hi) in inp.bounds[u]:
+            out *= float(inp.laws[i2].cdf(hi * s_u)) - float(inp.laws[i2].cdf(lo * s_u))
     return max(out, 0.0)
 
 
-def pattern_probability(pattern: BreakingPattern, rule: Rule, n: int, dist,
-                        epsabs: float = 1e-10, epsrel: float = 1e-9) -> float:
-    """Probability of a breaking pattern by integrating its stress density.
+def pattern_probability(pattern: BreakingPattern, rule: Rule, n: int,
+                        dist: StrengthModel) -> float:
+    """Probability of a breaking pattern, as an exact sum of exponentials.
 
-    The density factorizes across cycles, so the ordered-simplex integral runs
-    as nested 1-d quadratures, each from the previous cycle's stress to inf.
+    ``dist`` is a :class:`StrengthModel`: Weibull laws of one shape rho, with
+    a scalar or per-component scale sigma_i (exponential is rho = 1).  The
+    substitution t = s**rho makes every component a unit-rate exponential
+    under the shares (lambda_i / sigma_i)**rho, as ``PowerScaledRule``
+    states, so cycle u's stress density is phi_u(t) = a e^{-a t} times, per
+    Phase-II component, its band e^{-L t} - e^{-U t}.  From G_f(t) = 1 after
+    the last cycle back to the first, G_u(t) = integral from t to inf of
+    phi_u(tau) G_{u+1}(tau) dtau is a list of terms c e^{-r t}, each the
+    integral c / r e^{-r t} of one product term; the probability is the
+    ``math.fsum`` of G_0(0)'s coefficients.  A pattern with m Phase-II
+    components has 2^m terms, so m > 20 is a ``ValueError``; any other law
+    is a ``TypeError``.
+
+    Precision, against the same sum evaluated in 60-digit decimals from the
+    same float rates, over every pattern of n <= 4 under the equal, unit and
+    absorbing 2x2 rules (unit exponentials, and Weibull(5) with scales
+    (1, 2, 1.5, 0.7)) and of the equal n = 5 rule: absolute error at most
+    2.5e-16, and relative error at most 5e-12 wherever p >= 1e-6.  The
+    bands subtract nearly equal terms, so tiny probabilities lose relative
+    digits: the Weibull pattern ``1(2,3) 4`` under the equal rule, of
+    probability 3.8e-13, is 1.3e-8 off, relatively, where a quadrature's
+    usual absolute tolerance of 1e-10 would exceed the value itself.
     """
-    from scipy import integrate
-
-    f = len(pattern.cycles)
-    inp = pattern_density_input(pattern, rule, n, dist)
-
-    def nested(u: int, lower: float) -> float:
-        if u == f:
-            return 1.0
-        val, _ = integrate.quad(
-            lambda t: _cycle_factor(inp, u, t) * nested(u + 1, t),
-            lower, np.inf, epsabs=epsabs, epsrel=epsrel, limit=200,
-        )
-        return val
-
-    return nested(0, 0.0)
+    if not isinstance(dist, StrengthModel):
+        raise TypeError(f"pattern_probability needs a StrengthModel (Weibull laws of one shape), "
+                        f"got {dist!r}")
+    m = sum(len(grp) for cyc in pattern.cycles for grp in cyc.groups)
+    if m > _MAX_BURST_COMPONENTS:
+        raise ValueError(f"pattern has {m} Phase-II components: its exponential sum needs 2^{m} "
+                         f"terms, at most 2^{_MAX_BURST_COMPONENTS}")
+    rho = dist.shape
+    sigma = [law.scale for law in component_laws(dist, n)]
+    shares, bounds = _pattern_terms(pattern, rule, n)
+    coef, rate = np.ones(1), np.zeros(1)  # G_f(t) = 1
+    for u in reversed(range(len(shares))):
+        a = (shares[u] / sigma[pattern.cycles[u].phase1]) ** rho
+        coef, rate = coef * a, rate + a
+        for j, lo, hi in bounds[u]:
+            coef = np.concatenate([coef, -coef])
+            rate = np.concatenate([rate + (lo / sigma[j]) ** rho, rate + (hi / sigma[j]) ** rho])
+        coef = coef / rate
+    return math.fsum(coef.tolist())
 
 
 # ---------------------------------------------------------------------------

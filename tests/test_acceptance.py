@@ -170,7 +170,7 @@ def test_criterion_07_pattern_density_oracle():
         patterns = enumerate_patterns(2)
         probs = {str(p): th.pattern_probability(p, er, 2, ue) for p in patterns}
         total = sum(probs.values())
-        assert abs(total - 1.0) <= 1e-3
+        assert abs(total - 1.0) <= 1e-13
 
         n_rep = 1_000_000
         rng = np.random.default_rng(7)

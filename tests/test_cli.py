@@ -282,6 +282,19 @@ class TestAnalyze:
         assert not (out / "weibull_fit.json").exists()
         assert (out / "km.csv").read_text() == "time,surv,lo,hi\n"
 
+    def test_all_censored_warning_is_one_stderr_line_per_run(self, tmp_path):
+        f = tmp_path / "obs.csv"
+        f.write_text("value,censored\n1.0,1\n2.0,1\n")
+        script = ("import logging, sys\nimport fiberbundle.cli as cli\n"
+                  "rcs = [cli.main(['analyze', '--input', sys.argv[1], '--out', sys.argv[2] + str(k)])"
+                  " for k in range(2)]\n"
+                  "print(*rcs, len(logging.getLogger('fiberbundle').handlers))")
+        proc = subprocess.run([sys.executable, "-c", script, str(f), str(tmp_path / "an")],
+                              capture_output=True, text=True, env=_child_env(), timeout=120)
+        assert proc.stdout.split() == ["0", "0", "0"]  # both runs exit 0, and no handler is left
+        line = "WARNING fiberbundle.stats: all observations are censored; survival curve is constant 1\n"
+        assert proc.stderr == 2 * line
+
     def test_missing_input_flag(self, tmp_path):
         assert main(["analyze", "--out", str(tmp_path / "o")]) == 2
 
@@ -931,14 +944,15 @@ rc_gibbs = cli.main(["gibbs", "--rows", "1", "--cols", "2", "--rule", "equal",
                      "--structure", "parallel", "--replicas", "2000",
                      "--percentiles", "10,50", "--workers", "1", "--out", out + "/gb"])
 after_gibbs = sorted(k for k in sys.modules if k.startswith("scipy"))
-rc_analyze = cli.main(["analyze", "--input", out + "/obs.csv", "--out", out + "/an"])
 from fiberbundle import threshold
 from fiberbundle.cascade import parse_pattern
 from fiberbundle.distributions import unit_exponential
 from fiberbundle.loadshare import EqualRule
 prob = threshold.pattern_probability(parse_pattern("1 2"), EqualRule(2), 2, unit_exponential())
-print(json.dumps({"loaded": loaded, "after_gibbs": after_gibbs, "analyze": rc_analyze,
-                  "gibbs": rc_gibbs, "prob": prob}))
+after_prob = sorted(k for k in sys.modules if k.startswith("scipy"))
+rc_analyze = cli.main(["analyze", "--input", out + "/obs.csv", "--out", out + "/an"])
+print(json.dumps({"loaded": loaded, "after_gibbs": after_gibbs, "after_prob": after_prob,
+                  "analyze": rc_analyze, "gibbs": rc_gibbs, "prob": prob}))
 """
 
 
@@ -1027,7 +1041,8 @@ def test_cli_import_loads_no_scipy(tmp_path):
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["loaded"] == []
     assert result["after_gibbs"] == []
+    assert result["after_prob"] == []
     assert result["analyze"] == 0 and result["gibbs"] == 0
     assert (tmp_path / "an" / "weibull_fit.json").exists()
     assert (tmp_path / "gb" / "lmf.json").exists()
-    assert result["prob"] == pytest.approx(1 / 3, abs=1e-8)
+    assert result["prob"] == pytest.approx(1 / 3, abs=1e-15)

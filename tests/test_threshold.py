@@ -1,5 +1,6 @@
 """Mixture densities, dual-path agreement, pattern densities, tail constants."""
 
+import decimal
 import logging
 import math
 import warnings
@@ -11,8 +12,8 @@ from scipy import integrate
 
 from fiberbundle import stats as st
 from fiberbundle import threshold as th
-from fiberbundle.cascade import StructureFunction, enumerate_patterns, parse_pattern, \
-    sample_bundle_strengths, simulate_cascade
+from fiberbundle.cascade import PowerScaledRule, StructureFunction, enumerate_patterns, \
+    parse_pattern, sample_bundle_strengths, simulate_cascade
 from fiberbundle.distributions import StrengthModel, unit_exponential
 from fiberbundle.loadshare import AbsorbingRule, EqualRule, UnitRule, build_grid_graph, \
     share_table, transition_matrix
@@ -564,18 +565,122 @@ class TestPatternDensity:
     def test_two_component_probabilities(self):
         er = EqualRule(2)
         ue = unit_exponential()
-        assert th.pattern_probability(parse_pattern("1 2"), er, 2, ue) == pytest.approx(1 / 3, abs=1e-8)
-        assert th.pattern_probability(parse_pattern("1(2)"), er, 2, ue) == pytest.approx(1 / 6, abs=1e-8)
+        assert th.pattern_probability(parse_pattern("1 2"), er, 2, ue) == pytest.approx(1 / 3, abs=1e-15)
+        assert th.pattern_probability(parse_pattern("1(2)"), er, 2, ue) == pytest.approx(1 / 6, abs=1e-15)
 
-    @pytest.mark.slow
     def test_total_probability_n3(self):
         er = EqualRule(3)
         ue = unit_exponential()
-        total = sum(
-            th.pattern_probability(p, er, 3, ue, epsabs=1e-8, epsrel=1e-7)
-            for p in enumerate_patterns(3)
-        )
-        assert total == pytest.approx(1.0, abs=1e-3)
+        total = math.fsum(th.pattern_probability(p, er, 3, ue) for p in enumerate_patterns(3))
+        assert total == pytest.approx(1.0, abs=1e-13)
+
+
+_ABSORBING_1X3 = AbsorbingRule(transition_matrix(build_grid_graph(1, 3)))
+_ABSORBING_2X2 = AbsorbingRule(transition_matrix(build_grid_graph(2, 2)))
+_WEIBULL_SCALES = (1.0, 2.0, 1.5, 0.7)
+
+
+def _bundles(n):
+    """(name, rule, law) of the bundles whose pattern sums are checked at size n."""
+    ue = unit_exponential()
+    weibull = StrengthModel("weibull", 5.0, _WEIBULL_SCALES[:n])
+    out = [("equal", EqualRule(n), ue), ("unit", UnitRule(n), ue),
+           ("equal-weibull", EqualRule(n), weibull)]
+    if n == 4:
+        out += [("absorbing-2x2", _ABSORBING_2X2, ue),
+                ("absorbing-2x2-weibull", _ABSORBING_2X2, weibull)]
+    return out
+
+
+def _quad_pattern_probability(pattern, rule, n, dist):
+    """The pattern's stress density integrated over 0 < s_1 < ... < s_f by
+    nested quadrature, one ``quad`` per cycle from the previous stress to inf."""
+    inp = th.pattern_density_input(pattern, rule, n, dist)
+
+    def nested(s):
+        if len(s) == len(pattern.cycles):
+            return th.phase1_pattern_density(inp, s)
+        val, _ = integrate.quad(lambda t: nested([*s, t]), s[-1] if s else 0.0, np.inf,
+                                epsabs=1e-10, epsrel=1e-10, limit=200)
+        return val
+
+    return nested([])
+
+
+def _decimal_pattern_probability(pattern, rule, n, dist):
+    """The exponential sum of :func:`pattern_probability` in 60-digit decimal
+    arithmetic, from the same float rates (share / scale)**shape."""
+    rho = dist.shape
+    sigma = [dist.component(i).scale for i in range(n)]
+    shares, bounds = th._pattern_terms(pattern, rule, n)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        terms = [(decimal.Decimal(1), decimal.Decimal(0))]
+        for u in reversed(range(len(shares))):
+            a = decimal.Decimal((shares[u] / sigma[pattern.cycles[u].phase1]) ** rho)
+            terms = [(c * a, r + a) for c, r in terms]
+            for j, lo, hi in bounds[u]:
+                low = decimal.Decimal((lo / sigma[j]) ** rho)
+                high = decimal.Decimal((hi / sigma[j]) ** rho)
+                terms = [(c, r + low) for c, r in terms] + [(-c, r + high) for c, r in terms]
+            terms = [(c / r, r) for c, r in terms]
+        return sum(c for c, _ in terms)
+
+
+class TestPatternProbability:
+    @pytest.mark.parametrize("rule, dist, texts", [
+        (EqualRule(3), unit_exponential(), ("1(2(3))", "2(1,3)", "1 2(3)", "3(1) 2")),
+        (_ABSORBING_1X3, unit_exponential(), ("1(2(3))", "2 1(3)", "1(2) 3", "1(3) 2")),
+        (_ABSORBING_1X3, StrengthModel("weibull", 5.0, (1.0, 2.0, 1.5)),
+         ("1(2(3))", "2(1,3)", "1 2(3)")),
+    ], ids=["equal", "absorbing-1x3", "absorbing-1x3-weibull"])
+    def test_equals_nested_quadrature(self, rule, dist, texts):
+        for text in texts:
+            pattern = parse_pattern(text)
+            want = _quad_pattern_probability(pattern, rule, 3, dist)
+            assert th.pattern_probability(pattern, rule, 3, dist) == pytest.approx(want, abs=1e-9)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_all_patterns_sum_to_one(self, n):
+        patterns = enumerate_patterns(n)
+        for name, rule, dist in _bundles(n):
+            total = math.fsum(th.pattern_probability(p, rule, n, dist) for p in patterns)
+            assert total == pytest.approx(1.0, abs=1e-13), name
+
+    @pytest.mark.parametrize("base", [EqualRule(4), _ABSORBING_2X2], ids=["equal", "absorbing-2x2"])
+    def test_weibull_is_the_power_map_bit_for_bit(self, base):
+        weibull = StrengthModel("weibull", 5.0, _WEIBULL_SCALES)
+        mapped = PowerScaledRule(base, _WEIBULL_SCALES, 5.0)
+        for p in enumerate_patterns(4):
+            assert th.pattern_probability(p, base, 4, weibull) == \
+                th.pattern_probability(p, mapped, 4, unit_exponential()), str(p)
+
+    def test_precision_against_60_digit_decimals(self):
+        bundles = [(n, rule, dist) for n in (1, 2, 3, 4) for _, rule, dist in _bundles(n)]
+        bundles.append((5, EqualRule(5), unit_exponential()))
+        worst_abs = worst_rel = 0.0
+        for n, rule, dist in bundles:
+            for p in enumerate_patterns(n):
+                exact = _decimal_pattern_probability(p, rule, n, dist)
+                err = float(abs(decimal.Decimal(th.pattern_probability(p, rule, n, dist)) - exact))
+                worst_abs = max(worst_abs, err)
+                if exact >= decimal.Decimal("1e-6"):
+                    worst_rel = max(worst_rel, err / float(exact))
+        assert worst_abs <= 1e-15
+        assert worst_rel <= 1e-10
+
+    def test_burst_term_count_guarded(self):
+        # 21 Phase-II components would expand into 2^21 terms
+        pattern = parse_pattern("1(" + ",".join(str(i) for i in range(2, 23)) + ")")
+        with pytest.raises(ValueError, match="21 Phase-II components"):
+            th.pattern_probability(pattern, EqualRule(22), 22, unit_exponential())
+
+    def test_frozen_scipy_law_rejected(self):
+        from scipy import stats as sps
+
+        with pytest.raises(TypeError, match="needs a StrengthModel.*rv_continuous_frozen"):
+            th.pattern_probability(parse_pattern("1 2"), EqualRule(2), 2,
+                                   sps.weibull_min(5.0, scale=2.0))
 
 
 class TestLowerTailConstant:
