@@ -2,9 +2,11 @@
 
 The k-th order statistic of n unit exponentials is a scale mixture of
 gamma(k) laws whose mixing density is a size-biased, shifted convolution of
-uniforms (an Irwin-Hall density).  The same machinery yields the joint
-density of the Phase-I breaking stresses and the breaking pattern of a
-monotone load-sharing bundle, and the constant of its power-law lower tail.
+uniforms (an Irwin-Hall density); the size bias cancels the gamma kernel's
+rate power, so the mixture is the closed Irwin-Hall Laplace transform.  The
+same machinery yields the joint density of the Phase-I breaking stresses and
+the breaking pattern of a monotone load-sharing bundle, and the constant of
+its power-law lower tail.
 """
 
 from __future__ import annotations
@@ -56,11 +58,6 @@ _GL_WEIGHTS = np.array([
     0.1495959888165767, 0.16915651939500265, 0.18260341504492364, 0.18945061045506864,
     0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
     0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176])
-# Integrand values per call of f, unless one integrand's level alone has more.
-# A mixing law of order m makes 48 m values at level 0, so one that evaluates
-# alone has 48 m^2 <= 2^22 (m <= 295), and 295 x 8,192 cells are within
-# irwin_hall_pdf's bound: a batch trips it only where a lone integrand would.
-_CALL_NODES = 1 << 13
 _IRWIN_HALL_MAX_CELLS = 1 << 22  # m x points per scratch array: 32 MiB of float64
 _MAX_BURST_COMPONENTS = 20  # 2^20 terms of a pattern's exponential sum: 8 MiB per array
 
@@ -96,90 +93,47 @@ def irwin_hall_pdf(m: int, t) -> float | np.ndarray:
     return out if t_arr.ndim else float(out)
 
 
-def _integrate_panels(f: Callable[..., np.ndarray], lo: float, hi: float,
-                      knots: Sequence[float] = (), size: int | None = None) -> float | np.ndarray:
-    """Adaptive 16-point Gauss-Legendre integration, pre-split at known kinks.
+def _integrate_panels(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
+                      knots: Sequence[float] = ()) -> float:
+    """Adaptive 16-point Gauss-Legendre integral of ``f`` over [lo, hi],
+    pre-split at the known kinks ``knots``.
 
-    ``f(t)`` is one integrand, and the result is its integral.  With ``size``,
-    ``f(t, j)`` is a batch of ``size`` integrands, node ``t[i]`` belonging to
-    integrand ``j[i]``, and the result is the array of their integrals; one
-    integrand is a batch of one.  ``f`` must be elementwise: its value at a
-    node may not depend on the other nodes of the call.
-
-    Bisection runs level by level.  Level 0 evaluates every panel's whole
-    interval and both of its halves; each later level evaluates both halves
-    of every panel still open.  A call of ``f`` takes at most
-    ``_CALL_NODES`` nodes, or one integrand's nodes of the level where they
-    are more, so a lone integrand makes one call per level.  Each integrand
-    keeps its own panel tree: a panel closes when its halves agree with the
-    whole within its budget (``_PANEL_TOL``, halved at each split), or with
-    a warning past depth ``_MAX_DEPTH``.  The closed values are added in the
-    order of a depth-first recursion (left + right at a leaf, the two
-    children's sums above it, the pre-split panels in turn), so the result
-    does not depend on how nodes or integrands are batched.  Integrands run
-    in groups whose level 0 fits one call, so memory stays flat however
-    many there are.  A NaN or infinite integrand value raises
-    ArithmeticError at the level that gave it, naming its panel.
+    Each panel is bisected depth first: it closes when its halves agree with
+    the whole within its budget (``_PANEL_TOL``, halved at each split), or
+    with a warning past depth ``_MAX_DEPTH``, and gives the sum of its
+    halves; the pre-split panels are added in turn.  ``f`` is called on the
+    16 nodes of one interval at a time.  A NaN or infinite integrand value
+    raises ArithmeticError naming its panel, which would never converge.
     """
-    batch = f if size is not None else lambda t, j: f(t)
-    count = 1 if size is None else size
     points = sorted({lo, hi, *(k for k in knots if lo < k < hi)})
-    out = np.zeros(count)
-    width = len(points) - 1  # panels per integrand before any split
 
-    def gl(a: np.ndarray, b: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    def gl(a: float, b: float) -> float:
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        t = (mid[:, None] + half[:, None] * _GL_NODES).ravel()
-        j = np.repeat(owner, _GL_NODES.size)
-        step = max(_CALL_NODES, _GL_NODES.size * int(np.unique(owner, return_counts=True)[1].max()))
-        vals = np.concatenate([batch(t[s:s + step], j[s:s + step]) for s in range(0, t.size, step)])
+        t = mid + half * _GL_NODES
+        vals = f(t)
         bad = np.flatnonzero(~np.isfinite(vals))
-        if bad.size:  # no panel holding it would ever converge
-            k, i = bad[0], bad[0] // _GL_NODES.size
-            raise ArithmeticError(f"integrand is {vals[k]} at t = {float(t[k])!r}, in the panel "
-                                  f"[{float(a[i])!r}, {float(b[i])!r}] of [{lo!r}, {hi!r}]")
-        return half * (_GL_WEIGHTS * vals.reshape(-1, _GL_NODES.size)).sum(axis=1)
+        if bad.size:
+            raise ArithmeticError(f"integrand is {vals[bad[0]]} at t = {float(t[bad[0]])!r}, "
+                                  f"in the panel [{float(a)!r}, {float(b)!r}] of [{lo!r}, {hi!r}]")
+        return half * float(np.sum(_GL_WEIGHTS * vals))
 
-    group = max(1, _CALL_NODES // (3 * _GL_NODES.size * max(width, 1)))
-    for first in range(0, count, group) if width else ():  # lo == hi: no panel, no call
-        stop = min(first + group, count)
-        owner = np.repeat(np.arange(first, stop), width)
-        a = np.tile(points[:-1], stop - first)
-        b = np.tile(points[1:], stop - first)
+    def adapt(a: float, b: float, whole: float, budget: float, depth: int) -> float:
         mid = 0.5 * (a + b)
-        whole, left, right = np.split(gl(np.concatenate([a, a, mid]), np.concatenate([b, mid, b]),
-                                         np.tile(owner, 3)), 3)
-        levels, budget = [], _PANEL_TOL
-        for depth in range(_MAX_DEPTH + 2):
-            sums = left + right
-            split = ~(np.abs(sums - whole) < budget)  # a NaN residual stays open
-            if depth > _MAX_DEPTH:
-                for i in np.flatnonzero(split):
-                    _log.warning("panel [%r, %r] hit the depth cap %d with residual %.3g > %.3g",
-                                 float(a[i]), float(b[i]), _MAX_DEPTH,
-                                 float(abs(sums[i] - whole[i])), budget)
-                split[:] = False
-            levels.append((sums, split))
-            if not split.any():
-                break
-            # children of each split panel, left then right
-            a = np.stack([a[split], mid[split]], axis=1).ravel()
-            b = np.stack([mid[split], b[split]], axis=1).ravel()
-            whole = np.stack([left[split], right[split]], axis=1).ravel()
-            owner = np.repeat(owner[split], 2)
-            mid = 0.5 * (a + b)
-            left, right = np.split(gl(np.concatenate([a, mid]), np.concatenate([mid, b]),
-                                      np.tile(owner, 2)), 2)
-            budget /= 2
+        left, right = gl(a, mid), gl(mid, b)
+        residual = abs(left + right - whole)
+        if residual < budget:
+            return left + right
+        if depth > _MAX_DEPTH:
+            _log.warning("panel [%r, %r] hit the depth cap %d with residual %.3g > %.3g",
+                         float(a), float(b), _MAX_DEPTH, residual, budget)
+            return left + right
+        return (adapt(a, mid, left, budget / 2, depth + 1)
+                + adapt(mid, b, right, budget / 2, depth + 1))
 
-        vals = levels[-1][0]
-        for sums, split in reversed(levels[:-1]):
-            sums[split] = vals[0::2] + vals[1::2]
-            vals = sums
-        total = out[first:stop]  # a view; plain addition, as sum() compensates from Python 3.12
-        for v in vals.reshape(stop - first, width).T:
-            total += v
-    return out if size is not None else float(out[0])
+    total = 0.0  # plain addition, as sum() compensates from Python 3.12
+    for a, b in zip(points[:-1], points[1:]):
+        total += adapt(a, b, gl(a, b), _PANEL_TOL, 0)
+    return total
 
 
 @dataclass(frozen=True)
@@ -189,7 +143,9 @@ class MixingDensity:
     Supported on [shift, shift + m]; m = 0 degenerates to an atom at ``shift``
     (kept symbolic: ``is_atom`` with unnormalized weight shift**-power).  The
     order-statistic laws are size-biased (power > 0, tilt 0); the thresholds'
-    conditional laws given the stresses are tilted instead (power 0).
+    conditional laws given the stresses are tilted instead (power 0).  The
+    normalizer and moments are quadratures over the support; a gamma(power)
+    mixture over the law is closed (:meth:`gamma_mixture_pdf`).
     """
 
     m: int
@@ -205,22 +161,26 @@ class MixingDensity:
     def support(self) -> tuple[float, float]:
         return (self.shift, self.shift + self.m)
 
-    def _integrate(self, f: Callable[..., np.ndarray], size: int | None = None) -> float | np.ndarray:
-        """Integral of f over the support, split at the knots shift + j (see
-        :func:`_integrate_panels` for ``size``)."""
+    def _integrate(self, f: Callable[[np.ndarray], np.ndarray]) -> float:
+        """Integral of f over the support, split at the knots shift + j."""
         lo, hi = self.support
-        return _integrate_panels(f, lo, hi, [self.shift + j for j in range(1, self.m)], size)
+        return _integrate_panels(f, lo, hi, [self.shift + j for j in range(1, self.m)])
 
     @cached_property
     def normalizer(self) -> float:
-        """Integral of the unnormalized density (atom: its raw weight)."""
-        if self.is_atom:
-            return self.shift ** (-self.power)
-        return self._integrate(self._raw)
+        """Integral of the unnormalized density (atom: its raw weight); unless it
+        is finite and > 0, an ArithmeticError naming the law."""
+        total = self.shift ** (-self.power) if self.is_atom else self._integrate(self._raw)
+        if not 0.0 < total < math.inf:
+            raise ArithmeticError(f"mixing law (m = {self.m}, shift = {self.shift}, power = "
+                                  f"{self.power}, tilt = {self.tilt}) has normalizer {total}: "
+                                  f"its density under- or overflows a float64")
+        return total
 
     def _raw(self, theta):
         theta = np.asarray(theta, dtype=float)
-        raw = irwin_hall_pdf(self.m, theta - self.shift) / theta**self.power
+        with np.errstate(over="ignore"):  # theta**power past the float range: raw is 0 there
+            raw = irwin_hall_pdf(self.m, theta - self.shift) / theta**self.power
         return raw * np.exp(-self.tilt * theta) if self.tilt else raw
 
     def pdf(self, theta) -> float | np.ndarray:
@@ -245,38 +205,36 @@ class MixingDensity:
 
         return self._integrate(integrand) / self.normalizer
 
-    def gamma_mixture_pdf(self, shape: int, z) -> float | np.ndarray:
-        """Integral of gamma(shape, rate=theta) density at z over this mixing law.
+    def gamma_mixture_pdf(self, z) -> float | np.ndarray:
+        """Density at z of the gamma(power, rate=theta) law mixed over this law.
 
-        Elementwise in z, and 0 where z <= 0.  Each distinct z is one
-        integrand of a single batched quadrature.  A NaN or infinite z is a
-        ValueError.
+        The size bias theta**-power cancels the gamma kernel's theta**power,
+        which leaves the Laplace transform of the Irwin-Hall law,
+        integral of b_m(u) e^{-w u} du = ((1 - e^{-w}) / w)**m.  With p = power
+        and w = z + tilt,
+
+            f(z) = z**(p-1) / Gamma(p) * e^{-shift w} ((1 - e^{-w}) / w)**m / normalizer,
+
+        evaluated in log space, elementwise in z, and 0 where z <= 0; an atom
+        (m = 0) gives the gamma(p, rate=shift) density.  A law with power < 1
+        (the tilted laws) has no gamma kernel, and a NaN or infinite z has no
+        density: both are ValueError.
         """
+        if self.power < 1:
+            raise ValueError(f"gamma mixture density needs power >= 1, the gamma shape; "
+                             f"this law has power {self.power}")
         z_arr = np.asarray(z, dtype=float)
         bad = z_arr[~np.isfinite(z_arr)]
         if bad.size:
             raise ValueError(f"gamma mixture density: z = {bad[0]} is not finite")
         out = np.zeros(z_arr.shape)
-        pos = ~(z_arr <= 0)
-        zs, inverse = np.unique(z_arr[pos], return_inverse=True)
-        if self.is_atom:
-            vals = _gamma_pdf(zs, shape, self.shift)
-        else:
-            def integrand(t, j):
-                # integrands share the nodes of the panels their trees have in
-                # common: the mixing density is evaluated once per distinct node
-                nodes, at = np.unique(t, return_inverse=True)
-                return _gamma_pdf(zs[j], shape, t) * self._raw(nodes)[at]
-
-            vals = self._integrate(integrand, zs.size) / self.normalizer
-        out[pos] = vals[inverse]
+        pos = z_arr > 0
+        z_pos = z_arr[pos]
+        w = z_pos + self.tilt
+        log_f = ((self.power - 1) * np.log(z_pos) - math.lgamma(self.power) - self.shift * w
+                 + self.m * (np.log(-np.expm1(-w)) - np.log(w)) - math.log(self.normalizer))
+        out[pos] = np.exp(log_f)
         return out if z_arr.ndim else float(out)
-
-
-def _gamma_pdf(z, shape: int, rate):
-    z = np.asarray(z, dtype=float)
-    rate = np.asarray(rate, dtype=float)
-    return np.exp(shape * np.log(rate) + (shape - 1) * np.log(z) - rate * z - math.lgamma(shape))
 
 
 def order_stat_mixing(k: int, n: int) -> MixingDensity:
@@ -317,9 +275,7 @@ class OrderStatJointDensity:
     @cached_property
     def _const(self) -> float:
         k, l, n = self.k, self.l, self.n
-        return math.factorial(n) / (
-            math.factorial(k - 1) * math.factorial(l - k - 1) * math.factorial(n - l)
-        )
+        return math.perm(n, l) / (math.factorial(k - 1) * math.factorial(l - k - 1))
 
     @cached_property
     def _mix1(self) -> MixingDensity:
@@ -347,8 +303,8 @@ class OrderStatJointDensity:
         out = np.zeros(x_arr.shape)
         inside = (0 < x_arr) & (x_arr < y_arr)
         xs = x_arr[inside]
-        f1 = self._mix1.gamma_mixture_pdf(self.k, xs)
-        f2 = self._mix2.gamma_mixture_pdf(self.l - self.k, y_arr[inside] - xs)
+        f1 = self._mix1.gamma_mixture_pdf(xs)
+        f2 = self._mix2.gamma_mixture_pdf(y_arr[inside] - xs)
         out[inside] = f1 * f2
         return out if out.ndim else float(out)
 
@@ -357,7 +313,7 @@ class OrderStatJointDensity:
         if x <= 0:
             return 0.0
         k, n = self.k, self.n
-        c = math.factorial(n) / (math.factorial(k - 1) * math.factorial(n - k))
+        c = math.perm(n, k) / math.factorial(k - 1)
         return float(c * (-np.expm1(-x)) ** (k - 1) * np.exp(-(n - k + 1) * x))
 
 

@@ -589,6 +589,21 @@ class TestDensityCommand:
         man = json.loads((out / "manifest.json").read_text())
         assert man["derived"]["normalizing_constant"] == pytest.approx(20.0, abs=1e-6)
 
+    @pytest.mark.parametrize("args, power", [
+        (["--kind", "tilted", "--k", "170", "--l", "173", "--n", "400", "--x", "5", "--y", "6"], 0),
+        (["--kind", "order-stat-joint", "--k", "170", "--l", "172", "--n", "400"], 170),
+        (["--kind", "mixing", "--k", "170", "--n", "400"], 170),
+    ], ids=["tilted", "order-stat-joint", "mixing"])
+    def test_underflowed_normalizer_is_a_numerical_failure(self, tmp_path, capsys, args, power):
+        # theta**170 overflows on [231, 400], and e^{-5 theta} underflows there
+        out = tmp_path / "d"
+        assert main(["density", *args, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"numerical failure: mixing law (m = 169, shift = 231.0, "
+                              f"power = {power}, tilt = ")
+        assert err.count("\n") == 1
+        assert not (out / "density.csv").exists()
+
     def test_order_stat_joint_disagreement_column(self, tmp_path):
         out = tmp_path / "d"
         rc = main(["density", "--kind", "order-stat-joint", "--k", "2", "--l", "4",
@@ -598,7 +613,8 @@ class TestDensityCommand:
         assert max(float(r[4]) for r in rows) < 1e-6
 
     def test_order_stat_joint_integrand_calls(self, tmp_path, monkeypatch):
-        # the benchmark's density sizes; the 16-node-at-a-time integrator made 2,121 calls
+        # the benchmark's density sizes: the gamma mixtures are closed, so only the
+        # two normalizers integrate, 3 calls on each of their 3 + 4 panels
         from fiberbundle import threshold
 
         calls = []
@@ -610,7 +626,7 @@ class TestDensityCommand:
         assert rc == 0
         _, rows = read_csv(tmp_path / "d" / "density.csv")
         assert len(rows) == 100
-        assert len(calls) <= 250
+        assert calls == [3] * 9 + [4] * 12
 
     def test_pattern_density_row(self, tmp_path):
         out = tmp_path / "d"

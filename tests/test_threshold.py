@@ -3,6 +3,7 @@
 import decimal
 import logging
 import math
+import time
 import warnings
 from fractions import Fraction
 
@@ -31,9 +32,17 @@ def _irwin_hall_rational(m, tv):
     return float(acc / math.factorial(m - 1))
 
 
+def _gamma_pdf(z, shape, rate):
+    """Density at z of the gamma law of integer ``shape`` and rate ``rate``."""
+    z = np.asarray(z, dtype=float)
+    rate = np.asarray(rate, dtype=float)
+    return np.exp(shape * np.log(rate) + (shape - 1) * np.log(z) - rate * z - math.lgamma(shape))
+
+
 def _integrate_panels_recursive(f, lo, hi, knots=()):
     """Depth-first adaptive Gauss-Legendre, one 16-node call of ``f`` per
-    interval: the slow path the level-batched integrator must equal bit for bit."""
+    interval: the reference the integrator, and so every mixing law's
+    normalizer and moments, must equal bit for bit."""
     points = sorted({lo, hi, *(k for k in knots if lo < k < hi)})
 
     def gl(a, b):
@@ -58,23 +67,14 @@ def _integrate_panels_recursive(f, lo, hi, knots=()):
     return total
 
 
-def _integrate_each_recursive(f, lo, hi, knots=(), size=None):
-    """``_integrate_panels``' interface on the recursion: a batch of ``size``
-    integrands runs as one recursion per integrand."""
-    if size is None:
-        return _integrate_panels_recursive(f, lo, hi, knots)
-    return np.array([_integrate_panels_recursive(lambda t, j=j: f(t, np.full(t.shape, j)),
-                                                 lo, hi, knots) for j in range(size)])
-
-
 class TestIntegratePanels:
-    """The level-batched integrator against the depth-first recursion, with ==."""
+    """The integrator against the reference recursion, with ==."""
 
     @staticmethod
     def _both(monkeypatch, value):
-        """``value()`` through the batched integrator, then through the recursion."""
+        """``value()`` through the integrator, then through the reference."""
         fast = value()
-        monkeypatch.setattr(th, "_integrate_panels", _integrate_each_recursive)
+        monkeypatch.setattr(th, "_integrate_panels", _integrate_panels_recursive)
         slow = value()
         monkeypatch.undo()
         return fast, slow
@@ -99,8 +99,7 @@ class TestIntegratePanels:
     def test_mixing_law_integrals(self, monkeypatch, law):
         def values():
             mix = law()  # fresh, so the cached normalizer is recomputed
-            return ([mix.normalizer] + [mix.moment(r) for r in (1, 2, 3)]
-                    + [mix.gamma_mixture_pdf(shape, z) for shape in (1, 4) for z in (0.13, 0.9, 2.5)])
+            return [mix.normalizer] + [mix.moment(r) for r in (1, 2, 3)]
 
         fast, slow = self._both(monkeypatch, values)
         assert fast == slow
@@ -134,105 +133,42 @@ class TestIntegratePanels:
 
         assert th._integrate_panels(f, 0.7, 0.7, [0.7]) == 0.0
 
-    def test_one_integrand_call_per_level(self):
-        # every panel of a smooth integrand converges at level 0: one call
-        calls = []
-
-        def f(t):
-            calls.append(t.size)
-            return th.irwin_hall_pdf(6, t)
-
-        th._integrate_panels(f, 0.0, 6.0, [1, 2, 3, 4, 5])
-        assert calls == [6 * 3 * 16]
-
     def test_gauss_legendre_literals_are_leggauss(self):
         nodes, weights = np.polynomial.legendre.leggauss(16)
         assert th._GL_NODES.tobytes() == nodes.tobytes()
         assert th._GL_WEIGHTS.tobytes() == weights.tobytes()
 
-    def test_batch_equals_one_integrand_at_a_time(self):
-        # one panel tree per integrand: a batch returns each lone integral
-        shapes = np.array([0.5, 2.0, 7.0, 30.0])
-
-        def f(t, j):
-            return np.exp(-shapes[j] * t) * th.irwin_hall_pdf(3, t)
-
-        batch = th._integrate_panels(f, 0.0, 3.0, [1, 2], shapes.size)
-        each = [th._integrate_panels(lambda t, c=c: np.exp(-c * t) * th.irwin_hall_pdf(3, t),
-                                     0.0, 3.0, [1, 2]) for c in shapes.tolist()]
-        assert batch.tolist() == each
-        assert batch.tolist() == _integrate_each_recursive(f, 0.0, 3.0, [1, 2], shapes.size).tolist()
-
-    def test_batch_depth_cap_gives_each_integrands_warnings(self, caplog):
-        cuts = np.array([0.3, 0.55, 0.8])
-        with caplog.at_level(logging.WARNING, logger="fiberbundle.threshold"):
-            batch = th._integrate_panels(lambda t, j: (t > cuts[j]).astype(float), 0.0, 1.0,
-                                         (), cuts.size)
-            n_batch = len(caplog.records)
-            each = [th._integrate_panels(lambda t, c=c: (t > c).astype(float), 0.0, 1.0)
-                    for c in cuts.tolist()]
-        assert batch.tolist() == each
-        assert n_batch >= 3 and len(caplog.records) == 2 * n_batch
-        assert [r.getMessage() for r in caplog.records[:n_batch]] == \
-            [r.getMessage() for r in caplog.records[n_batch:]]
-
-    def test_batch_calls_stay_bounded(self):
-        # 3 panels: 144 level-0 nodes per integrand, so 56 integrands a group;
-        # each panel of this smooth integrand closes at level 0
-        sizes = []
-
-        def f(t, j):
-            sizes.append(t.size)
-            return np.exp(-(j + 1.0) * t / 500)
-
-        vals = th._integrate_panels(f, 0.0, 3.0, [1, 2], 400)
-        assert sizes == [56 * 144] * 7 + [8 * 144]
-        assert vals[7] == th._integrate_panels(lambda t: np.exp(-8.0 * t / 500), 0.0, 3.0, [1, 2])
-        # an integrand whose level alone is wider than a call keeps it whole
-        sizes.clear()
-        th._integrate_panels(f, 0.0, 200.0, range(1, 200), 3)
-        assert sizes == [200 * 48] * 3
-
     def test_runaway_batch_stops_where_a_lone_integrand_does(self):
-        # a NaN z would give a NaN integrand, which never converges: it is
-        # rejected before any quadrature, alone or in a batch
+        # a NaN z has no density: it is rejected, alone or in an array of z
         mix = th.order_stat_mixing(3, 7)
         with pytest.raises(ValueError, match="z = nan is not finite") as lone:
-            mix.gamma_mixture_pdf(2, np.nan)
+            mix.gamma_mixture_pdf(np.nan)
         with pytest.raises(ValueError, match="z = nan is not finite") as batch:
-            mix.gamma_mixture_pdf(2, np.array([0.5, np.nan, 2.0, 4.0]))
+            mix.gamma_mixture_pdf(np.array([0.5, np.nan, 2.0, 4.0]))
         assert str(batch.value) == str(lone.value)
         with pytest.raises(ValueError, match="z = inf is not finite"):
-            mix.gamma_mixture_pdf(2, [1.0, np.inf])
-        # the quadrature itself stops at the first NaN, alone or in a batch
-        with pytest.raises(ArithmeticError, match=r"in the panel \[0.0, 1.0\]") as lone:
+            mix.gamma_mixture_pdf([1.0, np.inf])
+        # the quadrature stops at the first NaN
+        with pytest.raises(ArithmeticError, match=r"in the panel \[0.0, 1.0\]"):
             th._integrate_panels(lambda t: t * np.nan, 0.0, 1.0)
-        with pytest.raises(ArithmeticError, match=r"in the panel \[0.0, 1.0\]") as batch:
-            th._integrate_panels(lambda t, j: np.where(j == 2, np.nan, t), 0.0, 1.0, (), 4)
-        assert str(batch.value) == str(lone.value)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_integrand_stops_at_its_first_level(self, bad):
-        # a panel holding a NaN never closes, so unchecked its open panels
-        # would double at every level; the first level's values end it
+        # a panel holding a NaN never closes, so unchecked it would be bisected
+        # to the depth cap; the first rule over it ends the integral: [0, 0.5]
+        # closes after its whole and both halves, then [0.5, 1]'s whole raises
         calls = []
 
         def f(t):
             calls.append(t.size)
-            if len(calls) > 3:
+            if len(calls) > 4:
                 raise AssertionError(f"integrand still called after {calls}")
             return np.where(t > 0.7, bad, t)
 
-        with pytest.raises(ArithmeticError, match=rf"integrand is {bad} at t = 0\.7"):
+        with pytest.raises(ArithmeticError, match=rf"integrand is {bad} at t = 0\.7\d*, "
+                           r"in the panel \[0\.5, 1\.0\] of \[0\.0, 1\.0\]$"):
             th._integrate_panels(f, 0.0, 1.0, [0.5])
-        assert calls == [2 * 3 * 16]
-
-    def test_empty_batch_calls_nothing(self):
-        def f(t, j):
-            raise AssertionError("integrand called for an empty batch")
-
-        assert th._integrate_panels(f, 0.0, 1.0, (), 0).shape == (0,)
-        assert th._integrate_panels(f, 0.7, 0.7, (), 2).tolist() == [0.0, 0.0]
+        assert calls == [16] * 4
 
 
 class TestIrwinHall:
@@ -349,6 +285,63 @@ class TestMixingDensity:
         grid = np.linspace(3.5, 6.5, 200)
         assert np.all(mix.pdf(grid) >= 0.0)
 
+    @pytest.mark.parametrize("k,l,n", [(2, 3, 5), (2, 4, 6), (4, 9, 12), (1, 7, 12), (9, 12, 12),
+                                       (12, 30, 30), (20, 25, 40)])
+    def test_normalizer_is_exact(self, k, l, n):
+        # integral of b_{k-1}(theta - (n-k+1)) / theta**k is (n-k)!/n!, and the
+        # spacing law's (n-l)!/(n-k)!
+        for law, want in ((th.order_stat_mixing(k, n), Fraction(1, math.perm(n, k))),
+                          (th._spacing_mixing(k, l, n), Fraction(1, math.perm(n - k, l - k)))):
+            assert law.normalizer == pytest.approx(float(want), rel=1e-14, abs=0.0), law
+
+    @pytest.mark.parametrize("law", [
+        th.order_stat_mixing(170, 400),
+        th.TiltedConditional(170, 173, 400, 5.0, 6.0).law1,
+    ], ids=["size-biased", "tilted"])
+    def test_underflowed_normalizer_raises(self, law):
+        # theta**170 overflows on [231, 400], and e^{-5 theta} underflows there
+        msg = (rf"^mixing law \(m = 169, shift = 231\.0, power = {law.power}, "
+               rf"tilt = {law.tilt}\) has normalizer 0\.0: ")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArithmeticError, match=msg):
+                law.normalizer
+            with pytest.raises(ArithmeticError, match=msg):
+                law.pdf(300.0)
+
+    @pytest.mark.parametrize("law", [
+        th.order_stat_mixing(1, 7),
+        th.order_stat_mixing(2, 5),
+        th.order_stat_mixing(4, 12),
+        th.order_stat_mixing(12, 30),
+        th._spacing_mixing(2, 3, 6),
+        th._spacing_mixing(4, 9, 12),
+        th._spacing_mixing(12, 30, 30),
+        th.MixingDensity(m=3, shift=2.0, power=2, tilt=0.7),
+    ], ids=["atom", "k2n5", "k4n12", "k12n30", "spacing-atom", "spacing", "spacing-k12l30",
+            "tilted-power2"])
+    def test_gamma_mixture_closed_form_equals_quadrature(self, law):
+        # the mixture integral, gamma(power, rate=theta) pdf x mixing pdf, one z at a time
+        z = np.array([1e-3, 0.05, 0.13, 0.9, 2.5, 6.0])
+        if law.is_atom:
+            want = _gamma_pdf(z, law.power, law.shift)
+        else:
+            lo, hi = law.support
+            knots = [law.shift + j for j in range(1, law.m)]
+            want = np.array([th._integrate_panels(lambda t, v=v: _gamma_pdf(v, law.power, t)
+                                                  * law.pdf(t), lo, hi, knots) for v in z])
+        got = law.gamma_mixture_pdf(z)
+        assert np.all(want > 0.0)
+        assert np.max(np.abs(got - want) / want) <= 1e-13
+
+    def test_gamma_mixture_needs_a_gamma_shape(self):
+        # power 0 leaves no gamma kernel to cancel the size bias
+        for law in (th.MixingDensity(m=2, shift=1.0, power=0),
+                    th.TiltedConditional(3, 7, 9, 0.3, 1.7).law1):
+            with pytest.raises(ValueError, match="needs power >= 1, the gamma shape; "
+                                                 "this law has power 0"):
+                law.gamma_mixture_pdf(0.5)
+
 
 class TestOrderStatJoint:
     def test_n2_closed_form(self):
@@ -409,18 +402,35 @@ class TestOrderStatJoint:
     def test_batched_gamma_mixture_equals_scalar_calls(self):
         for mix in (th.order_stat_mixing(3, 7), th.order_stat_mixing(1, 4)):
             z = np.array([[0.9, -1.0, 0.0], [0.2, 0.9, 3.5]])
-            got = mix.gamma_mixture_pdf(3, z)
-            assert got.tolist() == [[mix.gamma_mixture_pdf(3, v) for v in row] for row in z.tolist()]
-            assert type(mix.gamma_mixture_pdf(3, 0.9)) is float
+            got = mix.gamma_mixture_pdf(z)
+            assert got.tolist() == [[mix.gamma_mixture_pdf(v) for v in row] for row in z.tolist()]
+            assert type(mix.gamma_mixture_pdf(0.9)) is float
 
     def test_batch_over_several_groups_at_large_k(self):
-        # k = 40: 39 panels, 1,872 level-0 nodes per integrand, so 16 groups of 4
+        # k = 40: mixing laws of order 39 and 1
         joint = th.OrderStatJointDensity(40, 42, 45)
         x = np.linspace(0.5, 3.0, 64)
         y = x + 0.4
         batch = joint.mixture(x, y)
         assert batch.tolist() == [joint.mixture(a, b) for a, b in zip(x.tolist(), y.tolist())]
         assert np.allclose(batch, [joint.direct(a, b) for a, b in zip(x, y)], rtol=1e-8, atol=0)
+
+    def test_large_n_builds_no_huge_factorial(self):
+        # n! has 5.6 million digits at n = 10^6; n!/(n-l)! has 54
+        k, l, n, x = 4, 9, 10**6, 1e-5
+        start = time.perf_counter()
+        joint = th.OrderStatJointDensity(k, l, n)
+        const, marginal = joint._const, joint.marginal_k(x)
+        assert time.perf_counter() - start < 1.0
+
+        def log_perm(j):  # log n!/(n-j)!, term by term: lgamma(n + 1) alone is 1e-9 off
+            return math.fsum(math.log(n - i) for i in range(j))
+
+        want = math.exp(log_perm(l) - math.lgamma(k) - math.lgamma(l - k))
+        assert const == pytest.approx(want, rel=1e-12, abs=0.0)
+        want = math.exp(log_perm(k) - math.lgamma(k)) * (-math.expm1(-x)) ** (k - 1) \
+            * math.exp(-(n - k + 1) * x)
+        assert marginal == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_ordering_enforced(self):
         joint = th.OrderStatJointDensity(2, 4, 6)
@@ -455,9 +465,10 @@ class TestTilted:
         for factor, law, shape, z in ((tc.law1.pdf, th.order_stat_mixing(k, n), k, x),
                                       (tc.law2.pdf, th._spacing_mixing(k, l, n), l - k, y - x)):
             lo, hi = law.support
-            evidence = law.gamma_mixture_pdf(shape, z)
+            assert law.power == shape
+            evidence = law.gamma_mixture_pdf(z)
             for theta in np.linspace(lo, hi, 9):
-                want = float(th._gamma_pdf(z, shape, theta)) * law.pdf(theta) / evidence
+                want = float(_gamma_pdf(z, shape, theta)) * law.pdf(theta) / evidence
                 assert factor(theta) == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_laws_are_tilted_mixing_laws(self):
