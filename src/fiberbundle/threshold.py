@@ -3,7 +3,8 @@
 The k-th order statistic of n unit exponentials is a scale mixture of
 gamma(k) laws whose mixing density is a size-biased, shifted convolution of
 uniforms (an Irwin-Hall density); the size bias cancels the gamma kernel's
-rate power, so the mixture is the closed Irwin-Hall Laplace transform.  The
+rate power, so the mixture is the closed Irwin-Hall Laplace transform.  Every
+mixing law's normalizer is closed too, so the module holds no quadrature.  The
 same machinery yields the joint density of the Phase-I breaking stresses and
 the breaking pattern of a monotone load-sharing bundle, and the constant of
 its power-law lower tail.
@@ -11,11 +12,10 @@ its power-law lower tail.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -43,21 +43,6 @@ __all__ = [
     "parallel_exponential_tail_constant",
 ]
 
-_log = logging.getLogger("fiberbundle.threshold")
-
-_PANEL_TOL = 1e-10
-_MAX_DEPTH = 40
-# np.polynomial.legendre.leggauss(16), bit for bit, without importing numpy.polynomial
-_GL_NODES = np.array([
-    -0.9894009349916499, -0.9445750230732326, -0.8656312023878318, -0.755404408355003,
-    -0.6178762444026438, -0.45801677765722737, -0.2816035507792589, -0.09501250983763744,
-    0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
-    0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499])
-_GL_WEIGHTS = np.array([
-    0.027152459411754176, 0.062253523938647456, 0.0951585116824926, 0.12462897125553407,
-    0.1495959888165767, 0.16915651939500265, 0.18260341504492364, 0.18945061045506864,
-    0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
-    0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176])
 _IRWIN_HALL_MAX_CELLS = 1 << 22  # m x points per scratch array: 32 MiB of float64
 _MAX_BURST_COMPONENTS = 20  # 2^20 terms of a pattern's exponential sum: 8 MiB per array
 
@@ -93,65 +78,32 @@ def irwin_hall_pdf(m: int, t) -> float | np.ndarray:
     return out if t_arr.ndim else float(out)
 
 
-def _integrate_panels(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
-                      knots: Sequence[float] = ()) -> float:
-    """Adaptive 16-point Gauss-Legendre integral of ``f`` over [lo, hi],
-    pre-split at the known kinks ``knots``.
-
-    Each panel is bisected depth first: it closes when its halves agree with
-    the whole within its budget (``_PANEL_TOL``, halved at each split), or
-    with a warning past depth ``_MAX_DEPTH``, and gives the sum of its
-    halves; the pre-split panels are added in turn.  ``f`` is called on the
-    16 nodes of one interval at a time.  A NaN or infinite integrand value
-    raises ArithmeticError naming its panel, which would never converge.
-    """
-    points = sorted({lo, hi, *(k for k in knots if lo < k < hi)})
-
-    def gl(a: float, b: float) -> float:
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        t = mid + half * _GL_NODES
-        vals = f(t)
-        bad = np.flatnonzero(~np.isfinite(vals))
-        if bad.size:
-            raise ArithmeticError(f"integrand is {vals[bad[0]]} at t = {float(t[bad[0]])!r}, "
-                                  f"in the panel [{float(a)!r}, {float(b)!r}] of [{lo!r}, {hi!r}]")
-        return half * float(np.sum(_GL_WEIGHTS * vals))
-
-    def adapt(a: float, b: float, whole: float, budget: float, depth: int) -> float:
-        mid = 0.5 * (a + b)
-        left, right = gl(a, mid), gl(mid, b)
-        residual = abs(left + right - whole)
-        if residual < budget:
-            return left + right
-        if depth > _MAX_DEPTH:
-            _log.warning("panel [%r, %r] hit the depth cap %d with residual %.3g > %.3g",
-                         float(a), float(b), _MAX_DEPTH, residual, budget)
-            return left + right
-        return (adapt(a, mid, left, budget / 2, depth + 1)
-                + adapt(mid, b, right, budget / 2, depth + 1))
-
-    total = 0.0  # plain addition, as sum() compensates from Python 3.12
-    for a, b in zip(points[:-1], points[1:]):
-        total += adapt(a, b, gl(a, b), _PANEL_TOL, 0)
-    return total
-
-
 @dataclass(frozen=True)
 class MixingDensity:
     """Shifted Irwin-Hall density b_m(theta - shift) e^{-tilt theta} / theta**power.
 
     Supported on [shift, shift + m]; m = 0 degenerates to an atom at ``shift``
-    (kept symbolic: ``is_atom`` with unnormalized weight shift**-power).  The
-    order-statistic laws are size-biased (power > 0, tilt 0); the thresholds'
-    conditional laws given the stresses are tilted instead (power 0).  The
-    normalizer and moments are quadratures over the support; a gamma(power)
-    mixture over the law is closed (:meth:`gamma_mixture_pdf`).
+    (kept symbolic: ``is_atom``).  The laws come in two families, each with
+    a closed normalizer N; any other (power, tilt) is a ValueError.  The
+    order-statistic laws are size-biased (power = m + 1, tilt 0), and N is
+    the m-th divided difference of 1/theta over the B-spline knots shift,
+    ..., shift + m (Curry & Schoenberg 1966): 1 / (c (c+1) ... (c+m)) with
+    c = shift.  The thresholds' conditional laws given the stresses are
+    tilted instead (power 0), and N is the Irwin-Hall Laplace transform
+    e^{-c t} ((1 - e^{-t}) / t)**m at t = tilt (1 at t = 0).  A gamma(power)
+    mixture over a size-biased law is closed too (:meth:`gamma_mixture_pdf`).
     """
 
     m: int
     shift: float
     power: int
     tilt: float = 0.0
+
+    def __post_init__(self):
+        if not ((self.power == self.m + 1 and self.tilt == 0) or self.power == 0):
+            raise ValueError(f"mixing law (m = {self.m}, power = {self.power}, tilt = {self.tilt})"
+                             f" is neither size-biased (power = m + 1, tilt = 0) nor tilted "
+                             f"(power = 0): it has no closed normalizer")
 
     @property
     def is_atom(self) -> bool:
@@ -161,16 +113,24 @@ class MixingDensity:
     def support(self) -> tuple[float, float]:
         return (self.shift, self.shift + self.m)
 
-    def _integrate(self, f: Callable[[np.ndarray], np.ndarray]) -> float:
-        """Integral of f over the support, split at the knots shift + j."""
-        lo, hi = self.support
-        return _integrate_panels(f, lo, hi, [self.shift + j for j in range(1, self.m)])
+    @cached_property
+    def _log_normalizer(self) -> float:
+        """log N, finite where N itself under- or overflows a float64."""
+        c, t = self.shift, self.tilt
+        if self.power:
+            return -math.fsum(math.log(c + j) for j in range(self.m + 1))
+        return -c * t + (self.m * math.log(-math.expm1(-t) / t) if t else 0.0)
 
     @cached_property
     def normalizer(self) -> float:
-        """Integral of the unnormalized density (atom: its raw weight); unless it
-        is finite and > 0, an ArithmeticError naming the law."""
-        total = self.shift ** (-self.power) if self.is_atom else self._integrate(self._raw)
+        """N, the integral of the unnormalized density (atom: its weight), in
+        closed form; unless it is finite and > 0, an ArithmeticError naming
+        the law.  The size-biased N is the float product, within about 1e-15
+        of the exact rational where exp(log N) can be 3e-14 off."""
+        if self.power:
+            total = 1.0 / math.prod(self.shift + j for j in range(self.m + 1))
+        else:
+            total = math.exp(self._log_normalizer)
         if not 0.0 < total < math.inf:
             raise ArithmeticError(f"mixing law (m = {self.m}, shift = {self.shift}, power = "
                                   f"{self.power}, tilt = {self.tilt}) has normalizer {total}: "
@@ -192,33 +152,19 @@ class MixingDensity:
         vals = np.where(inside, self._raw(np.clip(theta_arr, lo, hi)) / self.normalizer, 0.0)
         return vals if theta_arr.ndim else float(vals)
 
-    def moment(self, r: int) -> float:
-        """E[Theta**r] under the normalized density.  A gamma(r) mixture over
-        this law has the lower tail F(x) ~ K x**r with K = moment(r) / r!."""
-        if self.is_atom:
-            return self.shift**r
-
-        def integrand(t):
-            # a power past the float range is inf, which the quadrature rejects by name
-            with np.errstate(over="ignore", invalid="ignore"):
-                return self._raw(t) * t**r
-
-        return self._integrate(integrand) / self.normalizer
-
     def gamma_mixture_pdf(self, z) -> float | np.ndarray:
         """Density at z of the gamma(power, rate=theta) law mixed over this law.
 
         The size bias theta**-power cancels the gamma kernel's theta**power,
         which leaves the Laplace transform of the Irwin-Hall law,
-        integral of b_m(u) e^{-w u} du = ((1 - e^{-w}) / w)**m.  With p = power
-        and w = z + tilt,
+        integral of b_m(u) e^{-z u} du = ((1 - e^{-z}) / z)**m.  With p = power,
 
-            f(z) = z**(p-1) / Gamma(p) * e^{-shift w} ((1 - e^{-w}) / w)**m / normalizer,
+            f(z) = z**(p-1) / Gamma(p) * e^{-shift z} ((1 - e^{-z}) / z)**m / N,
 
-        evaluated in log space, elementwise in z, and 0 where z <= 0; an atom
-        (m = 0) gives the gamma(p, rate=shift) density.  A law with power < 1
-        (the tilted laws) has no gamma kernel, and a NaN or infinite z has no
-        density: both are ValueError.
+        evaluated in log space with log N, so it needs no float N, elementwise
+        in z, and 0 where z <= 0; an atom (m = 0) gives the gamma(1,
+        rate=shift) density.  A tilted law (power 0) has no gamma kernel, and
+        a NaN or infinite z has no density: both are ValueError.
         """
         if self.power < 1:
             raise ValueError(f"gamma mixture density needs power >= 1, the gamma shape; "
@@ -230,9 +176,10 @@ class MixingDensity:
         out = np.zeros(z_arr.shape)
         pos = z_arr > 0
         z_pos = z_arr[pos]
-        w = z_pos + self.tilt
-        log_f = ((self.power - 1) * np.log(z_pos) - math.lgamma(self.power) - self.shift * w
-                 + self.m * (np.log(-np.expm1(-w)) - np.log(w)) - math.log(self.normalizer))
+        with np.errstate(over="ignore"):  # shift * z past the float range: the density is 0
+            decay = self.shift * z_pos
+        log_f = ((self.power - 1) * np.log(z_pos) - math.lgamma(self.power) - decay
+                 + self.m * (np.log(-np.expm1(-z_pos)) - np.log(z_pos)) - self._log_normalizer)
         out[pos] = np.exp(log_f)
         return out if z_arr.ndim else float(out)
 
@@ -289,13 +236,14 @@ class OrderStatJointDensity:
         if not 0 < x < y:
             return 0.0
         k, l, n = self.k, self.l, self.n
-        return float(
-            self._const
-            * (-np.expm1(-x)) ** (k - 1)
-            * np.exp(-(l - k) * x)
-            * (-np.expm1(-(y - x))) ** (l - k - 1)
-            * np.exp(-(n - l + 1) * y)
-        )
+        with np.errstate(over="ignore"):  # a rate times a stress past the float range: e^-inf = 0
+            return float(
+                self._const
+                * (-np.expm1(-x)) ** (k - 1)
+                * np.exp(-(l - k) * x)
+                * (-np.expm1(-(y - x))) ** (l - k - 1)
+                * np.exp(-(n - l + 1) * y)
+            )
 
     def mixture(self, x, y) -> float | np.ndarray:
         """Elementwise over broadcast x and y, and 0 unless 0 < x < y."""
@@ -473,7 +421,8 @@ def lower_tail_constant(m: int, samples, window: tuple[float, float] = (1e-5, 1e
     """Constant K of the power-law lower tail F(x) ~ K x**m, estimated from
     ``samples`` as the intercept of log(ECDF) - m log(x) over the tail-window
     points, taken and checked as the tail slope takes them (the slope m is
-    known from the structure).  A mixing law's exact K is ``moment(m) / m!``."""
+    known from the structure).  Exact K for checks: the k-th order statistic
+    of n unit exponentials has F(x) ~ C(n, k) x**k."""
     from .stats import _tail_points
 
     xs = np.sort(np.asarray(samples, dtype=float))

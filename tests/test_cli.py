@@ -591,11 +591,10 @@ class TestDensityCommand:
 
     @pytest.mark.parametrize("args, power", [
         (["--kind", "tilted", "--k", "170", "--l", "173", "--n", "400", "--x", "5", "--y", "6"], 0),
-        (["--kind", "order-stat-joint", "--k", "170", "--l", "172", "--n", "400"], 170),
         (["--kind", "mixing", "--k", "170", "--n", "400"], 170),
-    ], ids=["tilted", "order-stat-joint", "mixing"])
+    ], ids=["tilted", "mixing"])
     def test_underflowed_normalizer_is_a_numerical_failure(self, tmp_path, capsys, args, power):
-        # theta**170 overflows on [231, 400], and e^{-5 theta} underflows there
+        # 1 / (231 * 232 * ... * 400) underflows, and so does e^{-5 theta} on [231, 400]
         out = tmp_path / "d"
         assert main(["density", *args, "--out", str(out)]) == 3
         err = capsys.readouterr().err
@@ -603,6 +602,32 @@ class TestDensityCommand:
                               f"power = {power}, tilt = ")
         assert err.count("\n") == 1
         assert not (out / "density.csv").exists()
+
+    @pytest.mark.parametrize("k, l, n", [(4, 200, 1000), (170, 172, 400)])
+    def test_order_stat_joint_needs_no_float_normalizer(self, tmp_path, k, l, n):
+        # the spacing law's normalizer, 1 / (801 * 802 * ... * 996) at (4, 200, 1000),
+        # underflows a float64, but the gamma mixtures read its logarithm
+        out = tmp_path / "d"
+        assert main(["density", "--kind", "order-stat-joint", "--k", str(k), "--l", str(l),
+                     "--n", str(n), "--out", str(out)]) == 0
+        table = np.loadtxt(out / "density.csv", delimiter=",", skiprows=1)
+        direct, mixture, rel = table[:, 2], table[:, 3], table[:, 4]
+        shown = direct > 0
+        assert shown.sum() >= 5
+        assert np.all(np.abs(mixture[shown] - direct[shown]) <= 1e-9 * direct[shown])
+        assert np.all(rel <= 1e-9)
+
+    def test_order_stat_joint_overflow_warns_nothing(self, tmp_path):
+        # rate * y overflows at y = 1e308 in both paths; e^-inf = 0 is the density there
+        out = tmp_path / "d"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")  # what Python would print to stderr
+            assert main(["density", "--kind", "order-stat-joint", "--k", "2", "--l", "4",
+                         "--n", "6", "--x-grid", "1e-300:1e-300:1", "--y-grid", "1e308:1e308:1",
+                         "--out", str(out)]) == 0
+        assert [str(w.message) for w in caught] == []
+        _, rows = read_csv(out / "density.csv")
+        assert [[float(v) for v in r[2:]] for r in rows] == [[0.0, 0.0, 0.0]]
 
     def test_order_stat_joint_disagreement_column(self, tmp_path):
         out = tmp_path / "d"
@@ -613,8 +638,8 @@ class TestDensityCommand:
         assert max(float(r[4]) for r in rows) < 1e-6
 
     def test_order_stat_joint_integrand_calls(self, tmp_path, monkeypatch):
-        # the benchmark's density sizes: the gamma mixtures are closed, so only the
-        # two normalizers integrate, 3 calls on each of their 3 + 4 panels
+        # the benchmark's density sizes: the gamma mixtures and their normalizers
+        # are closed forms, so no Irwin-Hall density is evaluated
         from fiberbundle import threshold
 
         calls = []
@@ -626,7 +651,7 @@ class TestDensityCommand:
         assert rc == 0
         _, rows = read_csv(tmp_path / "d" / "density.csv")
         assert len(rows) == 100
-        assert calls == [3] * 9 + [4] * 12
+        assert calls == []
 
     def test_pattern_density_row(self, tmp_path):
         out = tmp_path / "d"
