@@ -259,9 +259,11 @@ def _resolve(args: argparse.Namespace) -> dict:
             raise ValueError(f"{_flag(key)}: {exc}") from None
         cfg[key] = value
     if args.command == "density":
-        unread = [_flag(k) for k in given if k not in ("kind", "out", *_KIND_READS[cfg["kind"]])]
+        reads = ("kind", "out", *_KIND_READS[cfg["kind"]])
+        unread = [_flag(k) for k in given if k not in reads]
         if unread:
             raise ValueError(f"--kind {cfg['kind']} does not read {', '.join(unread)}")
+        cfg = {k: v for k, v in cfg.items() if k in reads}
     if cfg.get("family") == "exponential":
         if "shape" in given:
             raise ValueError("--shape: --family exponential fixes the shape at 1; "
@@ -511,7 +513,7 @@ def cmd_density(cfg: dict) -> None:
         grid = _grid_values(cfg["grid"] or f"{lo}:{hi}:{(hi - lo) / 50}")
         columns = (grid, mix.pdf(grid))
         header = ["theta", "pdf"]
-        derived["normalizing_constant"] = 1.0 / mix.normalizer
+        derived["log_normalizing_constant"] = -mix.log_normalizer
     elif kind == "order-stat-joint":
         joint = threshold.OrderStatJointDensity(cfg["k"], cfg["l"], cfg["n"])
         xg = _grid_values(cfg["x_grid"] or "0.2:1.0:0.2", "--x-grid")
@@ -522,7 +524,7 @@ def cmd_density(cfg: dict) -> None:
             y = x + np.tile(yg, xg.size)
         if not np.isfinite(y).all():
             raise ValueError("--x-grid, --y-grid: y = x + (y - x) overflows a float64")
-        direct = np.array([joint.direct(xv, yv) for xv, yv in zip(x, y)])
+        direct = joint.direct(x, y)
         mixture = joint.mixture(x, y)
         rel = np.divide(np.abs(direct - mixture), direct, out=np.zeros_like(direct),
                         where=direct != 0)
@@ -534,7 +536,12 @@ def cmd_density(cfg: dict) -> None:
                   for lo, hi in (tc.law1.support, tc.law2.support))
         f1 = np.repeat(tc.law1.pdf(g1), g2.size)
         f2 = np.tile(tc.law2.pdf(g2), g1.size)
-        columns = (np.repeat(g1, g2.size), np.tile(g2, g1.size), f1 * f2, f1, f2)
+        with np.errstate(over="ignore"):  # checked below
+            pdf = f1 * f2
+        if np.isinf(pdf).any():
+            raise ArithmeticError(f"the tilted density at x = {cfg['x']}, y = {cfg['y']} "
+                                  f"overflows a float64")
+        columns = (np.repeat(g1, g2.size), np.tile(g2, g1.size), pdf, f1, f2)
         header = ["theta1", "theta2", "pdf", "factor1", "factor2"]
     else:  # pattern
         if not cfg["pattern"]:

@@ -54,9 +54,10 @@ class StrengthModel:
         return sig
 
     def _hazard(self, x) -> np.ndarray:
-        """Cumulative hazard (x / scale)**shape, 0 for x <= 0."""
+        """Cumulative hazard (x / scale)**shape, 0 for x <= 0, inf past the float range."""
         x = np.asarray(x, dtype=float)
-        return np.where(x > 0, x / self._scale_array(), 0.0) ** self.shape
+        with np.errstate(over="ignore"):
+            return np.where(x > 0, x / self._scale_array(), 0.0) ** self.shape
 
     def cdf(self, x):
         return -np.expm1(-self._hazard(x))
@@ -69,15 +70,16 @@ class StrengthModel:
         return -self._hazard(x)
 
     def pdf(self, x):
+        """Density; 0 unless 0 < x < inf, and 0 where the hazard overflows.  Masked
+        entries are evaluated too, silently, so a 0-d x keeps NumPy's scalar power,
+        whose last bit can differ from the array loop's."""
         x = np.asarray(x, dtype=float)
         sig = self._scale_array()
         rho = self.shape
-        out = np.where(
-            x > 0,
-            (rho / sig) * (x / sig) ** (rho - 1.0) * np.exp(-((x / sig) ** rho)),
-            0.0,
-        )
-        return out
+        with np.errstate(all="ignore"):  # x <= 0, NaN or inf, or a hazard past the float range
+            hazard = (x / sig) ** rho
+            dens = (rho / sig) * (x / sig) ** (rho - 1.0) * np.exp(-hazard)
+        return np.where((0 < x) & (hazard < np.inf), dens, 0.0)
 
     def sample(self, rng: np.random.Generator, n: int, size: int) -> np.ndarray:
         """Draw a (size, n) matrix of component strengths by inverse transform.

@@ -4,7 +4,8 @@ The k-th order statistic of n unit exponentials is a scale mixture of
 gamma(k) laws whose mixing density is a size-biased, shifted convolution of
 uniforms (an Irwin-Hall density); the size bias cancels the gamma kernel's
 rate power, so the mixture is the closed Irwin-Hall Laplace transform.  Every
-mixing law's normalizer is closed too, so the module holds no quadrature.  The
+mixing law's normalizer is closed too, so the module holds no quadrature, and
+the mixing and order-statistic densities are evaluated in log space.  The
 same machinery yields the joint density of the Phase-I breaking stresses and
 the breaking pattern of a monotone load-sharing bundle, and the constant of
 its power-law lower tail.
@@ -92,6 +93,9 @@ class MixingDensity:
     tilted instead (power 0), and N is the Irwin-Hall Laplace transform
     e^{-c t} ((1 - e^{-t}) / t)**m at t = tilt (1 at t = 0).  A gamma(power)
     mixture over a size-biased law is closed too (:meth:`gamma_mixture_pdf`).
+    Densities are evaluated in log space with log N, so they stay
+    finite where N leaves the float range; ``pdf`` is within 5.5e-14,
+    relatively, of 40-digit decimals over the laws tried (m <= 59).
     """
 
     m: int
@@ -114,43 +118,35 @@ class MixingDensity:
         return (self.shift, self.shift + self.m)
 
     @cached_property
-    def _log_normalizer(self) -> float:
-        """log N, finite where N itself under- or overflows a float64."""
+    def _log_shifted_normalizer(self) -> float:
+        """log(N e^{shift tilt}): the integral over u of b_m(u) e^{-tilt u} / (u + shift)**power."""
         c, t = self.shift, self.tilt
         if self.power:
             return -math.fsum(math.log(c + j) for j in range(self.m + 1))
-        return -c * t + (self.m * math.log(-math.expm1(-t) / t) if t else 0.0)
+        return self.m * math.log(-math.expm1(-t) / t) if t else 0.0
 
-    @cached_property
-    def normalizer(self) -> float:
-        """N, the integral of the unnormalized density (atom: its weight), in
-        closed form; unless it is finite and > 0, an ArithmeticError naming
-        the law.  The size-biased N is the float product, within about 1e-15
-        of the exact rational where exp(log N) can be 3e-14 off."""
-        if self.power:
-            total = 1.0 / math.prod(self.shift + j for j in range(self.m + 1))
-        else:
-            total = math.exp(self._log_normalizer)
-        if not 0.0 < total < math.inf:
-            raise ArithmeticError(f"mixing law (m = {self.m}, shift = {self.shift}, power = "
-                                  f"{self.power}, tilt = {self.tilt}) has normalizer {total}: "
-                                  f"its density under- or overflows a float64")
-        return total
-
-    def _raw(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        with np.errstate(over="ignore"):  # theta**power past the float range: raw is 0 there
-            raw = irwin_hall_pdf(self.m, theta - self.shift) / theta**self.power
-        return raw * np.exp(-self.tilt * theta) if self.tilt else raw
+    @property
+    def log_normalizer(self) -> float:
+        """log N (atom: log of its weight), finite where N under- or overflows a float64."""
+        return self._log_shifted_normalizer - self.shift * self.tilt
 
     def pdf(self, theta) -> float | np.ndarray:
+        """exp(log b_m(u) - power log theta - tilt u - log(N e^{shift tilt})), u = theta - shift:
+        no large tilt theta cancels against log N.  Elementwise, and 0 off the support."""
         if self.is_atom:
             raise ValueError(f"point mass at theta = {self.shift}; no density to evaluate")
         theta_arr = np.asarray(theta, dtype=float)
+        out = np.zeros(theta_arr.shape)
         lo, hi = self.support
         inside = (theta_arr >= lo) & (theta_arr <= hi)
-        vals = np.where(inside, self._raw(np.clip(theta_arr, lo, hi)) / self.normalizer, 0.0)
-        return vals if theta_arr.ndim else float(vals)
+        t = theta_arr[inside]
+        u = t - self.shift
+        with np.errstate(divide="ignore", over="ignore"):  # log b_m(0) = -inf; tilt u past floats
+            log_f = np.log(irwin_hall_pdf(self.m, u)) - self.tilt * u
+        if self.power:
+            log_f -= self.power * np.log(t)
+        out[inside] = np.exp(log_f - self._log_shifted_normalizer)
+        return out if theta_arr.ndim else float(out)
 
     def gamma_mixture_pdf(self, z) -> float | np.ndarray:
         """Density at z of the gamma(power, rate=theta) law mixed over this law.
@@ -179,7 +175,7 @@ class MixingDensity:
         with np.errstate(over="ignore"):  # shift * z past the float range: the density is 0
             decay = self.shift * z_pos
         log_f = ((self.power - 1) * np.log(z_pos) - math.lgamma(self.power) - decay
-                 + self.m * (np.log(-np.expm1(-z_pos)) - np.log(z_pos)) - self._log_normalizer)
+                 + self.m * (np.log(-np.expm1(-z_pos)) - np.log(z_pos)) - self.log_normalizer)
         out[pos] = np.exp(log_f)
         return out if z_arr.ndim else float(out)
 
@@ -201,6 +197,16 @@ def _spacing_mixing(k: int, l: int, n: int) -> MixingDensity:
     return MixingDensity(m=l - k - 1, shift=float(n - l + 1), power=l - k)
 
 
+def _on_support(x, y, density) -> float | np.ndarray:
+    """density(x, y) elementwise over broadcast x and y, and 0 unless 0 < x < y."""
+    x_arr, y_arr = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    out = np.zeros(x_arr.shape)
+    inside = (0 < x_arr) & (x_arr < y_arr)
+    with np.errstate(over="ignore"):  # a rate times a stress past the float range: e^-inf = 0
+        out[inside] = density(x_arr[inside], y_arr[inside])
+    return out if out.ndim else float(out)
+
+
 @dataclass(frozen=True)
 class OrderStatJointDensity:
     """Joint density of the (k, l) order statistics of n unit exponentials.
@@ -208,7 +214,9 @@ class OrderStatJointDensity:
     Two independent evaluation paths: ``direct`` is the normalized closed
     form; ``mixture`` re-assembles the density from gamma kernels against the
     two uniform-convolution mixing laws.  They must agree, which is the main
-    numerical check on the whole construction.
+    numerical check on the whole construction.  Both are elementwise in log
+    space and 0 unless 0 < x < y.  ``direct``, with the log of the exact integer
+    n!/((k-1)! (l-k-1)! (n-l)!), is within 3e-13 of the textbook form in decimals.
     """
 
     k: int
@@ -220,11 +228,6 @@ class OrderStatJointDensity:
             raise ValueError("need 1 <= k < l <= n")
 
     @cached_property
-    def _const(self) -> float:
-        k, l, n = self.k, self.l, self.n
-        return math.perm(n, l) / (math.factorial(k - 1) * math.factorial(l - k - 1))
-
-    @cached_property
     def _mix1(self) -> MixingDensity:
         return order_stat_mixing(self.k, self.n)
 
@@ -232,37 +235,23 @@ class OrderStatJointDensity:
     def _mix2(self) -> MixingDensity:
         return _spacing_mixing(self.k, self.l, self.n)
 
-    def direct(self, x: float, y: float) -> float:
-        if not 0 < x < y:
-            return 0.0
+    def direct(self, x, y) -> float | np.ndarray:
         k, l, n = self.k, self.l, self.n
-        with np.errstate(over="ignore"):  # a rate times a stress past the float range: e^-inf = 0
-            return float(
-                self._const
-                * (-np.expm1(-x)) ** (k - 1)
-                * np.exp(-(l - k) * x)
-                * (-np.expm1(-(y - x))) ** (l - k - 1)
-                * np.exp(-(n - l + 1) * y)
-            )
+        log_c = math.log(math.perm(n, l) // (math.factorial(k - 1) * math.factorial(l - k - 1)))
+        return _on_support(x, y, lambda x, y: np.exp(
+            log_c + (k - 1) * np.log(-np.expm1(-x)) - (l - k) * x
+            + (l - k - 1) * np.log(-np.expm1(-(y - x))) - (n - l + 1) * y))
 
     def mixture(self, x, y) -> float | np.ndarray:
-        """Elementwise over broadcast x and y, and 0 unless 0 < x < y."""
-        x_arr, y_arr = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        out = np.zeros(x_arr.shape)
-        inside = (0 < x_arr) & (x_arr < y_arr)
-        xs = x_arr[inside]
-        f1 = self._mix1.gamma_mixture_pdf(xs)
-        f2 = self._mix2.gamma_mixture_pdf(y_arr[inside] - xs)
-        out[inside] = f1 * f2
-        return out if out.ndim else float(out)
+        return _on_support(x, y, lambda x, y: (self._mix1.gamma_mixture_pdf(x)
+                                               * self._mix2.gamma_mixture_pdf(y - x)))
 
-    def marginal_k(self, x: float) -> float:
-        """Closed-form marginal of the k-th order statistic (for checks)."""
-        if x <= 0:
-            return 0.0
+    def marginal_k(self, x) -> float | np.ndarray:
+        """Closed-form marginal of the k-th order statistic (for checks), as ``direct``."""
         k, n = self.k, self.n
-        c = math.perm(n, k) / math.factorial(k - 1)
-        return float(c * (-np.expm1(-x)) ** (k - 1) * np.exp(-(n - k + 1) * x))
+        log_c = math.log(math.perm(n, k) // math.factorial(k - 1))
+        return _on_support(x, np.inf, lambda x, _: np.exp(
+            log_c + (k - 1) * np.log(-np.expm1(-x)) - (n - k + 1) * x))
 
 
 @dataclass(frozen=True)

@@ -587,20 +587,45 @@ class TestDensityCommand:
         rc = main(["density", "--kind", "mixing", "--k", "2", "--n", "5", "--out", str(out)])
         assert rc == 0
         man = json.loads((out / "manifest.json").read_text())
-        assert man["derived"]["normalizing_constant"] == pytest.approx(20.0, abs=1e-6)
+        # 1/N = 4 * 5, and its log stays finite where 1/N overflows a float64
+        assert man["derived"] == {"log_normalizing_constant": pytest.approx(math.log(20.0),
+                                                                            rel=0.0, abs=1e-15)}
 
-    @pytest.mark.parametrize("args, power", [
-        (["--kind", "tilted", "--k", "170", "--l", "173", "--n", "400", "--x", "5", "--y", "6"], 0),
-        (["--kind", "mixing", "--k", "170", "--n", "400"], 170),
-    ], ids=["tilted", "mixing"])
-    def test_underflowed_normalizer_is_a_numerical_failure(self, tmp_path, capsys, args, power):
-        # 1 / (231 * 232 * ... * 400) underflows, and so does e^{-5 theta} on [231, 400]
+    @pytest.mark.parametrize("args", [
+        ["--kind", "tilted", "--k", "170", "--l", "173", "--n", "400", "--x", "5", "--y", "6"],
+        ["--kind", "tilted", "--k", "3", "--l", "6", "--n", "8", "--x", "1e3", "--y", "1e6"],
+        ["--kind", "tilted", "--k", "3", "--l", "6", "--n", "8", "--x", "1", "--y", "1e308"],
+        ["--kind", "mixing", "--k", "170", "--n", "400"],
+    ], ids=["tilted", "tilted-steep", "tilted-overflowing-tilt", "mixing"])
+    def test_underflowed_normalizer_tabulates_finite_density(self, tmp_path, capsys, args):
+        # 1 / (231 * 232 * ... * 400) underflows, and so does e^{-5 theta} on [231, 400];
+        # tilt * theta overflows at y = 1e308.  The pdf reads log N, and its tilt term
+        # is tilt * (theta - shift)
         out = tmp_path / "d"
-        assert main(["density", *args, "--out", str(out)]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith(f"numerical failure: mixing law (m = 169, shift = 231.0, "
-                              f"power = {power}, tilt = ")
-        assert err.count("\n") == 1
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")  # what Python would print to stderr
+            assert main(["density", *args, "--out", str(out)]) == 0
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == ""
+        table = np.loadtxt(out / "density.csv", delimiter=",", skiprows=1)
+        assert np.all(np.isfinite(table))
+        if args[1] == "mixing":
+            theta, pdf = table.T
+            assert pdf.max() == pytest.approx(0.102, abs=1e-3)
+            assert np.sum(pdf) * (theta[1] - theta[0]) == pytest.approx(1.0, abs=1e-6)
+        man = json.loads((out / "manifest.json").read_text())
+        assert all(math.isfinite(v) for v in man.get("derived", {}).values())
+
+    def test_overflowing_tilted_density_is_a_numerical_failure(self, tmp_path, capsys):
+        # each factor peaks near its tilt, 1e300 and 1.7e308: their product is past the floats
+        out = tmp_path / "d"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")  # what Python would print to stderr
+            assert main(["density", "--kind", "tilted", "--k", "2", "--l", "4", "--n", "6",
+                         "--x", "1e300", "--y", "1.7e308", "--out", str(out)]) == 3
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == ("numerical failure: the tilted density at x = 1e+300, "
+                                           "y = 1.7e+308 overflows a float64\n")
         assert not (out / "density.csv").exists()
 
     @pytest.mark.parametrize("k, l, n", [(4, 200, 1000), (170, 172, 400)])
@@ -614,8 +639,21 @@ class TestDensityCommand:
         direct, mixture, rel = table[:, 2], table[:, 3], table[:, 4]
         shown = direct > 0
         assert shown.sum() >= 5
+        # direct, in log space, does not underflow where the mixture is positive
+        assert np.array_equal(shown, mixture > 0)
         assert np.all(np.abs(mixture[shown] - direct[shown]) <= 1e-9 * direct[shown])
         assert np.all(rel <= 1e-9)
+
+    def test_order_stat_joint_with_overflowing_constant(self, tmp_path):
+        # n!/((k-1)! (l-k-1)! (n-l)!) is about 10^453 at (250, 500, 1000): no float holds it
+        out = tmp_path / "d"
+        assert main(["density", "--kind", "order-stat-joint", "--k", "250", "--l", "500",
+                     "--n", "1000", "--x-grid", "0.3:0.3:1", "--y-grid", "0.4:0.4:1",
+                     "--out", str(out)]) == 0
+        _, rows = read_csv(out / "density.csv")
+        (x, y, direct, mixture, rel), = [[float(v) for v in r] for r in rows]
+        assert (x, y) == (0.3, 0.7) and math.isfinite(direct) and direct > 1.0
+        assert abs(mixture - direct) <= 1e-9 * direct and rel <= 1e-9
 
     def test_order_stat_joint_overflow_warns_nothing(self, tmp_path):
         # rate * y overflows at y = 1e308 in both paths; e^-inf = 0 is the density there
@@ -662,6 +700,19 @@ class TestDensityCommand:
         _, rows = read_csv(out / "density.csv")
         expected = (np.exp(-0.3) - np.exp(-0.6)) * np.exp(-0.3)
         assert float(rows[0][1]) == pytest.approx(expected)
+
+    @pytest.mark.parametrize("pattern, s", [("1 2", "1,1e300"), ("1(2)", "1e300")])
+    def test_pattern_density_at_an_overflowing_hazard(self, tmp_path, pattern, s):
+        # (s / scale)**5 overflows a float64 at s = 1e300: the density there is 0
+        out = tmp_path / "d"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")  # what Python would print to stderr
+            assert main(["density", "--kind", "pattern", "--pattern", pattern, "--s", s,
+                         "--rows", "1", "--cols", "2", "--rule", "equal",
+                         "--out", str(out)]) == 0
+        assert [str(w.message) for w in caught] == []
+        _, rows = read_csv(out / "density.csv")
+        assert [r[-1] for r in rows] == ["0.0"]
 
     def test_pattern_input_built_once(self, tmp_path, monkeypatch):
         # five working sets on the pattern's walk, solved once for all ten --s
@@ -869,7 +920,24 @@ class TestOptionRows:
         argv = [command, *(a.format(obs=obs) for a in args), "--out", str(out)]
         assert main(argv) == 0
         config = json.loads((out / "manifest.json").read_text())["config"]
-        assert set(config) == _ROWS[command]
+        if command == "density":  # of its flags, a density kind echoes those it reads
+            assert set(config) == {"kind", "m", "grid", "out"}
+        else:
+            assert set(config) == _ROWS[command]
+
+    @pytest.mark.parametrize("args, reads", [
+        (["--kind", "irwin-hall"], {"m", "grid"}),
+        (["--kind", "mixing"], {"k", "n", "grid"}),
+        (["--kind", "order-stat-joint"], {"k", "l", "n", "x_grid", "y_grid"}),
+        (["--kind", "tilted"], {"k", "l", "n", "x", "y"}),
+        (["--kind", "pattern", "--pattern", "1 2", "--s", "0.5,1", *_SMALL],
+         {"pattern", "s", "rows", "cols", "rule", "family", "shape", "scale"}),
+    ], ids=["irwin-hall", "mixing", "order-stat-joint", "tilted", "pattern"])
+    def test_density_manifest_echoes_only_the_kinds_options(self, tmp_path, args, reads):
+        out = tmp_path / "o"
+        assert main(["density", *args, "--out", str(out)]) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert set(config) == {"kind", "out", *reads}
 
 
 def _readme_command_line():

@@ -102,3 +102,34 @@ def test_sample_holds_one_array():
 def test_parameters_must_be_positive_and_finite(shape, scale, named):
     with pytest.raises(ValueError, match=f"{named} must be positive and finite"):
         StrengthModel("weibull", shape, scale)
+
+
+@pytest.mark.parametrize("model", [
+    StrengthModel("exponential", 1.0, 1.0),
+    StrengthModel("weibull", 0.5, 2.0),
+    StrengthModel("weibull", 5.0, 2.0),
+    StrengthModel("weibull", 5.0, (1.0, 0.5, 2.0)),
+], ids=["exponential", "sqrt", "weibull5", "scale-vector"])
+def test_pdf_at_extreme_loads(model):
+    # 0 at x <= 0, at inf and where the hazard overflows, without a warning (the
+    # suite errors on RuntimeWarning); elsewhere the bytes of the textbook expression
+    x = np.array([[-1.0], [0.0], [1e-300], [1e-3], [0.7], [1.0], [3.0], [1e300], [np.inf],
+                  [np.nan]]) * np.ones(3)
+    got = model.pdf(x)
+    sig, rho = model._scale_array(), model.shape
+    with np.errstate(all="ignore"):
+        want = (rho / sig) * (x / sig) ** (rho - 1.0) * np.exp(-((x / sig) ** rho))
+    finite = (x > 0) & np.isfinite(want)
+    assert got.shape == x.shape
+    assert got[finite].tobytes() == want[finite].tobytes()
+    assert np.all(got[~finite] == 0.0)
+    # one load at a time, NumPy's scalar power, as the pattern densities call it
+    for v in np.random.default_rng(2).uniform(0.01, 3.0, 200).tolist():
+        xv = np.asarray(v)
+        want = (rho / sig) * (xv / sig) ** (rho - 1.0) * np.exp(-((xv / sig) ** rho))
+        assert np.asarray(model.pdf(v)).tobytes() == np.asarray(want).tobytes(), v
+    # the hazard at 1e300 overflows unless the shape is <= 1: cdf 1, sf 0, logsf -hazard
+    assert np.all(model.cdf(1e300) == 1.0) and np.all(model.sf(1e300) == 0.0)
+    with np.errstate(over="ignore"):
+        hazard = (1e300 / sig) ** rho
+    assert np.array_equal(model.logsf(1e300), -hazard)

@@ -83,7 +83,7 @@ class TestIntegratePanels:
         law = law()
         lo, hi = law.support
         want = _integrate_panels(_raw_mixing(law), lo, hi, [law.shift + j for j in range(1, law.m)])
-        assert law.normalizer == pytest.approx(want, rel=1e-14, abs=0.0)
+        assert law.log_normalizer == pytest.approx(math.log(want), rel=0.0, abs=1e-14)
 
 
 class TestIrwinHall:
@@ -169,9 +169,9 @@ class TestMixingDensity:
             mix.pdf(7.0)
 
     def test_k2_n5_closed_form(self):
-        # density proportional to 1/theta^2 on [4, 5]; normalizer 20
+        # density proportional to 1/theta^2 on [4, 5]; normalizer 1/20
         mix = th.order_stat_mixing(2, 5)
-        assert 1.0 / mix.normalizer == pytest.approx(20.0, abs=1e-8)
+        assert -mix.log_normalizer == pytest.approx(math.log(20.0), rel=0.0, abs=1e-15)
         assert mix.pdf(4.5) == pytest.approx(20 / 4.5**2)
         assert mix.pdf(3.99) == 0.0
 
@@ -191,25 +191,54 @@ class TestMixingDensity:
                                        (12, 30, 30), (20, 25, 40)])
     def test_normalizer_is_exact(self, k, l, n):
         # integral of b_{k-1}(theta - (n-k+1)) / theta**k is (n-k)!/n!, and the
-        # spacing law's (n-l)!/(n-k)!
-        for law, want in ((th.order_stat_mixing(k, n), Fraction(1, math.perm(n, k))),
-                          (th._spacing_mixing(k, l, n), Fraction(1, math.perm(n - k, l - k)))):
-            assert law.normalizer == pytest.approx(float(want), rel=1e-14, abs=0.0), law
+        # spacing law's (n-l)!/(n-k)!: log N against the log of the exact integer
+        for law, perm in ((th.order_stat_mixing(k, n), math.perm(n, k)),
+                          (th._spacing_mixing(k, l, n), math.perm(n - k, l - k))):
+            assert law.log_normalizer == pytest.approx(-math.log(perm), rel=0.0, abs=1e-14), law
 
     @pytest.mark.parametrize("law", [
         th.order_stat_mixing(170, 400),
         th.TiltedConditional(170, 173, 400, 5.0, 6.0).law1,
     ], ids=["size-biased", "tilted"])
-    def test_underflowed_normalizer_raises(self, law):
-        # theta**170 overflows on [231, 400], and e^{-5 theta} underflows there
-        msg = (rf"^mixing law \(m = 169, shift = 231\.0, power = {law.power}, "
-               rf"tilt = {law.tilt}\) has normalizer 0\.0: ")
+    def test_underflowed_normalizer_leaves_pdf_finite(self, law):
+        # N = 1 / (231 * 232 * ... * 400) underflows a float64, and so does
+        # e^{-5 theta} on [231, 400]; the pdf reads log N and still integrates to 1
+        lo, hi = law.support
+        theta = np.linspace(lo, hi, 20_001)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ArithmeticError, match=msg):
-                law.normalizer
-            with pytest.raises(ArithmeticError, match=msg):
-                law.pdf(300.0)
+            pdf = law.pdf(theta)
+        assert np.isfinite(law.log_normalizer) and np.all(np.isfinite(pdf))
+        assert pdf[0] == pdf[-1] == 0.0 and pdf.max() > 0.01
+        assert np.sum(pdf) * (theta[1] - theta[0]) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("law", [
+        th.order_stat_mixing(2, 5),
+        th.order_stat_mixing(4, 12),
+        th.order_stat_mixing(12, 30),
+        th.order_stat_mixing(60, 100),
+        th._spacing_mixing(4, 9, 12),
+        th.TiltedConditional(3, 7, 9, 0.3, 1.7).law1,
+        th.TiltedConditional(12, 30, 30, 0.5, 2.0).law2,
+        th.MixingDensity(m=5, shift=2.0, power=0, tilt=6.0),
+    ], ids=["k2n5", "k4n12", "k12n30", "k60n100", "spacing", "tilted1", "tilted2-l30",
+            "tilted-steep"])
+    def test_pdf_against_decimal_log_space(self, law):
+        # b_m(theta - c) e^{-t theta} / theta**p / N in 40-digit decimals, from the
+        # same float b_m(theta - c) (correctly rounded) and the exact N
+        theta = np.linspace(*law.support, 41)[1:-1]
+        got = law.pdf(theta)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 40
+            dec, tilt = decimal.Decimal, decimal.Decimal(law.tilt)
+            if law.power:
+                log_n = -sum(dec(law.shift + j).ln() for j in range(law.m + 1))
+            else:
+                log_n = -dec(law.shift) * tilt + law.m * ((1 - (-tilt).exp()) / tilt).ln()
+            for t, g in zip(theta.tolist(), got.tolist()):
+                b = dec(_irwin_hall_rational(law.m, t - law.shift))
+                want = (b.ln() - law.power * dec(t).ln() - tilt * dec(t) - log_n).exp()
+                assert g == pytest.approx(float(want), rel=1e-13, abs=0.0), t
 
     @pytest.mark.parametrize("law", [
         th.order_stat_mixing(1, 7),
@@ -335,20 +364,56 @@ class TestOrderStatJoint:
 
     def test_large_n_builds_no_huge_factorial(self):
         # n! has 5.6 million digits at n = 10^6; n!/(n-l)! has 54
-        k, l, n, x = 4, 9, 10**6, 1e-5
+        k, l, n, x, y = 4, 9, 10**6, 1e-5, 3e-5
         start = time.perf_counter()
         joint = th.OrderStatJointDensity(k, l, n)
-        const, marginal = joint._const, joint.marginal_k(x)
+        direct, marginal = joint.direct(x, y), joint.marginal_k(x)
         assert time.perf_counter() - start < 1.0
 
         def log_perm(j):  # log n!/(n-j)!, term by term: lgamma(n + 1) alone is 1e-9 off
             return math.fsum(math.log(n - i) for i in range(j))
 
-        want = math.exp(log_perm(l) - math.lgamma(k) - math.lgamma(l - k))
-        assert const == pytest.approx(want, rel=1e-12, abs=0.0)
+        want = math.exp(log_perm(l) - math.lgamma(k) - math.lgamma(l - k)
+                        + (k - 1) * math.log(-math.expm1(-x)) - (l - k) * x
+                        + (l - k - 1) * math.log(-math.expm1(-(y - x))) - (n - l + 1) * y)
+        assert direct == pytest.approx(want, rel=1e-12, abs=0.0)
         want = math.exp(log_perm(k) - math.lgamma(k)) * (-math.expm1(-x)) ** (k - 1) \
             * math.exp(-(n - k + 1) * x)
         assert marginal == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_direct_against_decimal_textbook_form(self):
+        # n!/((k-1)! (l-k-1)! (n-l)!) F(x)^(k-1) f(x) (F(y) - F(x))^(l-k-1) f(y) S(y)^(n-l)
+        # in 40-digit decimals over 2,000 points, at orders whose float product
+        # under- or overflows
+        rng = np.random.default_rng(3)
+        for (k, l, n), scale in (((4, 9, 12), 2.0), ((4, 200, 1000), 0.5), ((250, 500, 1000), 2.0)):
+            x = rng.uniform(0.0, scale, 2000)
+            y = x + rng.uniform(0.0, scale, 2000)
+            got = th.OrderStatJointDensity(k, l, n).direct(x, y)
+            const = math.perm(n, l) // (math.factorial(k - 1) * math.factorial(l - k - 1))
+            with decimal.localcontext() as ctx:
+                ctx.prec = 40
+                for xv, yv, g in zip(x.tolist(), y.tolist(), got.tolist()):
+                    dx, dy = decimal.Decimal(xv), decimal.Decimal(yv)
+                    sx, sy = (-dx).exp(), (-dy).exp()
+                    want = (const * (1 - sx) ** (k - 1) * sx * (sx - sy) ** (l - k - 1) * sy
+                            * sy ** (n - l))
+                    assert g > 0.0 or want < decimal.Decimal("1e-320"), (k, l, n, xv, yv)
+                    if want > decimal.Decimal("1e-300"):
+                        assert g == pytest.approx(float(want), rel=1e-12, abs=0.0), (k, l, n)
+
+    def test_batched_direct_equals_scalar_calls(self):
+        joint = th.OrderStatJointDensity(4, 9, 12)
+        xv = [-0.5, -0.0, 0.0, 1e-3, 0.13, 0.4, 0.4, 0.9, 1.7, np.nan]
+        yv = [-0.2, 0.0, 0.13, 0.4, 0.5, 1.1, 1.7, 2.3, np.inf]
+        x, y = np.meshgrid(xv, yv, indexing="ij")
+        batch = joint.direct(x, y)
+        assert batch.shape == x.shape
+        assert batch.tolist() == [[joint.direct(a, b) for b in yv] for a in xv]
+        assert (batch > 0).sum() == 23 and (batch[~(x < y)] == 0).all()
+        assert type(joint.direct(0.4, 1.1)) is float and type(joint.marginal_k(0.4)) is float
+        assert joint.marginal_k(np.array([-1.0, 0.0, 0.5, np.inf])).tolist() == \
+            [0.0, 0.0, joint.marginal_k(0.5), 0.0]
 
     def test_ordering_enforced(self):
         joint = th.OrderStatJointDensity(2, 4, 6)
