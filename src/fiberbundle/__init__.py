@@ -1,7 +1,7 @@
 """Fiber bundle strength toolkit.
 
 Monotone load-sharing rules from absorbing Markov chains, Phase I/II failure
-cascades and chain-of-bundles sampling, exact state (Gibbs) measures for small
+cascades and chain-of-bundles strengths, exact state (Gibbs) measures for small
 bundles, gamma-mixture threshold densities, and censored strength statistics.
 
 Submodules and the names below are imported on first access (PEP 562), so

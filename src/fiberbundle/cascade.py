@@ -26,7 +26,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .distributions import StrengthModel
+from .distributions import StrengthModel, _ascending
 from .loadshare import (_REL_TOL, NonMonotoneRuleError, Rule, _check_n, _rule_rows, _table_fits,
                         share_table)
 
@@ -121,10 +121,7 @@ class PatternCycle:
             raise ValueError("components must be >= 0")
 
     def components(self) -> frozenset[int]:
-        out = {self.phase1}
-        for g in self.groups:
-            out |= g
-        return frozenset(out)
+        return frozenset((self.phase1,)).union(*self.groups)
 
 
 @dataclass(frozen=True)
@@ -143,10 +140,7 @@ class BreakingPattern:
             seen |= comps
 
     def components(self) -> frozenset[int]:
-        out: set[int] = set()
-        for cyc in self.cycles:
-            out |= cyc.components()
-        return frozenset(out)
+        return frozenset().union(*(cyc.components() for cyc in self.cycles))
 
     def __str__(self) -> str:
         return format_pattern(self)
@@ -543,25 +537,25 @@ def sample_bundle_strengths(model: StrengthModel, rule: Rule, structure: Structu
     return out
 
 
-def chain_strength(samples, m: int, seed: int = 0, draws: int | None = None) -> np.ndarray:
-    """Chain-of-bundles strengths: minima of m >= 1 draws from the bundle pool.
-
-    The (draws, m) pool indices are drawn and reduced ``_BLOCK`` (4,096)
-    rows at a time. The generator's stream runs on from one call to the next,
-    so the result equals one draw of all the rows at once.
-    """
+def chain_strength(samples, m: int) -> np.ndarray:
+    """Strengths of chains of m >= 1 bundles in series by the weakest-link law
+    H = 1 - (1 - G)**m (Harlow & Phoenix 1978): the k = max(1, N // m) quantiles
+    of H_N = 1 - (1 - G_N)**m, G_N the ECDF of the N samples, at p_i = (i + 1/2) / k,
+    ascending.  Value i is x_(ceil(N q_i)), q_i = 1 - (1 - p_i)**(1/m); m = 1 gives
+    the sorted sample.  The minima of m resampled strengths this once returned are
+    k draws from the same H_N.  A sorted sample is read in place; the indices are
+    built ``_BLOCK`` (4,096) at a time."""
     if m < 1:
         raise ValueError("chain length must be >= 1")
-    pool = np.asarray(samples, dtype=float)
-    if pool.size == 0:
+    xs = _ascending(samples)
+    if xs.size == 0:
         raise ValueError("bundle sample pool is empty")
-    if draws is None:
-        draws = max(1, pool.size // m)
-    rng = np.random.default_rng([seed])
-    out = np.empty(draws)
-    for lo in range(0, draws, _BLOCK):
-        idx = rng.integers(0, pool.size, size=(min(_BLOCK, draws - lo), m))
-        np.min(pool[idx], axis=1, out=out[lo:lo + _BLOCK])
+    k = max(1, xs.size // m)
+    out = np.empty(k)
+    for lo in range(0, k, _BLOCK):
+        p = (np.arange(lo, min(lo + _BLOCK, k)) + 0.5) / k
+        q = -np.expm1(np.log1p(-p) / m)
+        out[lo:lo + _BLOCK] = xs[np.ceil(xs.size * q).astype(np.intp) - 1]
     return out
 
 

@@ -324,9 +324,6 @@ def cmd_simulate(cfg: dict) -> None:
     )
     from .csvtext import write_csv
     write_csv(outdir / "samples.csv", ["strength"], [(samples,)])
-    chain = None
-    if cfg["chain"] > 1:  # resamples the drawn order, so before the sort
-        chain = chain_strength(samples, cfg["chain"], seed=cfg["seed"])
     samples.sort()  # once, in place, for the plot and the tail fit to read
     write_csv(outdir / "weibull_plot.csv", ["ln_x", "ln_neg_ln_sf"],
               stats.weibull_plot_blocks(samples))
@@ -341,7 +338,8 @@ def cmd_simulate(cfg: dict) -> None:
         "inflation_factor": stats.inflation_factor(fit.slope, model.shape),
     })
     derived = {"n_samples": int(samples.size)}
-    if chain is not None:
+    if cfg["chain"] > 1:
+        chain = chain_strength(samples, cfg["chain"])  # reads the sorted sample in place
         write_csv(outdir / "chain.csv", ["strength"], [(chain,)])
         derived["n_chain"] = int(chain.size)
     _manifest(outdir, "simulate", cfg, derived)
@@ -376,7 +374,8 @@ def cmd_gibbs(cfg: dict) -> None:
             model, rule, _structure(cfg), cfg["replicas"], seed=cfg["seed"],
             workers=_workers(cfg),
         )
-    levels = dict(zip(ps, gibbs.strength_percentile(samples, ps)))
+    # partitions the strengths in place: nothing else reads them
+    levels = dict(zip(ps, _linear_quantiles(samples, np.array(ps) / 100, overwrite=True).tolist()))
     for p, level in levels.items():
         if not level > 0:  # build_gibbs would reject the load as a usage error
             raise ArithmeticError(
@@ -532,8 +531,11 @@ def cmd_density(cfg: dict) -> None:
         header = ["x", "y", "direct", "mixture", "rel_err"]
     elif kind == "tilted":
         tc = threshold.TiltedConditional(cfg["k"], cfg["l"], cfg["n"], cfg["x"], cfg["y"])
-        g1, g2 = (_grid_values(f"{lo}:{hi}:{(hi - lo) / 20}", "--kind tilted")
-                  for lo, hi in (tc.law1.support, tc.law2.support))
+        # each law's support, cut to the gamma(m, tilt) bulk of a steep tilt but >= 20 ulps wide
+        bounds = [(law.shift, law.shift + min(law.m, max((law.m + 6 * math.sqrt(law.m) + 6) / law.tilt,
+                                                          20 * math.ulp(law.shift))))
+                  for law in (tc.law1, tc.law2)]
+        g1, g2 = (_grid_values(f"{lo}:{hi}:{(hi - lo) / 20}", "--kind tilted") for lo, hi in bounds)
         f1 = np.repeat(tc.law1.pdf(g1), g2.size)
         f2 = np.tile(tc.law2.pdf(g2), g1.size)
         with np.errstate(over="ignore"):  # checked below

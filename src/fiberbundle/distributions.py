@@ -79,6 +79,11 @@ class StrengthModel:
         with np.errstate(all="ignore"):  # x <= 0, NaN or inf, or a hazard past the float range
             hazard = (x / sig) ** rho
             dens = (rho / sig) * (x / sig) ** (rho - 1.0) * np.exp(-hazard)
+            sub = (0 < x) & (x / sig < np.finfo(float).tiny)  # a ratio with lost digits, or 0
+            if sub.any():  # there the density is taken in log space
+                log_ratio = np.log(x) - np.log(sig)
+                log_dens = np.log(rho / sig) + (rho - 1.0) * log_ratio - np.exp(rho * log_ratio)
+                dens = np.where(sub, np.exp(log_dens), dens)
         return np.where((0 < x) & (hazard < np.inf), dens, 0.0)
 
     def sample(self, rng: np.random.Generator, n: int, size: int) -> np.ndarray:
@@ -90,6 +95,14 @@ class StrengthModel:
         with np.errstate(over="ignore"):
             e **= 1.0 / self.shape  # in place, through the same power loop as e ** (1 / shape)
             return np.multiply(self._scale_array(n), e, out=e)
+
+
+def _ascending(samples) -> np.ndarray:
+    """``samples`` as a float array in non-decreasing order: itself, else a sorted
+    copy.  The order is checked 2^16 neighbour pairs at a time: 64 KB masks."""
+    xs = np.asarray(samples, dtype=float)
+    runs = (xs[lo:lo + (1 << 16) + 1] for lo in range(0, xs.size, 1 << 16))
+    return xs if all(bool(np.all(a[:-1] <= a[1:])) for a in runs) else np.sort(xs)
 
 
 def _linear_quantiles(a, q, overwrite: bool = False):

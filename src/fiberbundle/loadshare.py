@@ -141,10 +141,7 @@ class Configuration:
 
     @property
     def mask(self) -> int:
-        m = 0
-        for i in self.working:
-            m |= 1 << i
-        return m
+        return sum(1 << i for i in self.working)
 
     def __len__(self) -> int:
         return len(self.working)

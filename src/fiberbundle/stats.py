@@ -13,6 +13,8 @@ from typing import Iterator
 
 import numpy as np
 
+from .distributions import _ascending
+
 __all__ = [
     "KMCurve",
     "WeibullFit",
@@ -173,13 +175,6 @@ def weibull_plot_points(x, survival) -> tuple[np.ndarray, np.ndarray]:
     return lx, ly
 
 
-def _ascending(samples) -> np.ndarray:
-    """``samples`` as a float array in non-decreasing order: the array itself
-    when it already is, else a sorted copy."""
-    xs = np.asarray(samples, dtype=float)
-    return xs if bool(np.all(xs[:-1] <= xs[1:])) else np.sort(xs)
-
-
 _PLOT_BLOCK = 1 << 13  # sample points per plot block: its temporaries stay a few hundred KB
 
 
@@ -241,16 +236,18 @@ def tail_window(nobs: int, window: tuple[float, float]) -> range:
     return range(first, stop)
 
 
-def _tail_points(xs: np.ndarray, window: tuple[float, float]) -> tuple[range, np.ndarray]:
-    """The :func:`tail_window` positions of the sorted sample ``xs`` and its
-    strengths there, each finite and > 0, else ``ArithmeticError``."""
+def _tail_points(samples, window: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
+    """ECDF values (position + 1) / n at the :func:`tail_window` positions of the
+    sorted sample (read in place if already sorted) and its strengths there, each
+    finite and > 0, else ``ArithmeticError``."""
+    xs = _ascending(samples)
     pos = tail_window(xs.size, window)
     tail = xs[pos.start:pos.stop]
     bad = np.count_nonzero(~((tail > 0) & (tail < math.inf)))  # NaN counts too
     if bad:
         raise ArithmeticError(f"{bad} of the {tail.size} strengths in quantile window {window} "
                               "are zero or not finite; the tail fit needs positive ones")
-    return pos, tail
+    return np.arange(pos.start + 1, pos.stop + 1) / xs.size, tail
 
 
 def lower_tail_slope(samples, window: tuple[float, float] = (1e-5, 1e-3)) -> TailFit:
@@ -262,10 +259,9 @@ def lower_tail_slope(samples, window: tuple[float, float] = (1e-5, 1e-3)) -> Tai
     ``ArithmeticError`` naming how many.  A sample already in non-decreasing
     order is read in place, not sorted again.
     """
-    xs = _ascending(samples)
-    pos, tail = _tail_points(xs, window)
+    ecdf, tail = _tail_points(samples, window)
     lx = np.log(tail)
-    ly = np.log(-np.log(1.0 - np.arange(pos.start + 1, pos.stop + 1) / xs.size))
+    ly = np.log(-np.log(1.0 - ecdf))
     lo, hi = window
     n = lx.size
     sxx = float(np.sum((lx - lx.mean()) ** 2))
@@ -379,9 +375,7 @@ def pbd_posterior(partition: IntervalPartition, base, total_mass: float,
             raise ValueError(f"cell index out of range in {cells}")
         cell_sets.append(cells)
 
-    space = 1
-    for cells in cell_sets:
-        space *= len(cells)
+    space = math.prod(len(cells) for cells in cell_sets)
 
     # (counts, log weight) pairs; products over many observations overflow a float
     log_weights: list[tuple[tuple[int, ...], float]] = []

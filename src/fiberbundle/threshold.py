@@ -411,13 +411,11 @@ def lower_tail_constant(m: int, samples, window: tuple[float, float] = (1e-5, 1e
     ``samples`` as the intercept of log(ECDF) - m log(x) over the tail-window
     points, taken and checked as the tail slope takes them (the slope m is
     known from the structure).  Exact K for checks: the k-th order statistic
-    of n unit exponentials has F(x) ~ C(n, k) x**k."""
+    of n unit exponentials has F(x) ~ C(n, k) x**k.  A sorted sample is read in place."""
     from .stats import _tail_points
 
-    xs = np.sort(np.asarray(samples, dtype=float))
-    pos, tail = _tail_points(xs, window)
-    ranks = np.arange(pos.start + 1, pos.stop + 1) / xs.size
-    logk = np.log(ranks) - m * np.log(tail)
+    ecdf, tail = _tail_points(samples, window)
+    logk = np.log(ecdf) - m * np.log(tail)
     return float(np.exp(logk.mean()))
 
 

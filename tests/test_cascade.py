@@ -724,23 +724,46 @@ class TestSampling:
 
 class TestChain:
     def test_length_one_keeps_distribution(self):
+        # the quantiles of the sample's own ECDF at (i + 1/2) / N are its order statistics
         pool = np.random.default_rng(0).uniform(size=20_000)
-        out = chain_strength(pool, 1, seed=1)
-        assert sps.ks_2samp(pool, out).statistic < 0.02
+        assert chain_strength(pool, 1).tobytes() == np.sort(pool).tobytes()
 
     def test_chain_of_two_uniform_closed_form(self):
         pool = np.random.default_rng(1).uniform(size=400_000)
-        out = chain_strength(pool, 2, seed=2)
+        out = chain_strength(pool, 2)
+        assert out.size == 200_000
         assert sps.kstest(out, lambda x: 1 - (1 - x) ** 2).statistic < 0.01
 
-    @pytest.mark.parametrize("m", [3, 5, 22])
-    def test_blocks_equal_one_draw_of_every_row(self, monkeypatch, m):
-        # 7-row blocks of m indices: odd counts of 32-bit draws per block, the last block short
-        monkeypatch.setattr(cascade, "_BLOCK", 7)
-        pool = np.random.default_rng(4).uniform(size=1001)
-        idx = np.random.default_rng([9]).integers(0, pool.size, size=(101, m))
-        assert np.array_equal(chain_strength(pool, m, seed=9, draws=101),
-                              pool[idx].min(axis=1))
+    @pytest.mark.parametrize("m", [1, 2, 5, 22, 1000])
+    def test_quantiles_of_the_plug_in_law(self, monkeypatch, m):
+        # value i is the p_i = (i + 1/2) / k quantile of H_N = 1 - (1 - G_N)**m, G_N the
+        # sample's ECDF: H_N(v_i-) < p_i <= H_N(v_i); 1000-value blocks, the last one short
+        monkeypatch.setattr(cascade, "_BLOCK", 1000)
+        pool = np.random.default_rng(4).weibull(5.0, size=100_003)
+        out = chain_strength(pool, m)
+        k = max(1, pool.size // m)
+        assert out.shape == (k,) and np.all(out[:-1] <= out[1:])
+        xs = np.sort(pool)
+        below, at = (1 - (1 - np.searchsorted(xs, out, side) / xs.size) ** m
+                     for side in ("left", "right"))
+        p = (np.arange(k) + 0.5) / k
+        assert np.all(below < p) and np.all(p <= at)
+
+    def test_sorted_sample_read_in_place(self):
+        # a sorted sample is read, not copied: the output is all that is allocated
+        pool = np.sort(np.random.default_rng(5).uniform(size=1_000_000))
+        shuffled = np.random.default_rng(6).permutation(pool)
+        kept = shuffled.copy()
+        tracemalloc.start()
+        try:
+            out = chain_strength(pool, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out.nbytes + (1 << 20), peak
+        # an unsorted sample is sorted in a copy, and gives the same chain
+        assert chain_strength(shuffled, 4).tobytes() == out.tobytes()
+        assert np.array_equal(shuffled, kept)
 
     def test_chain_validation(self):
         with pytest.raises(ValueError, match="chain length must be >= 1"):
@@ -760,7 +783,7 @@ class TestChain:
         x0 = np.quantile(pool, 2e-4)
         f1 = np.searchsorted(pool_sorted, x0) / pool.size
         for m in (4, 22):
-            chain = chain_strength(pool, m, seed=6, draws=2_000_000)
+            chain = chain_strength(pool, m)
             ratio = np.mean(chain <= x0) / f1
             assert 0.85 * m <= ratio <= 1.15 * m
 

@@ -413,8 +413,10 @@ def test_one_absorbing_solve_per_mask_per_run(tmp_path, monkeypatch, argv, solve
 @pytest.mark.parametrize("command, per_replica", [
     ("cycles", 16), ("simulate", 24),
     pytest.param("simulate --chain 2", 24, id="simulate-chain-24"),
-    # the chain (replicas / 2 strengths) is drawn before the sample is sorted in place
+    # the chain (replicas / 2 strengths) is taken from the sorted sample in place
     pytest.param("simulate --chain 2", 20, id="simulate-chain-20"),
+    # the percentile levels partition the strengths in place
+    pytest.param("gibbs --percentiles 1,50", 12, id="gibbs"),
 ])
 def test_memory_per_replica(tmp_path, command, per_replica):
     # the sampler's one 8-byte strength array, plus what the command holds beside it
@@ -615,6 +617,21 @@ class TestDensityCommand:
             assert np.sum(pdf) * (theta[1] - theta[0]) == pytest.approx(1.0, abs=1e-6)
         man = json.loads((out / "manifest.json").read_text())
         assert all(math.isfinite(v) for v in man.get("derived", {}).values())
+
+    @pytest.mark.parametrize("args", [
+        [],  # the defaults: both grids span the whole support
+        ["--k", "3", "--l", "6", "--n", "8", "--x", "1e3", "--y", "1e6"],
+        ["--k", "170", "--l", "173", "--n", "400", "--x", "5", "--y", "6"],
+        ["--k", "5", "--l", "9", "--n", "12", "--x", "2", "--y", "30"],
+    ], ids=["defaults", "steep", "k170", "steep-spacing"])
+    def test_tilted_grids_hold_each_law(self, tmp_path, args):
+        # a law's grid ends (m + 6 sqrt(m) + 6) / tilt past its shift where that falls inside
+        # its support, so 21 points resolve a steep tilt: each Riemann sum is within 10% of 1
+        out = tmp_path / "d"
+        assert main(["density", "--kind", "tilted", *args, "--out", str(out)]) == 0
+        theta1, theta2, _, f1, f2 = np.loadtxt(out / "density.csv", delimiter=",", skiprows=1).T
+        for theta, f in ((theta1[::21], f1[::21]), (theta2[:21], f2[:21])):
+            assert np.sum(f) * (theta[1] - theta[0]) == pytest.approx(1.0, rel=0.1)
 
     def test_overflowing_tilted_density_is_a_numerical_failure(self, tmp_path, capsys):
         # each factor peaks near its tilt, 1e300 and 1.7e308: their product is past the floats

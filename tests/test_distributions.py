@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -133,3 +134,27 @@ def test_pdf_at_extreme_loads(model):
     with np.errstate(over="ignore"):
         hazard = (1e300 / sig) ** rho
     assert np.array_equal(model.logsf(1e300), -hazard)
+
+
+def _exact_weibull_pdf(shape, scale, x, digits=50) -> float:
+    """(shape / scale) r**(shape - 1) exp(-r**shape), r = x / scale, in 50-digit decimals."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        rho, r = Decimal(shape), Decimal(x) / Decimal(scale)
+        hazard = (rho * r.ln()).exp()
+        return float(rho / Decimal(scale) * hazard / r * (-hazard).exp())
+
+
+@pytest.mark.parametrize("shape, scale, x", [
+    (0.5, 2.0, 5e-324),  # x / scale underflows to 0
+    (0.5, 1e10, 1e-300),  # x is normal, x / scale is not
+    (0.25, 3.0, 1e-320),
+    (1.01, 2.0, 5e-324),  # a ratio of 0 gave density 0
+], ids=["sqrt-zero-ratio", "sqrt-subnormal-ratio", "quarter", "shape-past-1"])
+def test_pdf_below_the_normal_ratio(shape, scale, x):
+    # where x / scale is below the normal floats the density is taken in logs: within
+    # 1e-12 of the exact value, where a ratio of 0 gave inf or 0
+    got = float(StrengthModel("weibull", shape, scale).pdf(x))
+    assert got == pytest.approx(_exact_weibull_pdf(shape, scale, x), rel=1e-12, abs=0.0)
+    vector = StrengthModel("weibull", shape, (1.0, scale)).pdf(np.array([1.0, x]))
+    assert vector[1] == got
