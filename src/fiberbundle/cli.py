@@ -531,8 +531,9 @@ def cmd_density(cfg: dict) -> None:
         header = ["x", "y", "direct", "mixture", "rel_err"]
     elif kind == "tilted":
         tc = threshold.TiltedConditional(cfg["k"], cfg["l"], cfg["n"], cfg["x"], cfg["y"])
-        # each law's support, cut to the gamma(m, tilt) bulk of a steep tilt but >= 20 ulps wide
-        bounds = [(law.shift, law.shift + min(law.m, max((law.m + 6 * math.sqrt(law.m) + 6) / law.tilt,
+        # each law's support, cut to mean + 3 sd of the gamma(m, tilt) bulk of a steep tilt,
+        # (m + 3 sqrt(m)) / tilt, so 21 points span its own spread; but >= 20 ulps wide
+        bounds = [(law.shift, law.shift + min(law.m, max((law.m + 3 * math.sqrt(law.m)) / law.tilt,
                                                           20 * math.ulp(law.shift))))
                   for law in (tc.law1, tc.law2)]
         g1, g2 = (_grid_values(f"{lo}:{hi}:{(hi - lo) / 20}", "--kind tilted") for lo, hi in bounds)

@@ -36,7 +36,7 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 _Z95 = 1.959963984540054  # central 95% normal quantile
-_MLE_TOL = 1e-10  # the largest |profile derivative| at a converged Weibull fit's root
+_MLE_TOL = 1e-10  # the largest |profile score| at a converged Weibull fit's root
 
 
 @dataclass(frozen=True)
@@ -115,11 +115,16 @@ def weibull_mle_censored(samples) -> WeibullFit:
 
     Profiles the shape: given rho, the scale is closed form, and the shape
     solves 1/rho + mean(log x | events) = weighted mean of log x with weights
-    x**rho over all observations.  Solved by bracketed root finding with
-    geometric bracket expansion; converged if |profile derivative| <= 1e-10.
+    x**rho over all observations.  This profile score is strictly decreasing:
+    its derivative is -1/rho**2 minus the weighted variance of log x.  A
+    bracket grown geometrically holds the root, and Newton steps on the score
+    find it; a step that would leave the bracket is a bisection instead, and
+    the score's sign at each step shrinks the bracket.  It stops once a step
+    or the bracket is below 1e-13 + 8.9e-16 rho; converged if |score| <= 1e-10
+    there.  If every uncensored value sits at the sample maximum, the
+    likelihood grows without bound in rho and no finite fit exists: a
+    ValueError.
     """
-    from scipy.optimize import brentq
-
     x, event = _as_censored(samples)
     d = int(event.sum())
     if d < 2:
@@ -130,25 +135,49 @@ def weibull_mle_censored(samples) -> WeibullFit:
         raise ValueError("degenerate data: all observations equal")
 
     lmax = logx.max()
+    if not mean_unc < lmax:
+        raise ValueError("no finite MLE: the mean uncensored log value is not below the "
+                         "largest log value, so the likelihood grows without bound in the shape")
 
-    def profile(rho: float) -> float:
+    def score(rho: float) -> tuple[float, float]:
+        """The profile score at rho and its derivative in rho."""
         w = np.exp(rho * (logx - lmax))
-        return 1.0 / rho + mean_unc - float(np.sum(w * logx) / np.sum(w))
+        total = np.sum(w)
+        mean = float(np.sum(w * logx) / total)
+        dev = logx - mean  # centred: m2 - m1**2 would cancel
+        return 1.0 / rho + mean_unc - mean, -1.0 / rho**2 - float(np.sum(w * dev * dev) / total)
 
     lo, hi = 1e-3, 8.0
-    while profile(lo) < 0 and lo > 1e-12:
+    while score(lo)[0] < 0 and lo > 1e-12:
         lo /= 8.0
     expansions = 0
-    while profile(hi) > 0:
+    while score(hi)[0] > 0:
         hi *= 2.0
         expansions += 1
         if expansions > 60:
             raise ValueError(
                 f"profile root bracket failed to close: value at rho={hi:.3e} "
-                f"is {profile(hi):.3e} (degenerate or pathological data)"
+                f"is {score(hi)[0]:.3e} (degenerate or pathological data)"
             )
-    rho = float(brentq(profile, lo, hi, xtol=1e-13, rtol=8.9e-16, maxiter=200))
-    converged = abs(profile(rho)) <= _MLE_TOL
+    rho = hi
+    for _ in range(200):
+        f, slope = score(rho)
+        if f > 0:
+            lo = rho
+        elif f < 0:
+            hi = rho
+        else:
+            break
+        step = f / slope
+        tol = 1e-13 + 8.9e-16 * rho
+        rho -= step
+        if abs(step) < tol:
+            break
+        if not lo < rho < hi:
+            rho = 0.5 * (lo + hi)
+        if hi - lo < tol:
+            break
+    converged = abs(score(rho)[0]) <= _MLE_TOL
     log_sigma = lmax + math.log(np.sum(np.exp(rho * (logx - lmax))) / d) / rho
     sigma = math.exp(log_sigma)
     loglik = float(d * math.log(rho) - d * rho * log_sigma + (rho - 1.0) * logx[event].sum() - d)

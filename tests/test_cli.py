@@ -298,6 +298,17 @@ class TestAnalyze:
     def test_missing_input_flag(self, tmp_path):
         assert main(["analyze", "--out", str(tmp_path / "o")]) == 2
 
+    def test_no_finite_mle_is_a_usage_error(self, tmp_path, capsys):
+        # both uncensored values sit at the sample maximum: no finite shape maximizes the likelihood
+        f = tmp_path / "obs.csv"
+        f.write_text("value,censored\n2.0,0\n2.0,0\n1.0,1\n")
+        out = tmp_path / "an"
+        assert main(["analyze", "--input", str(f), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: no finite MLE: the mean uncensored log value is not below the largest log "
+            "value, so the likelihood grows without bound in the shape\n")
+        assert not (out / "weibull_fit.json").exists()
+
 
 class TestCycles:
     def test_high_peak_all_first_cycle(self, tmp_path):
@@ -623,9 +634,11 @@ class TestDensityCommand:
         ["--k", "3", "--l", "6", "--n", "8", "--x", "1e3", "--y", "1e6"],
         ["--k", "170", "--l", "173", "--n", "400", "--x", "5", "--y", "6"],
         ["--k", "5", "--l", "9", "--n", "12", "--x", "2", "--y", "30"],
-    ], ids=["defaults", "steep", "k170", "steep-spacing"])
+        ["--x", "10", "--y", "11"],
+        ["--x", "40", "--y", "41"],  # law1 decays over 1/40 of its unit support
+    ], ids=["defaults", "steep", "k170", "steep-spacing", "m1-tilt10", "m1-tilt40"])
     def test_tilted_grids_hold_each_law(self, tmp_path, args):
-        # a law's grid ends (m + 6 sqrt(m) + 6) / tilt past its shift where that falls inside
+        # a law's grid ends (m + 3 sqrt(m)) / tilt past its shift where that falls inside
         # its support, so 21 points resolve a steep tilt: each Riemann sum is within 10% of 1
         out = tmp_path / "d"
         assert main(["density", "--kind", "tilted", *args, "--out", str(out)]) == 0
@@ -1077,8 +1090,28 @@ from fiberbundle.loadshare import EqualRule
 prob = threshold.pattern_probability(parse_pattern("1 2"), EqualRule(2), 2, unit_exponential())
 after_prob = sorted(k for k in sys.modules if k.startswith("scipy"))
 rc_analyze = cli.main(["analyze", "--input", out + "/obs.csv", "--out", out + "/an"])
+after_analyze = sorted(k for k in sys.modules if k.startswith("scipy"))
 print(json.dumps({"loaded": loaded, "after_gibbs": after_gibbs, "after_prob": after_prob,
+                  "after_analyze": after_analyze, "numpy_ma": "numpy.ma" in sys.modules,
                   "analyze": rc_analyze, "gibbs": rc_gibbs, "prob": prob}))
+"""
+
+# every command once, with every scipy import failing: the package runs on NumPy alone
+_WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None  # an import of scipy or of any scipy submodule raises ImportError
+import fiberbundle.cli as cli
+out = sys.argv[1]
+with open(out + "/obs.csv", "w") as fh:
+    fh.write("value,censored\\n1.0,0\\n1.5,0\\n2.0,0\\n2.5,1\\n2.2,0\\n")
+small = ["--rows", "1", "--cols", "2", "--rule", "equal", "--replicas", "2000", "--workers", "1"]
+print(*(cli.main([*argv, "--out", out + "/" + argv[0]]) for argv in [
+    ["simulate", *small, "--tail-lo", "1e-2", "--tail-hi", "0.5"],
+    ["cycles", *small],
+    ["gibbs", *small, "--percentiles", "10,50"],
+    ["analyze", "--input", out + "/obs.csv"],
+    ["density", "--kind", "tilted"],
+]))
 """
 
 
@@ -1168,7 +1201,16 @@ def test_cli_import_loads_no_scipy(tmp_path):
     assert result["loaded"] == []
     assert result["after_gibbs"] == []
     assert result["after_prob"] == []
+    assert result["after_analyze"] == [] and not result["numpy_ma"]
     assert result["analyze"] == 0 and result["gibbs"] == 0
     assert (tmp_path / "an" / "weibull_fit.json").exists()
     assert (tmp_path / "gb" / "lmf.json").exists()
     assert result["prob"] == pytest.approx(1 / 3, abs=1e-15)
+
+
+def test_every_command_runs_without_scipy(tmp_path):
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, str(tmp_path)],
+                          capture_output=True, text=True, env=_child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0"] * 5
+    assert (tmp_path / "analyze" / "weibull_fit.json").exists()

@@ -119,7 +119,62 @@ class TestCensoredInput:
         assert errors[0] == errors[1]
 
 
+def _brentq_rho_sigma(data):
+    """The shape and scale of a censored Weibull fit, with the profile score's
+    root found by ``scipy.optimize.brentq`` on the bracket [1e-3, 8 * 2**k]."""
+    from scipy.optimize import brentq
+
+    x = np.array([v for v, _ in data])
+    event = ~np.array([c for _, c in data])
+    logx = np.log(x)
+    lmax, mean_unc = logx.max(), logx[event].mean()
+
+    def profile(rho):
+        w = np.exp(rho * (logx - lmax))
+        return 1.0 / rho + mean_unc - np.sum(w * logx) / np.sum(w)
+
+    hi = 8.0
+    while profile(hi) > 0:
+        hi *= 2.0
+    rho = brentq(profile, 1e-3, hi, xtol=1e-13, rtol=8.9e-16, maxiter=200)
+    return rho, math.exp(lmax + math.log(np.sum(np.exp(rho * (logx - lmax))) / event.sum()) / rho)
+
+
+def _criterion_11_sets():
+    """Criterion 11's 200 data sets: 500 Weibull(22.04, 117.69) strengths each,
+    censored at their 0.9 quantile."""
+    model = StrengthModel("weibull", 22.04, 117.69)
+    for seed in range(200):
+        x = model.sample(np.random.default_rng([11, seed]), 1, 500).ravel()
+        cut = np.quantile(x, 0.9)
+        yield [(min(v, cut), v > cut) for v in x]
+
+
+def _two_uncensored_sets():
+    """One data set: 60 Weibull(5, 2) values, all but the two smallest censored."""
+    xs = np.random.default_rng(5).weibull(5.0, size=60) * 2.0
+    rank = np.argsort(np.argsort(xs))
+    return [[(v, r >= 2) for v, r in zip(xs, rank)]]
+
+
 class TestWeibullMLE:
+    @pytest.mark.parametrize("sets", [_criterion_11_sets, _two_uncensored_sets],
+                             ids=["criterion-11", "two-uncensored"])
+    def test_newton_root_matches_brentq(self, sets):
+        for data in sets():
+            fit = st.weibull_mle_censored(data)
+            rho, sigma = _brentq_rho_sigma(data)
+            assert fit.converged
+            assert abs(fit.rho - rho) <= 1e-13 * rho
+            assert abs(fit.sigma - sigma) <= 1e-13 * sigma
+
+    def test_no_finite_mle_rejected(self):
+        # every uncensored value sits at the sample maximum: the likelihood grows without bound
+        # in rho, where a root finder would return the end of its bracket, rho = 3.6e16
+        with pytest.raises(ValueError, match="no finite MLE: the mean uncensored log value is "
+                                             "not below the largest log value"):
+            st.weibull_mle_censored([(2.0, False), (2.0, False), (1.0, True)])
+
     def test_recovers_generator_parameters(self):
         model = StrengthModel("weibull", 22.04, 117.69)
         x = model.sample(np.random.default_rng(7), 1, 500).ravel()
